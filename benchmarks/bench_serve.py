@@ -9,8 +9,8 @@ over the compiled engine on the Table-1 config-4 network, sweeping:
   2 ms coalescing window) vs OFF (``max_batch_size=1``: every request
   executes alone, the batch-size-1 serving baseline);
 * **transport** — in-process ``MicroBatcher.submit`` (isolates the serving
-  core) and end-to-end HTTP over keep-alive connections (adds JSON + socket
-  cost per request).
+  core) and end-to-end HTTP over keep-alive connections (adds the ``.npy``
+  request body, the JSON response and socket cost per request).
 
 Two model scales are swept.  The primary "serving" scale (16x16 inputs,
 half width — the latency-critical small-model regime FLightNNs target, and

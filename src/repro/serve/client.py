@@ -6,6 +6,14 @@ any HTTP library.  :class:`PredictClient` is thread-safe — each thread gets
 its own persistent keep-alive connection, so concurrent load generators can
 share one instance without paying TCP setup per request.
 
+Images go out as binary NumPy ``.npy`` bodies (``Content-Type:
+application/x-npy``; one CHW array for :meth:`PredictClient.predict`, the
+images stacked into NCHW for :meth:`PredictClient.predict_batch`) with
+``model`` and ``deadline_ms`` in the query string — a 3×16×16 float64 image
+is 6.3 KB on the wire instead of ~16 KB of JSON text, and the server skips
+parsing thousands of Python floats.  Responses stay JSON: float64 logits
+round-trip exactly through ``repr``.
+
 Transport failures — a connect refused, an idle-closed keep-alive, and
 equally a :class:`ConnectionResetError`/:class:`BrokenPipeError` that
 strikes *mid-response* (headers in, body torn off by a worker crash or a
@@ -27,6 +35,7 @@ for a server that may be mid-restart behind one of its workers.
 from __future__ import annotations
 
 import http.client
+import io
 import json
 import queue
 import random
@@ -161,22 +170,31 @@ class PredictClient:
         return delay * (1.0 + self.backoff_jitter * self._jitter_rng.random())
 
     def _request(
-        self, path: str, body: "dict | None" = None, deadline_s: "float | None" = None
+        self, path: str, body: "np.ndarray | dict | None" = None, deadline_s: "float | None" = None
     ) -> dict:
+        """GET ``path`` when ``body`` is None, else POST it: an ndarray as a
+        ``.npy`` body, anything else as JSON."""
+        if body is None:
+            data, headers = None, {}
+        elif isinstance(body, np.ndarray):
+            buf = io.BytesIO()
+            np.save(buf, body, allow_pickle=False)
+            data, headers = buf.getvalue(), {"Content-Type": "application/x-npy"}
+        else:
+            data, headers = json.dumps(body).encode("utf-8"), {"Content-Type": "application/json"}
         if self.hedge_after_s is None:
-            return self._attempt_loop(path, body, deadline_s)
-        return self._hedged_request(path, body, deadline_s)
+            return self._attempt_loop(path, data, headers, deadline_s)
+        return self._hedged_request(path, data, headers, deadline_s)
 
     def _attempt_loop(
         self,
         path: str,
-        body: "dict | None",
+        data: "bytes | None",
+        headers: "dict[str, str]",
         deadline_s: "float | None",
         close_after: bool = False,
     ) -> dict:
-        data = None if body is None else json.dumps(body).encode("utf-8")
         method = "GET" if data is None else "POST"
-        headers = {"Content-Type": "application/json"} if data is not None else {}
         deadline = None if deadline_s is None else time.monotonic() + deadline_s
         try:
             for attempt in range(self.max_retries + 1):
@@ -218,7 +236,8 @@ class PredictClient:
         return payload
 
     def _hedged_request(
-        self, path: str, body: "dict | None", deadline_s: "float | None"
+        self, path: str, data: "bytes | None", headers: "dict[str, str]",
+        deadline_s: "float | None",
     ) -> dict:
         """Race a duplicate request once the first exceeds ``hedge_after_s``.
 
@@ -232,7 +251,8 @@ class PredictClient:
 
         def run(tag: str) -> None:
             try:
-                results.put((tag, None, self._attempt_loop(path, body, deadline_s, close_after=True)))
+                results.put((tag, None, self._attempt_loop(
+                    path, data, headers, deadline_s, close_after=True)))
             except BaseException as exc:  # delivered to the caller below
                 results.put((tag, exc, None))
 
@@ -265,6 +285,16 @@ class PredictClient:
 
     # -- prediction ------------------------------------------------------------
 
+    def _predict(
+        self, array: np.ndarray, model: "str | None", deadline_ms: "float | None"
+    ) -> dict:
+        params = {"model": model, "deadline_ms": deadline_ms}
+        query = urllib.parse.urlencode({k: v for k, v in params.items() if v is not None})
+        return self._request(
+            "/v1/predict" + ("?" + query if query else ""), array,
+            deadline_s=None if deadline_ms is None else deadline_ms / 1000.0,
+        )
+
     def predict(
         self,
         image,
@@ -277,15 +307,10 @@ class PredictClient:
         request once it expires, and the client stops retrying when the next
         backoff would overrun it.
         """
-        body: dict = {"image": np.asarray(image).tolist()}
-        if model is not None:
-            body["model"] = model
-        if deadline_ms is not None:
-            body["deadline_ms"] = deadline_ms
-        out = self._request(
-            "/v1/predict", body,
-            deadline_s=None if deadline_ms is None else deadline_ms / 1000.0,
-        )
+        image = np.asarray(image)
+        if image.ndim == 4:  # the server would answer it as a batch
+            raise ValueError("predict takes one CHW image; use predict_batch for NCHW")
+        out = self._predict(image, model, deadline_ms)
         return PredictResult(
             model=out["model"],
             logits=np.asarray(out["logits"], dtype=np.float64),
@@ -299,15 +324,10 @@ class PredictClient:
         deadline_ms: "float | None" = None,
     ) -> PredictResult:
         """Predict a list/array of CHW images in one HTTP request."""
-        body: dict = {"images": [np.asarray(img).tolist() for img in images]}
-        if model is not None:
-            body["model"] = model
-        if deadline_ms is not None:
-            body["deadline_ms"] = deadline_ms
-        out = self._request(
-            "/v1/predict", body,
-            deadline_s=None if deadline_ms is None else deadline_ms / 1000.0,
-        )
+        batch = np.stack([np.asarray(img) for img in images])
+        if batch.ndim != 4:  # the server would answer a 3-D stack as one image
+            raise ValueError(f"predict_batch takes CHW images, got a stack of shape {batch.shape}")
+        out = self._predict(batch, model, deadline_ms)
         return PredictResult(
             model=out["model"],
             logits=np.asarray(out["logits"], dtype=np.float64),

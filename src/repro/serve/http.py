@@ -6,12 +6,21 @@ connection, no third-party dependencies) exposing:
 
 * ``POST /v1/predict`` — JSON body with one CHW ``"image"`` (or a list
   under ``"images"``), optional ``"model"`` (required only when several
-  models are registered) and ``"deadline_ms"``.  Answers logits and argmax
-  predictions; float64 logits survive the JSON round-trip exactly
-  (``repr``-based float serialization), which the parity load test relies
-  on.
+  models are registered) and ``"deadline_ms"``.  With ``Content-Type:
+  application/x-npy`` the body is instead one NumPy ``.npy`` array — CHW
+  for one image, NCHW for a batch — and ``model``, ``deadline_ms``,
+  ``priority`` and ``tenant`` ride in the query string
+  (``/v1/predict?model=net4&deadline_ms=50``).  The body is parsed with
+  ``allow_pickle=False``, so object or pickled payloads are refused (400).
+  Either way the answer is JSON logits and argmax predictions; float64
+  logits survive the JSON round-trip exactly (``repr``-based float
+  serialization), which the parity load test relies on.
 * ``GET /healthz`` — liveness plus the registered model names.
 * ``GET /metrics`` — JSON snapshot of every model's serving metrics.
+
+Every accepted socket runs with ``TCP_NODELAY``: a response leaves in two
+writes (headers, then body), and with Nagle's algorithm on the body would
+wait for the client's delayed ACK — about 40 ms per request on Linux.
 
 Error mapping is explicit: malformed requests → 400, unknown model → 404,
 shed by backpressure → **503** (with ``Retry-After``), deadline expired →
@@ -26,9 +35,11 @@ requests with 503-style errors instead).
 
 from __future__ import annotations
 
+import io
 import json
 import threading
 import time
+import urllib.parse
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -56,6 +67,9 @@ __all__ = ["ModelServer"]
 logger = get_logger("serve.http")
 
 _MAX_BODY_BYTES = 64 * 1024 * 1024
+_NPY_CONTENT_TYPE = "application/x-npy"
+#: JSON fields that an npy request carries in its query string instead.
+_QUERY_FIELDS = ("model", "deadline_ms", "priority", "tenant")
 
 
 class _RequestError(Exception):
@@ -73,6 +87,8 @@ class _Handler(BaseHTTPRequestHandler):
     # Idle keep-alive connections are dropped after this many seconds, so
     # abandoned sockets cannot pin handler threads forever.
     timeout = 60.0
+    # TCP_NODELAY on every accepted socket (see module docstring).
+    disable_nagle_algorithm = True
 
     # -- plumbing --------------------------------------------------------------
 
@@ -100,7 +116,7 @@ class _Handler(BaseHTTPRequestHandler):
         except (BrokenPipeError, ConnectionResetError):  # client went away
             self.close_connection = True
 
-    def _read_json_body(self) -> dict:
+    def _read_body(self) -> bytes:
         length = self.headers.get("Content-Length")
         if length is None:
             raise _RequestError(411, "Content-Length required")
@@ -110,12 +126,43 @@ class _Handler(BaseHTTPRequestHandler):
             raise _RequestError(400, f"bad Content-Length {length!r}") from None
         if not 0 < length <= _MAX_BODY_BYTES:
             raise _RequestError(413, f"body must be 1..{_MAX_BODY_BYTES} bytes, got {length}")
+        return self.rfile.read(length)
+
+    def _json_payload(self, body: bytes) -> dict:
         try:
-            payload = json.loads(self.rfile.read(length))
+            payload = json.loads(body)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise _RequestError(400, f"body is not valid JSON: {exc}") from None
         if not isinstance(payload, dict):
             raise _RequestError(400, "body must be a JSON object")
+        return payload
+
+    def _npy_payload(self, body: bytes, query: str) -> dict:
+        """Turn an npy body plus its query string into a JSON-shaped payload."""
+        try:
+            array = np.load(io.BytesIO(body), allow_pickle=False)
+        # MemoryError: a header claiming far more data than the body holds.
+        except (ValueError, EOFError, MemoryError) as exc:
+            raise _RequestError(400, f"body is not a valid .npy array: {exc}") from None
+        if not isinstance(array, np.ndarray):  # an .npz archive
+            array.close()
+            raise _RequestError(400, "body must be a single .npy array, not an archive")
+        if array.dtype.kind not in "iuf":
+            raise _RequestError(400, f"array dtype must be numeric, got {array.dtype}")
+        if array.ndim not in (3, 4):
+            raise _RequestError(
+                400, f"array must be CHW (one image) or NCHW (a batch), got shape {array.shape}"
+            )
+        array = np.ascontiguousarray(array, dtype=np.float64)
+        payload: dict = {"image": array} if array.ndim == 3 else {"images": list(array)}
+        for key, value in urllib.parse.parse_qsl(query, keep_blank_values=True):
+            if key in _QUERY_FIELDS:
+                payload[key] = value
+        if "deadline_ms" in payload:
+            try:
+                payload["deadline_ms"] = float(payload["deadline_ms"])
+            except ValueError:
+                raise _RequestError(400, '"deadline_ms" must be a positive number') from None
         return payload
 
     # -- routes ----------------------------------------------------------------
@@ -156,11 +203,16 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(404, {"error": f"unknown path {self.path!r}"})
 
     def _post(self) -> None:
-        if self.path != "/v1/predict":
+        url = urllib.parse.urlsplit(self.path)
+        if url.path != "/v1/predict":
             self._send_json(404, {"error": f"unknown path {self.path!r}"})
             return
         try:
-            payload = self._read_json_body()
+            body = self._read_body()
+            if self.headers.get_content_type() == _NPY_CONTENT_TYPE:
+                payload = self._npy_payload(body, url.query)
+            else:
+                payload = self._json_payload(body)
             response = self._predict(payload)
         except _RequestError as exc:
             self._send_json(exc.status, exc.payload)

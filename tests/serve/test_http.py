@@ -1,9 +1,12 @@
-"""HTTP front end: endpoints, error mapping, graceful drain-then-stop."""
+"""HTTP front end: endpoints, error mapping, npy bodies, graceful drain-then-stop."""
 
 from __future__ import annotations
 
+import http.client
+import io
 import json
 import socket
+import statistics
 import threading
 import time
 import urllib.error
@@ -35,9 +38,10 @@ def server():
     srv.stop()
 
 
-def _post_raw(url: str, body: bytes, content_type: str = "application/json"):
+def _post_raw(url: str, body: bytes, content_type: str = "application/json", query: str = ""):
     req = urllib.request.Request(
-        f"{url}/v1/predict", data=body, headers={"Content-Type": content_type}, method="POST"
+        f"{url}/v1/predict{query}", data=body, headers={"Content-Type": content_type},
+        method="POST",
     )
     try:
         with urllib.request.urlopen(req, timeout=15) as resp:
@@ -82,6 +86,142 @@ class TestEndpoints:
         snap = client.metrics()
         assert snap["server"]["http_requests"] >= 1
         assert snap["models"]["net4"]["requests"]["completed"] >= 1
+
+
+def _npy(array, allow_pickle: bool = False) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=allow_pickle)
+    return buf.getvalue()
+
+
+def _npz() -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, image=np.zeros((3, 16, 16)))
+    return buf.getvalue()
+
+
+_NPY = "application/x-npy"
+_UNPICKLED = threading.Event()
+
+
+def _trip() -> None:
+    _UNPICKLED.set()
+
+
+class _Tripwire:
+    """Unpickling this object sets :data:`_UNPICKLED`."""
+
+    def __reduce__(self):
+        return _trip, ()
+
+
+class TestTransport:
+    def test_keepalive_round_trip_does_not_stall(self, server):
+        # With Nagle on, each response body waits for the client's delayed
+        # ACK (~40 ms on Linux); with TCP_NODELAY it is well under 1 ms.
+        client = PredictClient(server.url)
+        times = []
+        for _ in range(20):
+            t0 = time.perf_counter()
+            client.healthz()
+            times.append(time.perf_counter() - t0)
+        client.close()
+        assert statistics.median(times) < 0.020, f"median {statistics.median(times) * 1e3:.1f} ms"
+
+    @pytest.mark.parametrize(
+        "content_type", ["application/json", "application/x-www-form-urlencoded"]
+    )
+    def test_json_body_exact(self, server, content_type):
+        # curl -d sends x-www-form-urlencoded: anything but npy is JSON.
+        images = sample_images(2, seed=35)
+        serial = server.registry.get("net4").engine.predict_logits(images)
+        body = json.dumps({"image": images[1].tolist(), "model": "net4"}).encode()
+        status, payload = _post_raw(server.url, body, content_type)
+        assert status == 200
+        assert np.asarray(payload["logits"]).tobytes() == serial[1].tobytes()
+        assert payload["prediction"] == int(np.argmax(serial[1]))
+
+
+class TestNpyBodies:
+    def test_single_image_exact(self, server):
+        images = sample_images(3, seed=36)
+        serial = server.registry.get("net4").engine.predict_logits(images)
+        status, payload = _post_raw(server.url, _npy(images[2]), _NPY)
+        assert status == 200
+        assert payload["model"] == "net4"
+        assert np.asarray(payload["logits"]).tobytes() == serial[2].tobytes()
+        assert payload["prediction"] == int(np.argmax(serial[2]))
+
+    def test_batch_exact(self, server):
+        images = sample_images(4, seed=37)
+        serial = server.registry.get("net4").engine.predict_logits(images)
+        status, payload = _post_raw(server.url, _npy(np.stack(images)), _NPY)
+        assert status == 200
+        assert np.asarray(payload["logits"]).tobytes() == serial.tobytes()
+        assert payload["predictions"] == [int(v) for v in np.argmax(serial, axis=1)]
+
+    def test_float32_body_is_widened(self, server):
+        image = sample_images(1, seed=38)[0].astype(np.float32)
+        serial = server.registry.get("net4").engine.predict_logits(
+            image.astype(np.float64)[None]
+        )
+        status, payload = _post_raw(server.url, _npy(image), _NPY)
+        assert status == 200
+        assert np.asarray(payload["logits"]).tobytes() == serial[0].tobytes()
+
+    def test_query_parameters_honoured(self, server):
+        body = _npy(sample_images(1, seed=39)[0])
+        status, payload = _post_raw(server.url, body, _NPY, "?model=net4&deadline_ms=5000")
+        assert status == 200 and payload["model"] == "net4"
+        status, payload = _post_raw(server.url, body, _NPY, "?model=resnet999")
+        assert status == 404 and "resnet999" in payload["error"]
+        for bad in ("-5", "soon"):
+            status, payload = _post_raw(server.url, body, _NPY, f"?deadline_ms={bad}")
+            assert status == 400 and "deadline_ms" in payload["error"]
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            pytest.param(_npy(np.zeros((3, 16, 16)))[:-100], id="truncated"),
+            pytest.param(b"not an npy body", id="garbage"),
+            pytest.param(_npy(np.zeros((16, 16))), id="2d"),
+            pytest.param(_npy(np.zeros((1, 1, 3, 16, 16))), id="5d"),
+            pytest.param(_npy(np.full((3, 2, 2), "x")), id="string-dtype"),
+            pytest.param(_npz(), id="npz-archive"),
+        ],
+    )
+    def test_bad_bodies_400(self, server, body):
+        status, payload = _post_raw(server.url, body, _NPY)
+        assert status == 400, payload
+
+    def test_object_array_rejected_without_unpickling(self, server):
+        _UNPICKLED.clear()
+        body = _npy(np.array([_Tripwire()] * 3, dtype=object).reshape(3, 1, 1), allow_pickle=True)
+        status, payload = _post_raw(server.url, body, _NPY)
+        assert not _UNPICKLED.is_set()
+        assert status == 400 and "pickle" in payload["error"].lower()
+
+    def test_oversized_content_length_413(self, server):
+        from repro.serve.http import _MAX_BODY_BYTES
+
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=15)
+        try:
+            conn.putrequest("POST", "/v1/predict")
+            conn.putheader("Content-Type", _NPY)
+            conn.putheader("Content-Length", str(_MAX_BODY_BYTES + 1))
+            conn.endheaders()
+            resp = conn.getresponse()
+            assert resp.status == 413
+            json.loads(resp.read())
+        finally:
+            conn.close()
+
+    def test_client_batch_must_stack_to_nchw(self, server):
+        client = PredictClient(server.url)
+        with pytest.raises(ValueError):
+            client.predict_batch([np.zeros((16, 16))] * 2)
+        with pytest.raises(ValueError):
+            client.predict(np.zeros((1, 3, 16, 16)))
 
 
 class TestErrorMapping:
