@@ -42,7 +42,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from repro.errors import CompileError, ShapeError
 from repro.infer.fold import bn_eval_affine
-from repro.infer.intq.kernels import bind_int_kernel
+from repro.infer.intq.kernels import STEP_ARGS, bind_int_kernel, step_struct
 from repro.infer.intq.pack import PackedWeights, pack_weights
 from repro.infer.intq.requant import quantize_multiplier, quantize_multiplier_array
 from repro.infer.kernels import AUTOTUNE_CACHE
@@ -381,6 +381,27 @@ class IntAffineOp:
         ctx.slots[self.dst] = out
 
 
+def standalone_step_op(step: tuple, index: int, src: int, dst: int):
+    """The standalone op computing one epilogue step (see
+    :data:`~repro.infer.intq.kernels.STEP_ARGS`) from ``src`` into ``dst``."""
+    kind, args = step[0], dict(zip(STEP_ARGS[step[0]], step[1:]))
+    if kind == "lrelu0":
+        return IntLeakyOp(index, src, dst, 0, 0, 1, True)
+    if kind == "lrelu":
+        return IntLeakyOp(index, src, dst, args["m0"], args["rnd"], args["sh"], False)
+    return IntRescaleOp(
+        index, src, dst, kind, args["amount"], args.get("m0", 0), args.get("rnd", 0),
+        args["lo"], args["hi"],
+    )
+
+
+def _lrelu_scratch(ctx: ExecutionContext, op, shape: tuple) -> np.ndarray | None:
+    """The int64 scratch a fused ``lrelu`` step needs (None without one)."""
+    if "lrelu" not in step_struct(op.fused):
+        return None
+    return ctx.buffer(op.index, "tmp", shape, np.int64)
+
+
 @dataclass
 class IntConvOp:
     """Integer convolution: im2col + shift-accumulate/GEMM + requant epilogue."""
@@ -401,6 +422,9 @@ class IntConvOp:
     backend: str = "auto"
     #: Intra-op thread count for the native integer kernel (0 = serial).
     threads: int = 0
+    #: LeakyReLU/rescale steps folded into the requant epilogue (see
+    #: :data:`repro.infer.intq.kernels.STEP_ARGS`).
+    fused: tuple = ()
 
     def run(self, ctx: ExecutionContext) -> None:
         x = ctx.slots[self.src]
@@ -435,16 +459,17 @@ class IntConvOp:
             acc64 = (
                 acc if mat_dt == np.int64 else ctx.buffer(self.index, "acc64", acc.shape, np.int64)
             )
+            tmp = _lrelu_scratch(ctx, self, acc.shape)
             kernel = bind_int_kernel(
                 "conv", self.impl, (n, f, cols.shape[1], oh * ow),
-                mat_dt, self.flags, self.group_shifts, self.consts,
+                mat_dt, self.flags, self.group_shifts, self.consts, self.fused,
             )
             if self.impl == "intq_shift":
                 shifted = ctx.buffer(self.index, "shifted", cols.shape, mat_dt)
                 part = ctx.buffer(self.index, "part", acc.shape, mat_dt)
-                kernel(cols, shifted, part, acc, acc64, out)
+                kernel(cols, shifted, part, acc, acc64, out, tmp)
             else:
-                kernel(cols, acc, acc64, out)
+                kernel(cols, acc, acc64, out, tmp)
 
         if self.backend == "numpy" or not _native_int(ctx, self, "conv", cols, out, run_numpy):
             run_numpy()
@@ -468,6 +493,8 @@ class IntLinearOp:
     backend: str = "auto"
     #: Intra-op thread count for the native integer kernel (0 = serial).
     threads: int = 0
+    #: LeakyReLU/rescale steps folded into the requant epilogue.
+    fused: tuple = ()
 
     def run(self, ctx: ExecutionContext) -> None:
         x = ctx.slots[self.src]
@@ -485,16 +512,17 @@ class IntLinearOp:
             acc64 = (
                 acc if mat_dt == np.int64 else ctx.buffer(self.index, "acc64", acc.shape, np.int64)
             )
+            tmp = _lrelu_scratch(ctx, self, acc.shape)
             kernel = bind_int_kernel(
                 "linear", self.impl, (n, f, xin.shape[1]),
-                mat_dt, self.flags, self.group_shifts, self.consts,
+                mat_dt, self.flags, self.group_shifts, self.consts, self.fused,
             )
             if self.impl == "intq_shift":
                 shifted = ctx.buffer(self.index, "shifted", xin.shape, mat_dt)
                 part = ctx.buffer(self.index, "part", acc.shape, mat_dt)
-                kernel(xin, shifted, part, acc, acc64, out)
+                kernel(xin, shifted, part, acc, acc64, out, tmp)
             else:
-                kernel(xin, acc, acc64, out)
+                kernel(xin, acc, acc64, out, tmp)
 
         if self.backend == "numpy" or not _native_int(ctx, self, "linear", xin, out, run_numpy):
             run_numpy()
@@ -582,6 +610,9 @@ class _IntQBuilder:
         self.ops: list = []
         self.layers: list[dict] = []
         self.bindings = {b.op_index: b for b in plan.bindings}
+        #: Plan ops reading each slot, and the ops folded into a producer.
+        self.readers: dict[int, list] = {}
+        self.consumed: set[int] = set()
 
     def _next_index(self) -> int:
         return _INDEX_BASE + len(self.ops)
@@ -626,6 +657,12 @@ class _IntQBuilder:
 
     def lower(self) -> None:
         for op in self.plan.ops:
+            for slot in (op.src, getattr(op, "src2", None)):
+                if slot is not None:
+                    self.readers.setdefault(slot, []).append(op)
+        for op in self.plan.ops:
+            if id(op) in self.consumed:
+                continue
             if isinstance(op, ConvOp):
                 self._lower_matmul(op, linear=False)
             elif isinstance(op, LinearOp):
@@ -682,43 +719,74 @@ class _IntQBuilder:
         )
 
     def _lower_actquant(self, op: ActQuantOp) -> None:
-        half = int(op.half)
-        lo, hi = -half, half - 1
         if op.src not in self.spec:
             # The canonical network input quantizer: bit-exact vs the float
             # interpreter's rint/clip.
+            half = int(op.half)
             self.ops.append(
-                IntQuantizeOp(self._next_index(), op.src, op.dst, 1.0 / op.step, lo, hi)
+                IntQuantizeOp(self._next_index(), op.src, op.dst, 1.0 / op.step, -half, half - 1)
             )
             self.spec[op.dst] = GridSpec(op.step, half)
             return
-        spec = self.spec[op.src]
-        ratio = spec.step / op.step
-        if _is_pow2(ratio) and ratio >= 1.0:
-            mode, amount, m0, rnd = "lshift", int(round(math.log2(ratio))), 0, 0
-        elif _is_pow2(1.0 / ratio):
-            amount = int(round(math.log2(1.0 / ratio)))
-            mode, m0, rnd = "rshift", 0, 1 << max(amount - 1, 0)
-        else:
-            m0, amount = quantize_multiplier(ratio, RQ_BITS_MAX)
-            mode, rnd = "requant", 1 << (amount - 1)
-        self.ops.append(
-            IntRescaleOp(self._next_index(), op.src, op.dst, mode, amount, m0, rnd, lo, hi)
-        )
-        self.spec[op.dst] = GridSpec(op.step, half)
+        step, self.spec[op.dst] = self._rescale_step(op, self.spec[op.src])
+        self.ops.append(standalone_step_op(step, self._next_index(), op.src, op.dst))
 
     def _lower_leaky(self, op: LeakyReluOp) -> None:
-        spec = self._grid_input(op.src)
-        if op.slope == 0.0:
-            self.ops.append(IntLeakyOp(self._next_index(), op.src, op.dst, 0, 0, 1, True))
+        self.spec[op.dst] = self._grid_input(op.src)
+        self.ops.append(
+            standalone_step_op(self._leaky_step(op), self._next_index(), op.src, op.dst)
+        )
+
+    @staticmethod
+    def _rescale_step(op: ActQuantOp, spec: GridSpec) -> tuple[tuple, GridSpec]:
+        """An ActQuant on a grid as one rescale step, plus its output grid."""
+        half = int(op.half)
+        lo, hi = -half, half - 1
+        ratio = spec.step / op.step
+        if _is_pow2(ratio) and ratio >= 1.0:
+            step = ("lshift", int(round(math.log2(ratio))), lo, hi)
+        elif _is_pow2(1.0 / ratio):
+            amount = int(round(math.log2(1.0 / ratio)))
+            step = ("rshift", amount, 1 << max(amount - 1, 0), lo, hi)
         else:
-            m0, sh = quantize_multiplier(float(op.slope), RQ_BITS_MAX)
-            self.ops.append(
-                IntLeakyOp(
-                    self._next_index(), op.src, op.dst, m0, 1 << (sh - 1), sh, False
-                )
-            )
-        self.spec[op.dst] = spec
+            m0, amount = quantize_multiplier(ratio, RQ_BITS_MAX)
+            step = ("requant", int(m0), 1 << (amount - 1), int(amount), lo, hi)
+        return step, GridSpec(op.step, half)
+
+    @staticmethod
+    def _leaky_step(op: LeakyReluOp) -> tuple:
+        """A LeakyReLU as one step; it keeps its input's grid."""
+        if op.slope == 0.0:
+            return ("lrelu0",)
+        m0, sh = quantize_multiplier(float(op.slope), RQ_BITS_MAX)
+        return ("lrelu", int(m0), 1 << (sh - 1), int(sh))
+
+    def _fuse_chain(self, slot: int, spec: GridSpec) -> tuple[tuple, int, GridSpec]:
+        """Fold the LeakyReLU/ActQuant ops reading ``slot`` into its producer.
+
+        A step folds only when the slot it reads has exactly one reader and
+        is not the plan output, so the skipped intermediate is never needed.
+        Each folded step's ops are marked consumed, so :meth:`lower` skips
+        them.  Returns the steps, the slot the producer now writes, and that
+        slot's grid.
+        """
+        self.spec[slot] = spec
+        steps: list[tuple] = []
+        while slot != self.plan.out_slot and len(self.readers.get(slot, ())) == 1:
+            reader = self.readers[slot][0]
+            if isinstance(reader, LeakyReluOp) and abs(reader.slope) <= 1.0:
+                # |slope| <= 1 keeps the negative branch inside the input
+                # bound, which the standalone op's narrowing store relies on.
+                steps.append(self._leaky_step(reader))
+            elif isinstance(reader, ActQuantOp):
+                step, spec = self._rescale_step(reader, spec)
+                steps.append(step)
+            else:
+                break
+            self.consumed.add(id(reader))
+            slot = reader.dst
+            self.spec[slot] = spec
+        return tuple(steps), slot, spec
 
     def _lower_add(self, op: AddOp) -> None:
         s1, s2 = self._grid_input(op.src), self._grid_input(op.src2)
@@ -825,7 +893,7 @@ class _IntQBuilder:
         bound_out = int(math.ceil(bound_acc * m_abs_max)) + int(np.abs(gb).max(initial=0)) + 1
         if dmap is not None:
             bound_out += int(np.abs(dmap).max(initial=0))
-        out_spec = GridSpec(step_out, bound_out)
+        fused, dst, out_spec = self._fuse_chain(op.dst, GridSpec(step_out, bound_out))
 
         flags = []
         if dmap is not None:
@@ -856,14 +924,15 @@ class _IntQBuilder:
         index = self._next_index()
         if linear:
             int_op = IntLinearOp(
-                index, op.src, op.dst, f, "intq_gemm", str(acc_dt), str(out_spec.dtype),
-                flags, group_shifts, consts,
+                index, op.src, dst, f, "intq_gemm", str(acc_dt), str(out_spec.dtype),
+                flags, group_shifts, consts, fused=fused,
             )
             out_positions = 1
         else:
             int_op = IntConvOp(
-                index, op.src, op.dst, op.kernel, op.stride, op.padding, f,
+                index, op.src, dst, op.kernel, op.stride, op.padding, f,
                 "intq_gemm", str(acc_dt), str(out_spec.dtype), flags, group_shifts, consts,
+                fused=fused,
             )
             out_positions = int(out_shape[2] * out_shape[3])
         # Impl timing must stay numpy-pure — native compiles would pollute it;
@@ -872,7 +941,6 @@ class _IntQBuilder:
         autotune = self._choose_impl(int_op, spec_in, in_shape)
         autotune_backend = self._choose_backend(int_op, spec_in, in_shape)
         self.ops.append(int_op)
-        self.spec[op.dst] = out_spec
 
         nnz = packed.nonzero_terms
         record = {
@@ -892,6 +960,7 @@ class _IntQBuilder:
             "scale_out": step_out,
             "zero_point": 0,
             "backend": int_op.backend,
+            "fused": list(step_struct(fused)),
         }
         if autotune is not None:
             record["autotune"] = autotune
@@ -912,7 +981,7 @@ class _IntQBuilder:
         key = (
             "intq", type(int_op).__name__, tuple(in_shape),
             tuple(int_op.consts["W"].shape), int_op.group_shifts,
-            int_op.acc_dtype, cfg.autotune_reps,
+            int_op.acc_dtype, int_op.fused, cfg.autotune_reps,
         )
         entry = AUTOTUNE_CACHE.get(key)
         if entry is None:
@@ -965,7 +1034,7 @@ class _IntQBuilder:
         key = (
             "intq-native", type(int_op).__name__, tuple(in_shape),
             tuple(int_op.consts["W"].shape), int_op.impl, int_op.group_shifts,
-            int_op.acc_dtype, cfg.autotune_reps,
+            int_op.acc_dtype, int_op.fused, cfg.autotune_reps,
         )
         entry = AUTOTUNE_CACHE.get(key)
         if entry is None:

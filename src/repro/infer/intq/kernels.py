@@ -25,6 +25,14 @@ LSB is ``2**(1-MID_BITS)`` of the layer range — are added as integer
 constants.  Any per-channel value a float path would multiply or add in
 (BN scale, biases, pruned-channel constants) lives inside those integer
 constants — the kernels contain no float arithmetic at all.
+
+The epilogue then applies the layer's **fused steps**: the LeakyReLU and
+activation-quantizer rescale that the lowering folded into the op (see
+:data:`STEP_ARGS`), so the kernel writes final 8-bit-grid codes as they
+leave the accumulator, the way the paper's shift-accumulate datapath does.
+Each step replays its standalone op (``IntLeakyOp``/``IntRescaleOp``) in
+int64 on the same values, so fusing never changes an output bit.  This
+numpy epilogue is the reference the native kernels are checked against.
 """
 
 from __future__ import annotations
@@ -33,7 +41,25 @@ import numpy as np
 
 from repro.infer.kernels import KERNEL_CACHE, KernelSpec
 
-__all__ = ["bind_int_kernel"]
+__all__ = ["STEP_ARGS", "bind_int_kernel", "step_struct"]
+
+#: Fused epilogue steps: kind -> the integer arguments a step tuple carries
+#: after its kind, e.g. ``("rshift", amount, rnd, lo, hi)``.  ``lrelu`` is
+#: ``max(a, (a*m0 + rnd) >> sh)`` and ``lrelu0`` is ``max(a, 0)``; the three
+#: rescale modes move ``a`` onto an activation grid and clip it to
+#: ``[lo, hi]``.
+STEP_ARGS = {
+    "lrelu0": (),
+    "lrelu": ("m0", "rnd", "sh"),
+    "lshift": ("amount", "lo", "hi"),
+    "rshift": ("amount", "rnd", "lo", "hi"),
+    "requant": ("m0", "rnd", "amount", "lo", "hi"),
+}
+
+
+def step_struct(steps: tuple) -> tuple:
+    """The structural part of fused steps (their kinds, no constants)."""
+    return tuple(step[0] for step in steps)
 
 
 def _build_source(const_names: list[str], params: list[str], lines: list[str]) -> str:
@@ -45,7 +71,32 @@ def _build_source(const_names: list[str], params: list[str], lines: list[str]) -
     return "\n".join(src) + "\n"
 
 
-def _epilogue_lines(flags: tuple, cast: bool) -> list[str]:
+def _step_lines(step: tuple) -> list[str]:
+    """numpy statements applying one fused step to ``acc64`` in place."""
+    kind, args = step[0], dict(zip(STEP_ARGS[step[0]], step[1:]))
+    if kind == "lrelu0":
+        return ["np.maximum(acc64, 0, out=acc64)"]
+    if kind == "lrelu":
+        return [
+            f"np.multiply(acc64, {args['m0']}, out=tmp)",
+            f"np.add(tmp, {args['rnd']}, out=tmp)",
+            f"np.right_shift(tmp, {args['sh']}, out=tmp)",
+            "np.maximum(acc64, tmp, out=acc64)",
+        ]
+    if kind == "lshift":
+        lines = [f"np.left_shift(acc64, {args['amount']}, out=acc64)"]
+    else:
+        lines = []
+        if kind == "requant":
+            lines.append(f"np.multiply(acc64, {args['m0']}, out=acc64)")
+        lines += [
+            f"np.add(acc64, {args['rnd']}, out=acc64)",
+            f"np.right_shift(acc64, {args['amount']}, out=acc64)",
+        ]
+    return lines + [f"np.clip(acc64, {args['lo']}, {args['hi']}, out=acc64)"]
+
+
+def _epilogue_lines(flags: tuple, cast: bool, fused: tuple) -> list[str]:
     """The shared int64 requant epilogue; assumes ``acc`` holds the MAC sum."""
     lines = []
     if cast:
@@ -59,6 +110,8 @@ def _epilogue_lines(flags: tuple, cast: bool) -> list[str]:
         lines.append("np.add(acc64, DMAP, out=acc64)")
     if "gb" in flags:
         lines.append("np.add(acc64, GB, out=acc64)")
+    for step in fused:
+        lines += _step_lines(step)
     lines.append("np.copyto(out, acc64)")
     return lines
 
@@ -95,6 +148,7 @@ def bind_int_kernel(
     flags: tuple,
     group_shifts: tuple,
     consts: dict,
+    fused: tuple = (),
 ):
     """Fetch (compiling on first use) the generated kernel for one int op.
 
@@ -111,11 +165,14 @@ def bind_int_kernel(
             variant only; ``()`` for GEMM).
         consts: Bind-time constant arrays (``W``/``S*``, ``M0``, ``RND``,
             ``SH``, optional ``DMAP``/``GB``).
+        fused: Fused epilogue steps (see :data:`STEP_ARGS`); their
+            constants are inlined, so they are part of the cache key.
 
     Returns:
-        ``kernel(x, [shifted, part,] acc, acc64, out)`` — a compiled
+        ``kernel(x, [shifted, part,] acc, acc64, out, tmp)`` — a compiled
         closure over ``consts``; ``acc64`` may alias ``acc`` when the
-        accumulator is already int64.
+        accumulator is already int64, and ``tmp`` (an int64 scratch shaped
+        like ``acc``) is only touched by a fused ``lrelu`` step.
     """
     cast = np.dtype(acc_dtype) != np.dtype(np.int64)
     mac_consts, mac_lines = _mac_lines(kind, impl, group_shifts)
@@ -127,15 +184,15 @@ def bind_int_kernel(
     params = ["x"]
     if impl == "intq_shift":
         params += ["shifted", "part"]
-    params += ["acc", "acc64", "out"]
-    lines = mac_lines + _epilogue_lines(flags, cast)
+    params += ["acc", "acc64", "out", "tmp"]
+    lines = mac_lines + _epilogue_lines(flags, cast, fused)
     spec = KernelSpec(
         kind=kind,
         impl=impl,
         shape=tuple(shape),
         dtype=str(np.dtype(acc_dtype)),
         flags=tuple(sorted(flags)) + (("cast",) if cast else ()),
-        epilogue=(("rq",),),
+        epilogue=(("rq",),) + tuple(fused),
         extra=tuple(group_shifts),
     )
     factory = KERNEL_CACHE.get(spec, _build_source(const_names, params, lines))

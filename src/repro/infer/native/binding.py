@@ -739,15 +739,18 @@ def run_int_producer(ctx, op, kind: str, data: np.ndarray, out: np.ndarray, nump
             prepared["blas"] = bslots
         else:
             prepared["W"] = _const(consts["W"], acc_dt)
+        from repro.infer.intq.kernels import step_struct
         from repro.infer.kernels import KernelSpec
 
+        flags = tuple(sorted(op.flags)) + (("out32",) if out.dtype == np.int32 else ())
+        fused = step_struct(op.fused)
         spec = KernelSpec(
             kind=f"int{kind}",
             impl=variant,
             shape=(),
             dtype=str(acc_dt),
-            flags=tuple(sorted(op.flags)),
-            epilogue=(("rq",),),
+            flags=flags,
+            epilogue=(("rq", *fused),),
         )
         ilp64 = blas.blas_info()["ilp64"] if variant == "blas" else True
         if variant == "mtloops":
@@ -757,10 +760,11 @@ def run_int_producer(ctx, op, kind: str, data: np.ndarray, out: np.ndarray, nump
                 mtcodegen.int_conv_source_mt if kind == "conv"
                 else mtcodegen.int_linear_source_mt
             )
-            src, prefix = mt_src(ctype), "native-mt:"
+            src, prefix = mt_src(ctype, flags, fused), "native-mt:"
         else:
             src_fn = codegen.int_conv_source if kind == "conv" else codegen.int_linear_source
-            src, prefix = src_fn(variant, ilp64=ilp64, ctype=ctype), "native:"
+            src = src_fn(variant, ilp64=ilp64, ctype=ctype, flags=flags, fused=fused)
+            prefix = "native:"
         try:
             fn = _native_fn(spec, src, prefix=prefix)
         except toolchain.NativeUnavailable as err:
@@ -771,16 +775,14 @@ def run_int_producer(ctx, op, kind: str, data: np.ndarray, out: np.ndarray, nump
         _count("bound")
     consts = entry["consts"]
     f = op.filters
-    hd = int("dead" in op.flags)
-    hg = int("gb" in op.flags)
-    out32 = int(out.dtype == np.int32)
+    step_dims = [int(v) for step in op.fused for v in step[1:]]
     nb = data.shape[0]
     # Scratch and data buffers can be reallocated between batch sizes, so
     # the pointer blocks are rebuilt per call (unlike the float path, where
     # register identity is bind-stable).
     if kind == "conv":
         kdim, length = data.shape[1], data.shape[2]
-        dims = [nb, f, kdim, length, hd, hg, out32]
+        dims = [nb, f, kdim, length]
         if entry["variant"] == "mtloops":
             from repro.infer.native.threading import codegen as mtcodegen
 
@@ -803,7 +805,7 @@ def run_int_producer(ctx, op, kind: str, data: np.ndarray, out: np.ndarray, nump
                       consts["DMAP"], consts["GB"], out]
     else:
         in_f = data.shape[1]
-        dims = [nb, in_f, f, hd, hg, out32]
+        dims = [nb, in_f, f]
         if entry["variant"] == "mtloops":
             lim = entry["threads"]
             row = ctx.buffer(op.index, "natmtrow", (lim, f), np.int64)
@@ -822,7 +824,7 @@ def run_int_producer(ctx, op, kind: str, data: np.ndarray, out: np.ndarray, nump
             arrays = [data, consts["W"], row,
                       consts["M0"], consts["RND"], consts["SH"],
                       consts["DMAP"], consts["GB"], out]
-    call = _pack_call(entry["fn"], arrays, dims, [])
+    call = _pack_call(entry["fn"], arrays, dims + step_dims, [])
     if entry["mode"] == "native":
         call()
         return True

@@ -37,6 +37,8 @@ before this backend was committed):
 
 from __future__ import annotations
 
+from repro.infer.intq.kernels import STEP_ARGS
+
 __all__ = [
     "epilogue_struct",
     "epilogue_scalars",
@@ -48,6 +50,8 @@ __all__ = [
     "eltwise_source",
     "int_conv_source",
     "int_linear_source",
+    "int_epilogue",
+    "int_step_decls",
 ]
 
 
@@ -554,24 +558,71 @@ def eltwise_source(chain: tuple) -> str:
 
 # -- integer kernels (intq) ---------------------------------------------------
 
-_INT_REQUANT_CONV = [
-    "a = a * M0[f] + RND[f];",
-    "a >>= SH[f];",
-    "if (hd) a += DMAP[f * L + l];",
-    "if (hg) a += GB[f];",
-    "if (out32) ((int32_t *)outv)[ooff] = (int32_t)a; else ((i64 *)outv)[ooff] = a;",
-]
-
-_INT_REQUANT_LINEAR = [
-    "a = a * M0[f] + RND[f];",
-    "a >>= SH[f];",
-    "if (hd) a += DMAP[f];",
-    "if (hg) a += GB[f];",
-    "if (out32) ((int32_t *)outv)[ooff] = (int32_t)a; else ((i64 *)outv)[ooff] = a;",
-]
+def int_step_decls(fused: tuple, base: int) -> list[str]:
+    """Declarations binding each fused step's runtime constants, read from
+    ``dims[base:]`` in :data:`~repro.infer.intq.kernels.STEP_ARGS` order
+    (``fused`` is the structural step list; the values ride in ``dims``,
+    so layers with different grids share one compiled source)."""
+    lines, slot = [], base
+    for i, kind in enumerate(fused):
+        for arg in STEP_ARGS[kind]:
+            lines.append(f"const i64 s{i}_{arg} = dims[{slot}];")
+            slot += 1
+    return lines
 
 
-def int_conv_source(variant: str, ilp64: bool = True, ctype: str = "int32_t") -> str:
+def int_epilogue(flags: tuple, fused: tuple, dead_at: str) -> list[str]:
+    """Per-element requant epilogue on the int64 accumulator ``a`` of
+    channel ``f``, then the fused steps, then the store to ``outv[ooff]``.
+
+    Every conv/linear integer kernel (serial blas and loops, tiled
+    mtloops) emits its epilogue through here.  ``flags`` (``"dead"``,
+    ``"gb"``, ``"out32"``) are baked, like the float kernels' bias/dead
+    flags: runtime flag branches would make the compiler unswitch the
+    loop into one copy per combination, which doubles compile time once
+    the fused steps are in the body.  The fused steps replay the numpy
+    reference in :mod:`repro.infer.intq.kernels` on the same int64
+    values.  Their multiplies, adds and left shifts run on ``uint64_t``:
+    that wraps like numpy's int64 ufuncs do, where signed overflow or a
+    left shift of a negative value would be undefined behaviour in C.
+    Right shifts stay signed (arithmetic, as ``np.right_shift``).
+    """
+    lines = ["a = a * M0[f] + RND[f];", "a >>= SH[f];"]
+    if "dead" in flags:
+        lines.append(f"a += DMAP[{dead_at}];")
+    if "gb" in flags:
+        lines.append("a += GB[f];")
+    for i, kind in enumerate(fused):
+        m0, rnd = f"(uint64_t)s{i}_m0", f"(uint64_t)s{i}_rnd"
+        if kind == "lrelu0":
+            lines.append("if (a < 0) a = 0;")
+            continue
+        if kind == "lrelu":
+            lines.append(
+                f"{{ i64 t = (i64)((uint64_t)a * {m0} + {rnd}) >> s{i}_sh; if (t > a) a = t; }}"
+            )
+            continue
+        if kind == "lshift":
+            lines.append(f"a = (i64)((uint64_t)a << s{i}_amount);")
+        elif kind == "rshift":
+            lines.append(f"a = (i64)((uint64_t)a + {rnd}) >> s{i}_amount;")
+        else:  # requant
+            lines.append(f"a = (i64)((uint64_t)a * {m0} + {rnd}) >> s{i}_amount;")
+        lines.append(f"a = a < s{i}_lo ? s{i}_lo : (a > s{i}_hi ? s{i}_hi : a);")
+    if "out32" in flags:
+        lines.append("((int32_t *)outv)[ooff] = (int32_t)a;")
+    else:
+        lines.append("((i64 *)outv)[ooff] = a;")
+    return lines
+
+
+def int_conv_source(
+    variant: str,
+    ilp64: bool = True,
+    ctype: str = "int32_t",
+    flags: tuple = (),
+    fused: tuple = (),
+) -> str:
     """Integer conv over pre-built im2col columns.
 
     ``variant="blas"`` (int32 accumulator bracket only): columns are cast
@@ -585,7 +636,9 @@ def int_conv_source(variant: str, ilp64: bool = True, ctype: str = "int32_t") ->
                7 M0 8 RND 9 SH 10 DMAP 11 GB 12 out
     loops ptrs: 0 cols(CT) 1 W(CT) 2 acc(i64, F*L scratch)
                3 M0 4 RND 5 SH 6 DMAP 7 GB 8 out
-    dims (both): 0 nb 1 F 2 K 3 L 4 hd 5 hg 6 out32
+    dims (both): 0 nb 1 F 2 K 3 L, then the fused steps' constants from 4
+    (see :func:`int_step_decls`); ``flags`` and ``fused`` are baked by
+    :func:`int_epilogue`
     """
     if variant == "blas":
         body = [
@@ -601,7 +654,7 @@ def int_conv_source(variant: str, ilp64: bool = True, ctype: str = "int32_t") ->
             "const i64 *GB = (const i64 *)ptrs[11];",
             "void *outv = ptrs[12];",
             "i64 nb = dims[0], F = dims[1], K = dims[2], L = dims[3];",
-            "i64 hd = dims[4], hg = dims[5], out32 = dims[6];",
+            *int_step_decls(fused, 4),
             "for (i64 n = 0; n < nb; n++) {",
             "    const int32_t *cn = cols + n * K * L;",
             "    for (i64 e = 0; e < K * L; e++) colsf[e] = (double)cn[e];",
@@ -611,7 +664,7 @@ def int_conv_source(variant: str, ilp64: bool = True, ctype: str = "int32_t") ->
             "            i64 a = (i64)accf[f * L + l];",
             "            i64 ooff = (n * F + f) * L + l;",
         ]
-        body += ["            " + ln for ln in _INT_REQUANT_CONV]
+        body += ["            " + ln for ln in int_epilogue(flags, fused, "f * L + l")]
         body += ["        }", "    }", "}"]
         return _prelude(blas=True, ilp64=ilp64) + _fn(body)
     body = [
@@ -625,7 +678,7 @@ def int_conv_source(variant: str, ilp64: bool = True, ctype: str = "int32_t") ->
         "const i64 *GB = (const i64 *)ptrs[7];",
         "void *outv = ptrs[8];",
         "i64 nb = dims[0], F = dims[1], K = dims[2], L = dims[3];",
-        "i64 hd = dims[4], hg = dims[5], out32 = dims[6];",
+        *int_step_decls(fused, 4),
         "for (i64 n = 0; n < nb; n++) {",
         f"    const {ctype} *cn = cols + n * K * L;",
         "    memset(acc, 0, (size_t)(F * L) * sizeof(i64));",
@@ -643,19 +696,25 @@ def int_conv_source(variant: str, ilp64: bool = True, ctype: str = "int32_t") ->
         "            i64 a = acc[f * L + l];",
         "            i64 ooff = (n * F + f) * L + l;",
     ]
-    body += ["            " + ln for ln in _INT_REQUANT_CONV]
+    body += ["            " + ln for ln in int_epilogue(flags, fused, "f * L + l")]
     body += ["        }", "    }", "}"]
     return _prelude(blas=False) + _fn(body)
 
 
-def int_linear_source(variant: str, ilp64: bool = True, ctype: str = "int32_t") -> str:
+def int_linear_source(
+    variant: str,
+    ilp64: bool = True,
+    ctype: str = "int32_t",
+    flags: tuple = (),
+    fused: tuple = (),
+) -> str:
     """Integer linear (``x @ W`` orientation, W pre-transposed ``(IN, F)``).
 
     blas ptrs: 0 gemm 1 gemv 2 dot 3 x(i32) 4 w64 5 xf 6 accf
                7 M0 8 RND 9 SH 10 DMAP 11 GB 12 out
     loops ptrs: 0 x(CT) 1 W(CT) 2 row(i64, F scratch)
                3 M0 4 RND 5 SH 6 DMAP 7 GB 8 out
-    dims (both): 0 nb 1 IN 2 F 3 hd 4 hg 5 out32
+    dims (both): 0 nb 1 IN 2 F, then the fused steps' constants from 3
     """
     if variant == "blas":
         body = [
@@ -671,7 +730,7 @@ def int_linear_source(variant: str, ilp64: bool = True, ctype: str = "int32_t") 
             "const i64 *GB = (const i64 *)ptrs[11];",
             "void *outv = ptrs[12];",
             "i64 nb = dims[0], IN = dims[1], F = dims[2];",
-            "i64 hd = dims[3], hg = dims[4], out32 = dims[5];",
+            *int_step_decls(fused, 3),
             "for (i64 e = 0; e < nb * IN; e++) xf[e] = (double)x[e];",
             "mm(gemm, gemv, dot, nb, IN, F, xf, w64, accf);",
             "for (i64 n = 0; n < nb; n++) {",
@@ -679,7 +738,7 @@ def int_linear_source(variant: str, ilp64: bool = True, ctype: str = "int32_t") 
             "        i64 a = (i64)accf[n * F + f];",
             "        i64 ooff = n * F + f;",
         ]
-        body += ["        " + ln for ln in _INT_REQUANT_LINEAR]
+        body += ["        " + ln for ln in int_epilogue(flags, fused, "f")]
         body += ["    }", "}"]
         return _prelude(blas=True, ilp64=ilp64) + _fn(body)
     body = [
@@ -693,7 +752,7 @@ def int_linear_source(variant: str, ilp64: bool = True, ctype: str = "int32_t") 
         "const i64 *GB = (const i64 *)ptrs[7];",
         "void *outv = ptrs[8];",
         "i64 nb = dims[0], IN = dims[1], F = dims[2];",
-        "i64 hd = dims[3], hg = dims[4], out32 = dims[5];",
+        *int_step_decls(fused, 3),
         "for (i64 n = 0; n < nb; n++) {",
         "    memset(row, 0, (size_t)F * sizeof(i64));",
         "    for (i64 k = 0; k < IN; k++) {",
@@ -706,6 +765,6 @@ def int_linear_source(variant: str, ilp64: bool = True, ctype: str = "int32_t") 
         "        i64 a = row[f];",
         "        i64 ooff = n * F + f;",
     ]
-    body += ["        " + ln for ln in _INT_REQUANT_LINEAR]
+    body += ["        " + ln for ln in int_epilogue(flags, fused, "f")]
     body += ["    }", "}"]
     return _prelude(blas=False) + _fn(body)

@@ -35,11 +35,11 @@ from __future__ import annotations
 
 from repro.infer.native import codegen
 from repro.infer.native.codegen import (
-    _INT_REQUANT_CONV,
-    _INT_REQUANT_LINEAR,
     _dims_decl,
     _emit_epilogue,
     _fn,
+    int_epilogue,
+    int_step_decls,
 )
 
 __all__ = [
@@ -684,12 +684,12 @@ def eltwise_source_mt(chain: tuple) -> str:
 
 # mt int conv ptrs: 0 pf 1 cols(CT) 2 W(CT) 3 accbuf(i64, threads x FB*L)
 #   4 M0 5 RND 6 SH 7 DMAP 8 GB 9 out
-# dims: 0 limit 1 nb 2 F 3 K 4 L 5 hd 6 hg 7 out32
+# dims: 0 limit 1 nb 2 F 3 K 4 L, fused-step constants from 5
 # Per-worker scratch rows are indexed by the worker id (``wk``), which is
 # always < limit <= the scratch's first dimension.
 
 
-def int_conv_source_mt(ctype: str = "int32_t") -> str:
+def int_conv_source_mt(ctype: str = "int32_t", flags: tuple = (), fused: tuple = ()) -> str:
     body = [
         f"const {ctype} *cols = (const {ctype} *)ptrs[1];",
         f"const {ctype} *Wm = (const {ctype} *)ptrs[2];",
@@ -701,7 +701,7 @@ def int_conv_source_mt(ctype: str = "int32_t") -> str:
         "const i64 *GB = (const i64 *)ptrs[8];",
         "void *outv = ptrs[9];",
         "i64 nb = dims[1], F = dims[2], K = dims[3], L = dims[4];",
-        "i64 hd = dims[5], hg = dims[6], out32 = dims[7];",
+        *int_step_decls(fused, 5),
         "(void)nb;",
         f"i64 FT = (F + {FB - 1}) / {FB};",
         "i64 n = tile / FT, fb = tile % FT;",
@@ -724,7 +724,7 @@ def int_conv_source_mt(ctype: str = "int32_t") -> str:
         "        i64 a = acc[(f - f0) * L + l];",
         "        i64 ooff = (n * F + f) * L + l;",
     ]
-    body += ["        " + ln for ln in _INT_REQUANT_CONV]
+    body += ["        " + ln for ln in int_epilogue(flags, fused, "f * L + l")]
     body += ["    }", "}"]
     run = [
         "i64 nb = dims[1], F = dims[2];",
@@ -735,10 +735,10 @@ def int_conv_source_mt(ctype: str = "int32_t") -> str:
 
 # mt int linear ptrs: 0 pf 1 x(CT) 2 W(CT) 3 rowbuf(i64, threads x F)
 #   4 M0 5 RND 6 SH 7 DMAP 8 GB 9 out
-# dims: 0 limit 1 nb 2 IN 3 F 4 hd 5 hg 6 out32
+# dims: 0 limit 1 nb 2 IN 3 F, fused-step constants from 4
 
 
-def int_linear_source_mt(ctype: str = "int32_t") -> str:
+def int_linear_source_mt(ctype: str = "int32_t", flags: tuple = (), fused: tuple = ()) -> str:
     body = [
         f"const {ctype} *x = (const {ctype} *)ptrs[1];",
         f"const {ctype} *Wm = (const {ctype} *)ptrs[2];",
@@ -750,7 +750,7 @@ def int_linear_source_mt(ctype: str = "int32_t") -> str:
         "const i64 *GB = (const i64 *)ptrs[8];",
         "void *outv = ptrs[9];",
         "i64 nb = dims[1], IN = dims[2], F = dims[3];",
-        "i64 hd = dims[4], hg = dims[5], out32 = dims[6];",
+        *int_step_decls(fused, 4),
         "(void)nb;",
         "i64 n = tile;",
         "i64 *row = rowbuf + wk * F;",
@@ -765,7 +765,7 @@ def int_linear_source_mt(ctype: str = "int32_t") -> str:
         "    i64 a = row[f];",
         "    i64 ooff = n * F + f;",
     ]
-    body += ["    " + ln for ln in _INT_REQUANT_LINEAR]
+    body += ["    " + ln for ln in int_epilogue(flags, fused, "f")]
     body += ["}"]
     run = [
         "i64 nb = dims[1];",
