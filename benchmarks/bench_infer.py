@@ -4,8 +4,8 @@ Measures `Trainer.evaluate(use_engine=False)` (the eager autograd-free
 fallback) against the compiled :class:`~repro.infer.InferenceEngine` on
 synthetic CIFAR-shaped data for the small Table-1 configurations, plus:
 
-* multicore batch-sharding rows (thread / process backends) — note that the
-  recorded ``cpu_count`` bounds how much sharding *can* help on the host;
+* thread batch-sharding rows (``evaluate(workers=N)``) — note that the
+  recorded ``effective_cpus`` bounds how much sharding *can* help on the host;
 * the float32 deployment mode (:func:`~repro.infer.plan.plan_dtype`) as a
   supplementary row — it is not used for the parity criterion;
 * engine/eager logit parity for **all eight** Table-1 configs at the
@@ -30,16 +30,10 @@ synthetic CIFAR-shaped data for the small Table-1 configurations, plus:
   determinism across repeated runs, and the measured per-image integer op
   counts.  The int8 mode models the hardware datapath; numpy's integer
   matmuls bypass BLAS, so its host throughput is reported for tracking,
-  not as a speedup claim;
-* an intra-op threading sweep (``--thread-sweep``): the serial untiled
-  native kernels against the tiled threaded variants
-  (``PlanConfig(threads=N)``, :mod:`repro.infer.native.threading`) at
-  several thread counts, float64 and int8, batch 1 and 64, with bitwise
-  checks against serial at every count and the autotuned GEMM choice
-  (OpenBLAS vs the native micro-kernel) per net.  Speedups are bounded by
-  ``effective_cpus`` (the affinity/cgroup-visible CPU count, recorded in
-  the metadata and the sweep summary) — a 1-CPU host documents that limit
-  instead of a scaling claim.
+  not as a speedup claim.
+
+A default run merges its sections into an existing ``--out`` file, so the
+sweep sections recorded by the flags below survive a re-run.
 
 Timing methodology: the machine's run-to-run variance swamps single-shot
 timings, so each (config, variant) pair is timed ``reps`` times with the
@@ -62,7 +56,12 @@ import statistics
 import time
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread: OpenBLAS's own pool contends with the engine's sharding
+# and batcher threads (see README "Threads and BLAS").  Set before numpy
+# loads OpenBLAS; an explicit environment value wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 from repro.data.dataset import ArrayDataset
 from repro.infer import InferenceEngine, PlanConfig, plan_dtype
@@ -110,15 +109,6 @@ INT_PARITY_BATCH = 16
 # dtypes; on a toolchain-free host the sweep records the fallback instead.
 NATIVE_CONFIGS = (1, 4, 5)
 NATIVE_BATCHES = (1, 64)
-# Intra-op threading sweep: serial untiled native kernels vs the tiled
-# threaded variants at several thread counts, float64 and int8, batch 1 and
-# 64.  The PR acceptance bar is >= 1.5x at batch 64 on >= 2 nets OR a
-# recorded effective-CPU limit (the tiled kernels cannot scale past the CPUs
-# this process may run on); outputs must stay bitwise equal to serial at
-# every count.
-THREAD_CONFIGS = (1, 4)
-THREAD_BATCHES = (1, 64)
-THREAD_COUNTS = (1, 2, 4)
 
 
 def _build(network_id: int, scheme_key: str = SCHEME, width_scale: float = 1.0, seed: int = 0):
@@ -191,9 +181,6 @@ def _time_config(network_id: int, dataset: ArrayDataset, reps: int, workers: tup
     }
     for w in workers:
         variants[f"engine_thread{w}"] = lambda w=w: engine.evaluate(dataset, workers=w)
-        variants[f"engine_process{w}"] = lambda w=w: engine.evaluate(
-            dataset, workers=w, backend="process"
-        )
 
     for fn in variants.values():  # warm caches/buffers outside timing
         fn()
@@ -219,7 +206,7 @@ def _time_config(network_id: int, dataset: ArrayDataset, reps: int, workers: tup
         "sharding": {
             k: {"time_s": med[k], "speedup_vs_eager": med["eager"] / med[k]}
             for k in med
-            if k.startswith("engine_thread") or k.startswith("engine_process")
+            if k.startswith("engine_thread")
         },
         "float32_deployment": {
             "time_s": med["engine_f32"],
@@ -642,188 +629,6 @@ def _print_native(rows: list[dict], summary: dict) -> None:
     )
 
 
-def _default_thread_counts() -> tuple[int, ...]:
-    """Thread counts to sweep: the determinism triple {1, 2, 4} plus the
-    host's effective CPU count (so a wide host records its full scaling)."""
-    cpus = effective_cpus()
-    counts = {1, 2, 4}
-    if cpus > 1:
-        counts.add(min(cpus, 8))
-    return tuple(sorted(counts))
-
-
-def _thread_row(
-    network_id: int,
-    reps: int,
-    counts: tuple[int, ...],
-    batches: tuple[int, ...] = THREAD_BATCHES,
-) -> dict:
-    """Serial untiled native kernels vs the tiled threaded variants.
-
-    Per (batch, dtype, thread count): median time, speedup vs serial, a
-    bitwise-equality check against the serial engine, and the GEMM kernel
-    (OpenBLAS panels vs the native micro-kernel) the autotuner recorded for
-    the dense layers — the choice is shared across thread counts by design.
-    """
-    model = _build(network_id)
-    serial = {
-        "float64": InferenceEngine(model, config=PlanConfig(backend="auto")),
-        "int8": InferenceEngine(model, config=PlanConfig(dtype="int8", backend="auto")),
-    }
-    threaded = {
-        ("float64", t): InferenceEngine(model, config=PlanConfig(threads=t)) for t in counts
-    }
-    threaded.update(
-        {
-            ("int8", t): InferenceEngine(model, config=PlanConfig(dtype="int8", threads=t))
-            for t in counts
-        }
-    )
-    rng = np.random.default_rng(network_id + 700)
-    row: dict = {
-        "network_id": network_id,
-        "scheme": SCHEME,
-        "structure": model.config.structure,
-        "depth": model.config.depth,
-        "batches": {},
-    }
-    bitwise = True
-    for batch in batches:
-        images = rng.normal(0.0, 1.0, (batch, 3, IMAGE_SIZE, IMAGE_SIZE))
-        refs = {
-            dt: eng.forward_batch(images, check_stale=False).copy()
-            for dt, eng in serial.items()
-        }  # warm + serial reference
-        spec: dict = {}
-        for dt in ("float64", "int8"):
-            outs = {}
-            for t in counts:
-                out = threaded[(dt, t)].forward_batch(images, check_stale=False).copy()
-                outs[t] = out
-                bitwise = bitwise and bool(
-                    np.array_equal(out.view(np.uint8), refs[dt].view(np.uint8))
-                )
-            once = _timed(
-                lambda eng=serial[dt]: eng.forward_batch(images, check_stale=False)
-            )
-            inner = max(1, min(20, int(0.02 / max(once, 1e-6))))
-            times: dict[object, list[float]] = {"serial": [], **{t: [] for t in counts}}
-            engines = [("serial", serial[dt])] + [(t, threaded[(dt, t)]) for t in counts]
-            for _ in range(reps):  # interleave variants inside each rep
-                for key, eng in engines:
-                    t0 = time.perf_counter()
-                    for _ in range(inner):
-                        eng.forward_batch(images, check_stale=False)
-                    times[key].append((time.perf_counter() - t0) / inner)
-            med = {k: statistics.median(v) for k, v in times.items()}
-            spec[dt] = {
-                "serial_s": med["serial"],
-                "threads": {
-                    str(t): {
-                        "time_s": med[t],
-                        "speedup_vs_serial": med["serial"] / med[t],
-                    }
-                    for t in counts
-                },
-            }
-        row["batches"][str(batch)] = spec
-    shape = (batches[-1], 3, IMAGE_SIZE, IMAGE_SIZE)
-    prog = threaded[("float64", counts[-1])].plan.traced_program(shape)
-    gemms = sorted(
-        {
-            rec["gemm"]
-            for rec in (prog.node_backends.values() if prog else [])
-            if rec.get("gemm")
-        }
-    )
-    row["gemm_choices"] = gemms
-    row["bitwise_equal_vs_serial"] = bitwise
-    return row
-
-
-def _thread_summary(rows: list[dict], counts: tuple[int, ...]) -> dict:
-    """Headline numbers for the thread sweep (the PR acceptance fields).
-
-    The bar is >= 1.5x at batch 64 on >= 2 nets OR a documented
-    effective-CPU limit: the tiled kernels cannot run faster than the CPU
-    set the process is pinned to, so a 1-CPU host records the limit rather
-    than a speedup.
-    """
-    cpus = effective_cpus()
-    best64 = {
-        r["network_id"]: max(
-            (
-                spec["speedup_vs_serial"]
-                for spec in r["batches"].get("64", {})
-                .get("float64", {})
-                .get("threads", {})
-                .values()
-            ),
-            default=None,
-        )
-        for r in rows
-    }
-    meeting = [nid for nid, s in best64.items() if s is not None and s >= 1.5]
-    from repro.infer.native import binding
-
-    pool = binding.status().get("threading", {})
-    return {
-        "effective_cpus": cpus,
-        "thread_counts": list(counts),
-        "best_batch64_speedup": best64,
-        "nets_meeting_bar": meeting,  # >= 1.5x over serial at batch 64
-        "cpu_limited": cpus < 2,
-        "cpu_limit_note": (
-            f"host exposes {cpus} effective CPU(s) to this process "
-            "(affinity/cgroup mask); intra-op threading cannot exceed 1x here — "
-            "the sweep verifies bitwise invariance and records overheads instead"
-            if cpus < 2
-            else None
-        ),
-        "all_bitwise_equal_vs_serial": all(r["bitwise_equal_vs_serial"] for r in rows),
-        "pool": {k: pool.get(k) for k in ("workers", "tiles_total", "tiles_stolen", "steal_fraction")},
-    }
-
-
-def run_thread_sweep(
-    reps: int = 5, smoke: bool = False, counts: tuple[int, ...] | None = None
-) -> dict:
-    """Just the intra-op threading sweep, for merging into an existing
-    BENCH_infer.json (``--thread-sweep``) and the CI smoke job."""
-    if counts is None:
-        counts = (1, 2) if smoke else _default_thread_counts()
-    ids = (4,) if smoke else THREAD_CONFIGS
-    rows = [_thread_row(nid, reps, counts) for nid in ids]
-    return {"thread_sweep": rows, "thread_summary": _thread_summary(rows, counts)}
-
-
-def _print_threads(rows: list[dict], summary: dict) -> None:
-    for row in rows:
-        parts = []
-        for batch, spec in row["batches"].items():
-            best = max(
-                spec["float64"]["threads"].items(),
-                key=lambda kv: kv[1]["speedup_vs_serial"],
-            )
-            parts.append(
-                f"b{batch} {spec['float64']['serial_s'] * 1e3:.2f}ms -> "
-                f"{best[1]['time_s'] * 1e3:.2f}ms @ t{best[0]} "
-                f"({best[1]['speedup_vs_serial']:.2f}x)"
-            )
-        print(
-            f"net{row['network_id']} threads: {' | '.join(parts)} | "
-            f"gemm={row['gemm_choices'] or ['blas']}, "
-            f"bitwise={row['bitwise_equal_vs_serial']}"
-        )
-    note = summary["cpu_limit_note"]
-    print(
-        f"threads: effective_cpus={summary['effective_cpus']}, nets meeting bar "
-        f"(>=1.5x b64): {summary['nets_meeting_bar']}, "
-        f"bitwise={summary['all_bitwise_equal_vs_serial']}"
-        + (f" | {note}" if note else "")
-    )
-
-
 def run_fusion_sweep(reps: int = 5, smoke: bool = False) -> dict:
     """Just the traced-vs-interpreter sweep, for merging into an existing
     BENCH_infer.json (``--fusion-sweep``) and the CI smoke job."""
@@ -876,13 +681,6 @@ def main(argv=None) -> None:
         "the rows into --out (other sections of an existing file are kept)",
     )
     parser.add_argument(
-        "--thread-sweep",
-        action="store_true",
-        help="run only the intra-op threading sweep (serial vs tiled threaded "
-        "kernels, float64 + int8, batch 1 and 64) and merge the rows into "
-        "--out (other sections of an existing file are kept)",
-    )
-    parser.add_argument(
         "--clear-cache",
         action="store_true",
         help="clear the in-memory and on-disk kernel/autotune/native caches "
@@ -906,15 +704,6 @@ def main(argv=None) -> None:
         _print_native(sweep["native_sweep"], sweep["native_summary"])
         print(f"-> {args.out}")
         return
-    if args.thread_sweep:
-        sweep = run_thread_sweep(reps=args.reps, smoke=args.smoke)
-        result = json.loads(args.out.read_text()) if args.out.exists() else {}
-        result["thread_sweep"] = sweep["thread_sweep"]
-        result.setdefault("summary", {})["threads"] = sweep["thread_summary"]
-        args.out.write_text(json.dumps(result, indent=2) + "\n")
-        _print_threads(sweep["thread_sweep"], sweep["thread_summary"])
-        print(f"-> {args.out}")
-        return
     if args.int_sweep:
         sweep = run_int_sweep(reps=args.reps, smoke=args.smoke)
         result = json.loads(args.out.read_text()) if args.out.exists() else {}
@@ -934,7 +723,13 @@ def main(argv=None) -> None:
         print(f"-> {args.out}")
         return
     result = run_benchmark(images=args.images, reps=args.reps, smoke=args.smoke)
-    args.out.write_text(json.dumps(result, indent=2) + "\n")
+    # Merge like the sweep flags do: sections and summary keys this run does
+    # not produce (native_sweep, int_sweep, summary.native, ...) are kept.
+    merged = json.loads(args.out.read_text()) if args.out.exists() else {}
+    summary = {**merged.get("summary", {}), **result["summary"]}
+    merged.update(result)
+    merged["summary"] = summary
+    args.out.write_text(json.dumps(merged, indent=2) + "\n")
     for row in result["configs"]:
         print(
             f"net{row['network_id']} ({row['structure']}-{row['depth']} w{row['width']}): "

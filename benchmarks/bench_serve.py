@@ -55,7 +55,12 @@ import threading
 import time
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread: OpenBLAS's own pool contends with the engine's sharding
+# and batcher threads (see README "Threads and BLAS").  Set before numpy
+# loads OpenBLAS; an explicit environment value wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 if __package__ in (None, ""):  # `python benchmarks/bench_serve.py` from the repo root
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))

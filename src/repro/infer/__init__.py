@@ -2,7 +2,7 @@
 
 Turns a trained :class:`~repro.models.network.QuantizedNetwork` into a flat
 grad-free execution plan with quantized-weight caching, conv+BN folding,
-scratch-buffer reuse and multicore batch sharding.  Sparsity-aware passes
+scratch-buffer reuse and thread batch sharding.  Sparsity-aware passes
 (dead-filter elimination, shift-plane kernels, per-layer kernel autotuning)
 run at plan time under :class:`~repro.infer.plan.PlanConfig`; execution then
 goes through shape-specialized traced programs — fused, codegen'd kernels
@@ -12,7 +12,7 @@ the op-by-op interpreter.  See
 :class:`~repro.infer.engine.InferenceEngine` for the entry point.
 """
 
-from repro.infer.engine import InferenceEngine
+from repro.infer.engine import InferenceEngine, shard_slices
 from repro.infer.fold import bn_eval_affine, dead_filter_rows
 from repro.infer.intq import IntQProgram, PackedWeights, build_intq_program, pack_weights
 from repro.infer.kernels import cache_info, clear_caches
@@ -23,7 +23,6 @@ from repro.infer.plan import (
     compile_network,
     plan_dtype,
 )
-from repro.infer.pool import run_sharded, shard_slices
 from repro.infer.shift_plane import build_shift_planes, supports_shift_planes
 from repro.infer.trace import build_traced_program, trace_plan
 
@@ -40,7 +39,6 @@ __all__ = [
     "supports_shift_planes",
     "build_traced_program",
     "trace_plan",
-    "run_sharded",
     "shard_slices",
     "IntQProgram",
     "PackedWeights",

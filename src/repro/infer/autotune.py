@@ -58,41 +58,21 @@ def _time_variant(op, x: np.ndarray, impl: str, dtype: np.dtype, reps: int) -> f
     return best
 
 
-def _time_native_variant(
-    op,
-    x: np.ndarray,
-    impl: str,
-    dtype: np.dtype,
-    reps: int,
-    threads: int = 0,
-    gemm: str | None = None,
-) -> float:
+def _time_native_variant(op, x: np.ndarray, impl: str, dtype: np.dtype, reps: int) -> float:
     """Best-of-``reps`` wall time of the native ``impl`` kernel, or inf.
 
     The warm-up call pays the compile and the first-call parity check; a
     variant that declined or failed its bitwise check reports inf so it can
-    never win the tournament.  With ``threads >= 1`` the *tiled* threaded
-    kernel is timed; ``gemm`` selects the dense GEMM flavor ("blas" or
-    "micro") for that binding and is restored afterwards — the tournament
-    winner is applied by the caller.
+    never win the tournament.
     """
     record: dict = {}
-    prev_gemm = getattr(op, "gemm", None)
-    if gemm is not None:
-        op.gemm = gemm
     try:
-        thunk, _ = bind_standalone_producer(
-            op, x, impl, dtype, backend="native", record=record, threads=threads
-        )
+        thunk, _ = bind_standalone_producer(op, x, impl, dtype, backend="native", record=record)
         thunk()
     except Exception:
         return float("inf")
-    finally:
-        op.gemm = prev_gemm
     if record.get("backend") != "native":
         return float("inf")
-    if threads >= 1 and "threads" not in record:
-        return float("inf")  # threaded runtime declined; serial fallback bound
     best = float("inf")
     for _ in range(max(1, reps)):
         start = time.perf_counter()
@@ -108,7 +88,6 @@ def autotune_ops(
     dtype: np.dtype,
     reps: int = 3,
     backend: str = "auto",
-    threads: int = 0,
 ) -> dict[int, dict]:
     """Pick the fastest generated kernel per candidate op; set each winner.
 
@@ -119,16 +98,6 @@ def autotune_ops(
     same persistent cache entry (keys grow a ``"native"`` marker so
     toolchain-free hosts never reuse a native-informed decision).
 
-    With ``threads >= 1`` the native candidates are the *tiled* threaded
-    kernels, and the dense tournament additionally races the blocked
-    native GEMM micro-kernel against the OpenBLAS panel path; the winner
-    lands on ``op.gemm``.  The cache key grows an ``"mt"`` marker — but
-    **not** the thread count: the tiled kernels are bitwise identical for
-    every thread count by construction, so one persisted decision (made at
-    whatever count first compiled this shape) must serve all counts.  A
-    per-count key could let timing noise record different GEMM winners for
-    different counts and silently break cross-count bitwise identity.
-
     Args:
         ops: The compiled (post-pruning, post-plane-attachment) op list.
         candidates: ``op.index`` values with planes attached and an
@@ -137,7 +106,6 @@ def autotune_ops(
         dtype: Plan compute dtype.
         reps: Timing repetitions per kernel; minimum wins.
         backend: The plan's ``PlanConfig.backend`` knob.
-        threads: The plan's resolved intra-op thread count (0 = serial).
 
     Returns:
         ``{op_index: {"chosen", "dense_s", "shift_plane_s", "backend",
@@ -157,8 +125,6 @@ def autotune_ops(
         key = autotune_key(op, x.shape, dtype, reps)
         if time_native:
             key = key + ("native",)
-            if threads >= 1:
-                key = key + ("mt",)
         entry = AUTOTUNE_CACHE.get(key)
         if entry is None:
             timings = {impl: _time_variant(op, x, impl, dtype, reps) for impl in _IMPLS}
@@ -172,33 +138,19 @@ def autotune_ops(
             }
             if time_native:
                 native = {
-                    impl: _time_native_variant(op, x, impl, dtype, reps, threads=threads)
-                    for impl in _IMPLS
+                    impl: _time_native_variant(op, x, impl, dtype, reps) for impl in _IMPLS
                 }
                 entry["native_dense_s"] = native["dense"]
                 entry["native_shift_plane_s"] = native["shift_plane"]
-                gemm = "blas"
-                if threads >= 1:
-                    micro = _time_native_variant(
-                        op, x, "dense", dtype, reps, threads=threads, gemm="micro"
-                    )
-                    entry["native_dense_micro_s"] = micro
-                    if micro < native["dense"]:
-                        native["dense"] = micro
-                        gemm = "micro"
                 native_best = (
                     "shift_plane" if native["shift_plane"] <= native["dense"] else "dense"
                 )
                 if native[native_best] < timings[chosen]:
                     entry["chosen"] = native_best
                     entry["backend"] = "native"
-                    if native_best == "dense":
-                        entry["gemm"] = gemm
             AUTOTUNE_CACHE.put(key, {**entry, "cached": True})
         op.impl = entry["chosen"]
         op.backend = entry.get("backend", "numpy")
-        if "gemm" in entry:
-            op.gemm = entry["gemm"]
         op.run(ctx)
         report[op.index] = entry
     return report

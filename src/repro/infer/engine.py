@@ -4,8 +4,7 @@
 (:func:`~repro.infer.plan.compile_network`) and then serves predictions from
 the flat plan: quantized weights are cached, batch-norm is folded away, no
 autograd graph is built, scratch buffers are reused across batches, and
-batches can be sharded across a worker pool
-(:func:`~repro.infer.pool.run_sharded`).
+batches can be sharded across threads (``predict_logits(workers=N)``).
 
 Staleness: the plan snapshots version counters and content fingerprints of
 every source weight at build time.  ``on_stale`` controls what happens when
@@ -38,21 +37,34 @@ from __future__ import annotations
 
 import queue
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from repro.data.dataset import ArrayDataset
 from repro.errors import ConfigurationError, StalePlanError
 from repro.infer.plan import ExecutionContext, ExecutionPlan, PlanConfig, compile_network
-from repro.infer.pool import run_sharded, shard_slices
 from repro.nn.functional import _log_softmax_data
 from repro.nn.module import Module
 from repro.train.metrics import accuracy, topk_accuracy
 from repro.utils.profiler import PhaseProfiler, use_profiler
 
-__all__ = ["InferenceEngine"]
+__all__ = ["InferenceEngine", "shard_slices"]
 
 _ON_STALE = ("refresh", "error", "ignore")
+
+
+def shard_slices(total: int, batch_size: int) -> list[slice]:
+    """Contiguous batch slices covering ``range(total)`` in order.
+
+    ``total == 0`` yields an empty list; ``total < batch_size`` yields one
+    short slice covering everything.
+    """
+    if batch_size < 1:
+        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
+    if total < 0:
+        raise ConfigurationError(f"total must be >= 0, got {total}")
+    return [slice(s, min(s + batch_size, total)) for s in range(0, total, batch_size)]
 
 
 class InferenceEngine:
@@ -229,21 +241,23 @@ class InferenceEngine:
         images: "np.ndarray | ArrayDataset",
         batch_size: int | None = None,
         workers: int = 1,
-        backend: str = "thread",
     ) -> np.ndarray:
         """Logits for a full dataset/array, in input order.
 
-        Re-entrant: each call borrows a private scratch context, so the same
+        Re-entrant: each call borrows private scratch contexts, so the same
         engine may serve overlapping calls from several threads.
 
         Args:
             images: NCHW array or :class:`ArrayDataset`.
             batch_size: Per-batch size (defaults to the engine's).
-            workers: Worker count for batch sharding; 1 runs serially in
-                this thread with zero pool overhead.
-            backend: ``"thread"`` or ``"process"`` (see
-                :mod:`repro.infer.pool`).
+            workers: Threads to shard batches across.  1 runs serially in
+                this thread; N > 1 runs the batches on a thread pool, each
+                task borrowing a context from the engine's pool.  Batch
+                ``i`` always lands at rows ``i*batch_size...``, so the
+                result is byte-identical to ``workers=1``.
         """
+        if workers < 1:
+            raise ConfigurationError(f"workers must be >= 1, got {workers}")
         if isinstance(images, ArrayDataset):
             images = images.images
         # One up-front cast to the plan's compute dtype, so per-batch
@@ -251,24 +265,29 @@ class InferenceEngine:
         images = np.asarray(images, dtype=self.plan.dtype)
         batch_size = batch_size or self.batch_size
         self.check_stale()
-        if workers > 1:
-            return run_sharded(self.plan, images, batch_size, workers, backend)
-        out: np.ndarray | None = None
-        ctx = self._borrow_context()
-        try:
-            with use_profiler(self.profiler):
-                for sl in shard_slices(len(images), batch_size):
-                    logits = self.plan.execute(images[sl], ctx)
-                    if out is None:
-                        out = np.empty((len(images),) + logits.shape[1:], dtype=logits.dtype)
-                    out[sl] = logits
-        finally:
-            # Rows were copied into `out`, so the context's scratch buffers
-            # are free to recycle for the next (possibly concurrent) call.
-            self._ctx_pool.put(ctx)
-        if out is None:
+        slices = shard_slices(len(images), batch_size)
+        if not slices:
             raise ConfigurationError("cannot run inference on an empty image array")
-        return out
+
+        def run(sl: slice) -> np.ndarray:
+            ctx = self._borrow_context()
+            try:
+                return self.plan.execute(images[sl], ctx).copy()
+            finally:
+                # The rows were copied out, so the context's scratch buffers
+                # are free to recycle for the next batch or call.
+                self._ctx_pool.put(ctx)
+
+        if workers == 1:
+            # The profiler keeps one phase stack, so only the serial path
+            # is timed.
+            with use_profiler(self.profiler):
+                parts = [run(sl) for sl in slices]
+        else:
+            # Never spawn more threads than there are shards.
+            with ThreadPoolExecutor(max_workers=min(workers, len(slices))) as pool:
+                parts = list(pool.map(run, slices))
+        return np.concatenate(parts)
 
     def predict(self, images: "np.ndarray | ArrayDataset", **kwargs) -> np.ndarray:
         """Predicted class indices (argmax of :meth:`predict_logits`)."""
@@ -281,14 +300,13 @@ class InferenceEngine:
         dataset: ArrayDataset,
         batch_size: int | None = None,
         workers: int = 1,
-        backend: str = "thread",
     ) -> dict[str, float]:
         """Loss / top-1 / top-5 on ``dataset`` — drop-in for eager evaluation.
 
         Matches :meth:`repro.train.trainer.Trainer.evaluate` output exactly
         (same mean cross-entropy, same accuracy definitions).
         """
-        logits = self.predict_logits(dataset, batch_size=batch_size, workers=workers, backend=backend)
+        logits = self.predict_logits(dataset, batch_size=batch_size, workers=workers)
         labels = dataset.labels
         log_probs = _log_softmax_data(logits)
         loss = float(-log_probs[np.arange(len(labels)), labels].mean())

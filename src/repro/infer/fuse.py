@@ -220,7 +220,6 @@ class TracedProgram:
         blocks: list,
         stats: dict,
         backend: str = "numpy",
-        threads: int = 0,
     ) -> None:
         self.uid = _next_uid()
         self.vals = ir.vals
@@ -239,10 +238,6 @@ class TracedProgram:
         #: per-node outcome records (filled at bind/first-run time by
         #: :mod:`repro.infer.kernels` / the native binding's self-check).
         self.backend = backend
-        #: Intra-op thread count (0 = serial untiled kernels, N >= 1 = the
-        #: tiled threaded kernel variants; see
-        #: :mod:`repro.infer.native.threading`).
-        self.threads = threads
         self.node_backends: dict[int, dict] = {}
 
     def _node_backend(self, node) -> tuple[str, dict]:
@@ -310,44 +305,36 @@ class TracedProgram:
             dstv = self._view(state, node.dst, blk)
             out3 = dstv.reshape(dstv.shape[0], dstv.shape[1], -1)
             return kernels.bind_producer(
-                "conv", op, x, out3, scratch, op.impl, node.epilogue, self.dtype,
-                backend, rec, self.threads,
+                "conv", op, x, out3, scratch, op.impl, node.epilogue, self.dtype, backend, rec
             )
         if kind == "linear":
             x = self._view(state, node.srcs[0], blk)
             out = self._view(state, node.dst, blk)
             return kernels.bind_producer(
-                "linear", op, x, out, scratch, op.impl, node.epilogue, self.dtype,
-                backend, rec, self.threads,
+                "linear", op, x, out, scratch, op.impl, node.epilogue, self.dtype, backend, rec
             )
         if kind == "eltwise":
             x = self._view(state, node.srcs[0], blk)
             out = x if nplan.inplace else self._view(state, node.dst, blk)
             return kernels.bind_eltwise(
-                [node.head] + node.epilogue, x, out, scratch, self.dtype, backend, rec,
-                self.threads,
+                [node.head] + node.epilogue, x, out, scratch, self.dtype, backend, rec
             )
         if kind in ("maxpool", "avgpool"):
             x = self._view(state, node.srcs[0], blk)
             out = self._view(state, node.dst, blk)
             return kernels.bind_pool(
                 kind, op.kernel, op.stride, x, out, scratch, node.epilogue, self.dtype,
-                backend, rec, self.threads,
+                backend, rec,
             )
         if kind == "gap":
             x = self._view(state, node.srcs[0], blk)
             out = self._view(state, node.dst, blk)
-            return kernels.bind_gap(
-                x, out, scratch, node.epilogue, self.dtype, backend, rec, self.threads
-            )
+            return kernels.bind_gap(x, out, scratch, node.epilogue, self.dtype, backend, rec)
         if kind == "add":
             a = self._view(state, node.srcs[0], blk)
             b = self._view(state, node.srcs[1], blk)
             out = self._view(state, node.dst, blk)
-            return kernels.bind_add(
-                a, b, out, scratch, node.epilogue, self.dtype, backend, rec,
-                self.threads,
-            )
+            return kernels.bind_add(a, b, out, scratch, node.epilogue, self.dtype, backend, rec)
         # fallback: eager module forward, copied into the destination register
         rec.setdefault("backend", "numpy")
         x = self._view(state, node.srcs[0], blk)
@@ -580,5 +567,4 @@ def optimize(ir, plan) -> TracedProgram:
         blocks,
         stats,
         backend=getattr(plan.config, "backend", "auto"),
-        threads=getattr(plan, "intra_threads", 0),
     )

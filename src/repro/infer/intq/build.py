@@ -420,8 +420,6 @@ class IntConvOp:
     group_shifts: tuple
     consts: dict = field(repr=False)
     backend: str = "auto"
-    #: Intra-op thread count for the native integer kernel (0 = serial).
-    threads: int = 0
     #: LeakyReLU/rescale steps folded into the requant epilogue (see
     #: :data:`repro.infer.intq.kernels.STEP_ARGS`).
     fused: tuple = ()
@@ -491,8 +489,6 @@ class IntLinearOp:
     group_shifts: tuple
     consts: dict = field(repr=False)
     backend: str = "auto"
-    #: Intra-op thread count for the native integer kernel (0 = serial).
-    threads: int = 0
     #: LeakyReLU/rescale steps folded into the requant epilogue.
     fused: tuple = ()
 
@@ -1095,11 +1091,6 @@ def build_intq_program(
     builder = _IntQBuilder(plan, images)
     builder.calibrate()
     builder.lower()
-    intra = int(getattr(plan, "intra_threads", 0) or 0)
-    if intra >= 1:
-        for iop in builder.ops:
-            if hasattr(iop, "threads"):
-                iop.threads = intra
     return IntQProgram(
         ops=builder.ops,
         out_slot=plan.out_slot,

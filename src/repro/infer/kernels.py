@@ -521,7 +521,6 @@ def bind_producer(
     dtype: np.dtype,
     backend: str = "numpy",
     record: dict | None = None,
-    threads: int = 0,
 ):
     """Bind one generated conv/linear kernel over concrete arrays.
 
@@ -624,8 +623,7 @@ def bind_producer(
     thunk = _make(spec, args, lines)
     if backend == "native":
         native = _native_make(
-            "make_producer", kind, op, x, out, scratch, impl, sig, spec, thunk,
-            record, threads,
+            "make_producer", kind, op, x, out, scratch, impl, sig, spec, thunk, record
         )
         if native is not None:
             return native
@@ -661,7 +659,6 @@ def bind_eltwise(
     dtype: np.dtype,
     backend: str = "numpy",
     record: dict | None = None,
-    threads: int = 0,
 ):
     """Bind a standalone elementwise chain kernel (head + fused followers).
 
@@ -719,7 +716,7 @@ def bind_eltwise(
     thunk = _make(spec, args, lines)
     if backend == "native":
         native = _native_make(
-            "make_eltwise", (sig_head,) + sig_rest, x, out, spec, thunk, record, threads
+            "make_eltwise", (sig_head,) + sig_rest, x, out, spec, thunk, record
         )
         if native is not None:
             return native
@@ -742,7 +739,6 @@ def bind_pool(
     dtype: np.dtype,
     backend: str = "numpy",
     record: dict | None = None,
-    threads: int = 0,
 ):
     """Max/avg pool with the ``k*k`` shifted window views prebound."""
     oh = (x.shape[2] - kernel) // stride + 1
@@ -778,8 +774,7 @@ def bind_pool(
     thunk = _make(spec, args, lines)
     if backend == "native":
         native = _native_make(
-            "make_pool", pool_kind, kernel, stride, x, out, sig, spec, thunk,
-            record, threads,
+            "make_pool", pool_kind, kernel, stride, x, out, sig, spec, thunk, record
         )
         if native is not None:
             return native
@@ -796,7 +791,6 @@ def bind_gap(
     dtype: np.dtype,
     backend: str = "numpy",
     record: dict | None = None,
-    threads: int = 0,
 ):
     args: dict = {"x": x, "out": out}
     lines = ["np.mean(x, axis=(2, 3), out=out)"]
@@ -810,7 +804,7 @@ def bind_gap(
     )
     thunk = _make(spec, args, lines)
     if backend == "native":
-        native = _native_make("make_gap", x, out, sig, spec, thunk, record, threads)
+        native = _native_make("make_gap", x, out, sig, spec, thunk, record)
         if native is not None:
             return native
     if record is not None:
@@ -827,7 +821,6 @@ def bind_add(
     dtype: np.dtype,
     backend: str = "numpy",
     record: dict | None = None,
-    threads: int = 0,
 ):
     args: dict = {"a": a, "b": b, "out": out}
     lines = ["np.add(a, b, out=out)"]
@@ -841,7 +834,7 @@ def bind_add(
     )
     thunk = _make(spec, args, lines)
     if backend == "native":
-        native = _native_make("make_add", a, b, out, sig, spec, thunk, record, threads)
+        native = _native_make("make_add", a, b, out, sig, spec, thunk, record)
         if native is not None:
             return native
     if record is not None:
@@ -885,7 +878,6 @@ def bind_standalone_producer(
     dtype: np.dtype,
     backend: str = "numpy",
     record: dict | None = None,
-    threads: int = 0,
 ):
     """A self-buffered generated kernel for one conv/linear op (autotune path).
 
@@ -909,5 +901,5 @@ def bind_standalone_producer(
         out = np.empty((nb, op.weight2d.shape[0], oh * ow), dtype)
     else:
         out = np.empty((nb, op.weight_t.shape[1]), dtype)
-    thunk = bind_producer(kind, op, x, out, scratch, impl, (), dtype, backend, record, threads)
+    thunk = bind_producer(kind, op, x, out, scratch, impl, (), dtype, backend, record)
     return thunk, out

@@ -98,14 +98,6 @@ def status() -> dict:
         info["blas"] = {"path": b["path"], "ilp64": b["ilp64"]}
     except blas.BlasUnavailable as err:
         info["blas"] = {"error": str(err)}
-    try:
-        from repro.infer.native.threading import runtime as _mtrt
-
-        # Non-forcing: reports pool utilization when threaded kernels have
-        # been bound, without compiling the runtime just to say so.
-        info["threading"] = _mtrt.stats()
-    except Exception:  # pragma: no cover - defensive
-        info["threading"] = {"available": False, "reason": "runtime import failed"}
     with _lock:
         info.update(_counters)
     return info
@@ -114,12 +106,6 @@ def status() -> dict:
 def reset() -> None:
     """Forget memoized toolchain state and log-once keys (test helper)."""
     toolchain.reset()
-    try:
-        from repro.infer.native.threading import runtime as _mtrt
-
-        _mtrt.reset()
-    except Exception:  # pragma: no cover - defensive
-        pass
     with _lock:
         _logged.clear()
         for k in _counters:
@@ -171,11 +157,11 @@ def _pack_call(fn, arrays: list, dims: list, scalars: list):
     return call
 
 
-def _native_fn(spec, source: str, prefix: str = "native:"):
+def _native_fn(spec, source: str):
     """Fetch (compiling on first use) the C entry point for ``spec``."""
     from repro.infer.kernels import KERNEL_CACHE
 
-    nspec = dataclasses.replace(spec, impl=prefix + spec.impl)
+    nspec = dataclasses.replace(spec, impl="native:" + spec.impl)
     return KERNEL_CACHE.get_native(
         nspec,
         source,
@@ -231,157 +217,6 @@ def _checked(native_call, numpy_thunk, out: np.ndarray, inputs: list, record, ke
     return kernel
 
 
-# -- intra-op threaded variants -----------------------------------------------
-
-
-def _mt_runtime(threads: int):
-    """The parallel-for address when threaded kernels can run, else None
-    (the caller then binds the serial untiled kernel — a host-consistent
-    choice, so thread-count invariance is preserved either way)."""
-    try:
-        from repro.infer.native.threading import runtime
-    except Exception:  # pragma: no cover - defensive
-        return None
-    if not runtime.available():
-        _log_once(
-            ("mt", "runtime"),
-            "threading runtime unavailable; using serial native kernels",
-        )
-        return None
-    runtime.ensure_pool(threads - 1)
-    return runtime.pf_addr()
-
-
-def _checked_mt(par_call, ser_call, out: np.ndarray, inputs: list, record, key):
-    """First-call self-check for threaded conv/linear kernels.
-
-    Tiled GEMMs are deliberately *not* bitwise-equal to the untiled numpy/
-    BLAS path, so the reference here is the **serial dispatch of the same
-    tile grid** — ``ser_call`` is the identical compiled kernel with the
-    parallel-for pointer slot swapped for ``rt_serial_for``.  A mismatch
-    means the threaded execution itself is broken (a race, a miscompile);
-    the thunk then pins to serial tiled execution, which downstream nodes
-    already consumed and which stays thread-count invariant trivially.
-    """
-    aliased = [a for a in inputs if np.shares_memory(a, out)]
-    state: list = [None]
-
-    def first() -> None:
-        saved = [a.copy() for a in aliased]
-        par_call()
-        snap = out.copy()
-        for a, s in zip(aliased, saved):
-            a[...] = s
-        ser_call()
-        if np.array_equal(snap.view(np.uint8), out.view(np.uint8)):
-            state[0] = par_call
-        else:
-            state[0] = ser_call
-            _count("check_failures")
-            if record is not None:
-                record["mt_check_failed"] = True
-            _log_once(
-                ("mtcheck", key),
-                "threaded kernel %s disagreed with serial dispatch of the same "
-                "tiles; pinned to serial tiled execution",
-                key,
-            )
-
-    def kernel() -> None:
-        fn = state[0]
-        if fn is None:
-            first()
-        else:
-            fn()
-
-    return kernel
-
-
-def _pack_linear_weight(weight_t: np.ndarray) -> np.ndarray:
-    """Pack a ``(IN, F)`` linear weight into ``(NP, IN, 8)`` column panels
-    for the micro-kernel (zero-padded tail panel)."""
-    in_f, f = weight_t.shape
-    npan = (f + 7) // 8
-    wp = np.zeros((npan, in_f, 8), np.float64)
-    for p in range(npan):
-        c0 = p * 8
-        c1 = min(c0 + 8, f)
-        wp[p, :, : c1 - c0] = weight_t[:, c0:c1]
-    return np.ascontiguousarray(wp.reshape(-1))
-
-
-def _mt_producer(kind, op, impl, epi, ilp64, spec, arrays, dims, scalars,
-                 x, out, record, threads, info):
-    """Bind the threaded conv/linear kernel, or None to fall back to the
-    serial untiled path.  ``arrays``/``dims`` are the *serial* layouts —
-    the threaded ABI is exactly those with the parallel-for address
-    prepended to ``ptrs`` and the participant limit prepended to ``dims``
-    (plus micro-kernel pack buffers appended)."""
-    from repro.infer.native.threading import codegen as mtcodegen
-    from repro.infer.native.threading import runtime
-
-    pf = _mt_runtime(threads)
-    if pf is None:
-        return None
-    spf = runtime.serial_addr()
-    gv = getattr(op, "gemm", None) or "blas"
-    if impl == "shift_plane" or gv not in ("blas", "micro"):
-        gv = "blas"
-    mt_arrays = [pf, *arrays]
-    mt_dims = [threads, *dims]
-    if kind == "conv":
-        source = mtcodegen.conv_source_mt(
-            impl, epi, ilp64,
-            haspad=info["haspad"], onebyone=info["onebyone"],
-            hb=info["hb"], hd=info["hd"], gemm=gv, consts=info["consts"],
-        )
-        if impl != "shift_plane" and gv == "micro":
-            npan = (info["length"] + 7) // 8
-            mt_arrays.append(np.empty(info["nb"] * npan * info["ckk"] * 8, np.float64))
-    else:
-        if impl != "shift_plane" and gv == "micro":
-            mt_arrays[-1] = _pack_linear_weight(op.weight_t)
-        source = mtcodegen.linear_source_mt(
-            impl, epi, ilp64, hb=info["hb"], gemm=gv, consts=info["consts"],
-        )
-    nspec = dataclasses.replace(spec, extra=spec.extra + (("mt", gv),))
-    try:
-        fn = _native_fn(nspec, source, prefix="native-mt:")
-    except toolchain.NativeUnavailable as err:
-        _log_once(("mtcompile", kind), "threaded kernel compile failed: %s", err)
-        return None
-    _count("bound")
-    if record is not None:
-        record["backend"] = "native"
-        record["threads"] = threads
-        if impl != "shift_plane":
-            record["gemm"] = gv
-    par = _pack_call(fn, mt_arrays, mt_dims, scalars)
-    ser = _pack_call(fn, [spf, *mt_arrays[1:]], mt_dims, scalars)
-    return _checked_mt(par, ser, out, [x], record, f"{kind}/{impl}")
-
-
-def _mt_simple(spec, source, arrays, dims, scalars, numpy_thunk, out, inputs,
-               record, threads, key):
-    """Threaded pool/gap/add/eltwise binding.  These tile grids preserve
-    the numpy kernel's per-element operation order exactly, so the serial
-    first-call parity check against numpy still applies unchanged."""
-    pf = _mt_runtime(threads)
-    if pf is None:
-        return None
-    try:
-        fn = _native_fn(spec, source, prefix="native-mt:")
-    except toolchain.NativeUnavailable as err:
-        _log_once(("mtcompile", key), "threaded kernel compile failed: %s", err)
-        return None
-    _count("bound")
-    if record is not None:
-        record["backend"] = "native"
-        record["threads"] = threads
-    call = _pack_call(fn, [pf, *arrays], [threads, *dims], scalars)
-    return _checked(call, numpy_thunk, out, inputs, record, key)
-
-
 # -- bind-time gates ----------------------------------------------------------
 
 
@@ -414,13 +249,11 @@ def _blas_slots() -> list[int] | None:
 # -- float64 producers --------------------------------------------------------
 
 
-def make_producer(kind, op, x, out, scratch, impl, sig, spec, numpy_thunk, record,
-                  threads: int = 0):
+def make_producer(kind, op, x, out, scratch, impl, sig, spec, numpy_thunk, record):
     """Native conv/linear kernel bound over the fused node's arrays, or
     ``None``.  ``sig`` is the pre-``repr``'d epilogue signature and
     ``spec`` the numpy kernel's cache spec (reused, impl-prefixed, as the
-    native cache key).  ``threads >= 1`` binds the tiled threaded variant
-    (falling back to the serial untiled kernel if the runtime is out)."""
+    native cache key)."""
     if not available():
         return None
     if spec.dtype != "float64":
@@ -487,9 +320,6 @@ def make_producer(kind, op, x, out, scratch, impl, sig, spec, numpy_thunk, recor
                 hd=dead is not None,
                 consts=consts,
             )
-            mtinfo = {"haspad": pad is not None, "onebyone": onebyone,
-                      "hb": bias is not None, "hd": dead is not None,
-                      "consts": consts, "nb": nb, "ckk": ckk, "length": length}
         else:  # linear
             nb, in_f = x.shape
             f = op.weight_t.shape[1]
@@ -520,13 +350,6 @@ def make_producer(kind, op, x, out, scratch, impl, sig, spec, numpy_thunk, recor
                 hb=bias is not None,
                 consts=consts,
             )
-            mtinfo = {"hb": bias is not None, "consts": consts, "nb": nb}
-        if threads >= 1:
-            mt = _mt_producer(kind, op, impl if shift else "dense", epi, ilp64,
-                              spec, arrays, dims, scalars, x, out, record,
-                              threads, mtinfo)
-            if mt is not None:
-                return mt
         fn = _native_fn(spec, source)
     except toolchain.NativeUnavailable as err:
         return _decline((kind, "compile"), str(err))
@@ -540,8 +363,7 @@ def make_producer(kind, op, x, out, scratch, impl, sig, spec, numpy_thunk, recor
 # -- float64 pools / add / eltwise --------------------------------------------
 
 
-def make_pool(pool_kind, kernel, stride, x, out, sig, spec, numpy_thunk, record,
-              threads: int = 0):
+def make_pool(pool_kind, kernel, stride, x, out, sig, spec, numpy_thunk, record):
     if not available():
         return None
     if spec.dtype != "float64":
@@ -557,16 +379,6 @@ def make_pool(pool_kind, kernel, stride, x, out, sig, spec, numpy_thunk, record,
     consts = {"C": c, "H": h, "W": w, "K": kernel, "S": stride, "OH": oh, "OW": ow}
     scalars = [1.0 / (kernel * kernel)] + codegen.epilogue_scalars(sig)
     dims = [nb, c, h, w, kernel, stride, oh, ow, int(pool_kind == "avgpool")]
-    if threads >= 1:
-        from repro.infer.native.threading import codegen as mtcodegen
-
-        mt = _mt_simple(
-            spec,
-            mtcodegen.pool_source_mt(epi, kernel, pool_kind == "avgpool", consts=consts),
-            [x, out], dims, scalars, numpy_thunk, out, [x], record, threads, pool_kind,
-        )
-        if mt is not None:
-            return mt
     try:
         fn = _native_fn(
             spec,
@@ -581,7 +393,7 @@ def make_pool(pool_kind, kernel, stride, x, out, sig, spec, numpy_thunk, record,
     return _checked(call, numpy_thunk, out, [x], record, pool_kind)
 
 
-def make_gap(x, out, sig, spec, numpy_thunk, record, threads: int = 0):
+def make_gap(x, out, sig, spec, numpy_thunk, record):
     if not available():
         return None
     if spec.dtype != "float64":
@@ -594,16 +406,6 @@ def make_gap(x, out, sig, spec, numpy_thunk, record, threads: int = 0):
     nb, c, h, w = x.shape
     consts = {"C": c, "HW": h * w}
     scalars = codegen.epilogue_scalars(sig)
-    if threads >= 1:
-        from repro.infer.native.threading import codegen as mtcodegen
-
-        mt = _mt_simple(
-            spec, mtcodegen.gap_source_mt(epi, consts=consts),
-            [x, out], [nb, c, h * w], scalars, numpy_thunk, out, [x], record,
-            threads, "gap",
-        )
-        if mt is not None:
-            return mt
     try:
         fn = _native_fn(spec, codegen.gap_source(epi, consts=consts))
     except toolchain.NativeUnavailable as err:
@@ -615,7 +417,7 @@ def make_gap(x, out, sig, spec, numpy_thunk, record, threads: int = 0):
     return _checked(call, numpy_thunk, out, [x], record, "gap")
 
 
-def make_add(a, b, out, sig, spec, numpy_thunk, record, threads: int = 0):
+def make_add(a, b, out, sig, spec, numpy_thunk, record):
     if not available():
         return None
     if spec.dtype != "float64":
@@ -626,15 +428,6 @@ def make_add(a, b, out, sig, spec, numpy_thunk, record, threads: int = 0):
     if not _contig_f64(a, b, out):
         return _decline(("add", "layout"), "non-contiguous input/output view")
     scalars = codegen.epilogue_scalars(sig)
-    if threads >= 1:
-        from repro.infer.native.threading import codegen as mtcodegen
-
-        mt = _mt_simple(
-            spec, mtcodegen.add_source_mt(epi), [a, b, out], [a.size], scalars,
-            numpy_thunk, out, [a, b], record, threads, "add",
-        )
-        if mt is not None:
-            return mt
     try:
         fn = _native_fn(spec, codegen.add_source(epi))
     except toolchain.NativeUnavailable as err:
@@ -646,7 +439,7 @@ def make_add(a, b, out, sig, spec, numpy_thunk, record, threads: int = 0):
     return _checked(call, numpy_thunk, out, [a, b], record, "add")
 
 
-def make_eltwise(chain_sig, x, out, spec, numpy_thunk, record, threads: int = 0):
+def make_eltwise(chain_sig, x, out, spec, numpy_thunk, record):
     """Standalone elementwise chain; ``chain_sig`` includes the head step
     (an affine head has no C lowering and declines)."""
     if not available():
@@ -659,15 +452,6 @@ def make_eltwise(chain_sig, x, out, spec, numpy_thunk, record, threads: int = 0)
     if not _contig_f64(x, out):
         return _decline(("eltwise", "layout"), "non-contiguous input/output view")
     scalars = codegen.epilogue_scalars(chain_sig)
-    if threads >= 1:
-        from repro.infer.native.threading import codegen as mtcodegen
-
-        mt = _mt_simple(
-            spec, mtcodegen.eltwise_source_mt(struct), [x, out], [x.size], scalars,
-            numpy_thunk, out, [x], record, threads, "eltwise",
-        )
-        if mt is not None:
-            return mt
     try:
         fn = _native_fn(spec, codegen.eltwise_source(struct))
     except toolchain.NativeUnavailable as err:
@@ -715,15 +499,7 @@ def run_int_producer(ctx, op, kind: str, data: np.ndarray, out: np.ndarray, nump
             entry["mode"] = "numpy"
             return False
         bslots = _blas_slots()
-        threads = int(getattr(op, "threads", 0) or 0)
-        mt_pf = _mt_runtime(threads) if threads >= 1 else None
-        if mt_pf is not None:
-            # Threaded integer kernels use the loops variant only: each
-            # tile owns a per-worker int64 scratch row, and integer
-            # exactness makes any tile order bitwise-identical anyway.
-            variant = "mtloops"
-        else:
-            variant = "blas" if acc_dt == np.int32 and bslots is not None else "loops"
+        variant = "blas" if acc_dt == np.int32 and bslots is not None else "loops"
         ctype = "int32_t" if acc_dt == np.int32 else "int64_t"
         consts = op.consts
         f = op.filters
@@ -753,25 +529,15 @@ def run_int_producer(ctx, op, kind: str, data: np.ndarray, out: np.ndarray, nump
             epilogue=(("rq", *fused),),
         )
         ilp64 = blas.blas_info()["ilp64"] if variant == "blas" else True
-        if variant == "mtloops":
-            from repro.infer.native.threading import codegen as mtcodegen
-
-            mt_src = (
-                mtcodegen.int_conv_source_mt if kind == "conv"
-                else mtcodegen.int_linear_source_mt
-            )
-            src, prefix = mt_src(ctype, flags, fused), "native-mt:"
-        else:
-            src_fn = codegen.int_conv_source if kind == "conv" else codegen.int_linear_source
-            src = src_fn(variant, ilp64=ilp64, ctype=ctype, flags=flags, fused=fused)
-            prefix = "native:"
+        src_fn = codegen.int_conv_source if kind == "conv" else codegen.int_linear_source
+        src = src_fn(variant, ilp64=ilp64, ctype=ctype, flags=flags, fused=fused)
         try:
-            fn = _native_fn(spec, src, prefix=prefix)
+            fn = _native_fn(spec, src)
         except toolchain.NativeUnavailable as err:
             _log_once(("intcompile", kind), "native int kernel compile failed: %s", err)
             entry["mode"] = "numpy"
             return False
-        entry.update(fn=fn, consts=prepared, variant=variant, pf=mt_pf, threads=threads)
+        entry.update(fn=fn, consts=prepared, variant=variant)
         _count("bound")
     consts = entry["consts"]
     f = op.filters
@@ -783,16 +549,7 @@ def run_int_producer(ctx, op, kind: str, data: np.ndarray, out: np.ndarray, nump
     if kind == "conv":
         kdim, length = data.shape[1], data.shape[2]
         dims = [nb, f, kdim, length]
-        if entry["variant"] == "mtloops":
-            from repro.infer.native.threading import codegen as mtcodegen
-
-            lim = entry["threads"]
-            acc = ctx.buffer(op.index, "natmtacc", (lim, mtcodegen.FB * length), np.int64)
-            arrays = [entry["pf"], data, consts["W"], acc,
-                      consts["M0"], consts["RND"], consts["SH"],
-                      consts["DMAP"], consts["GB"], out]
-            dims = [lim, *dims]
-        elif entry["variant"] == "blas":
+        if entry["variant"] == "blas":
             colsf = ctx.buffer(op.index, "natcolsf", (kdim, length), np.float64)
             accf = ctx.buffer(op.index, "nataccf", (f, length), np.float64)
             arrays = [*consts["blas"], data, consts["W"], colsf, accf,
@@ -806,14 +563,7 @@ def run_int_producer(ctx, op, kind: str, data: np.ndarray, out: np.ndarray, nump
     else:
         in_f = data.shape[1]
         dims = [nb, in_f, f]
-        if entry["variant"] == "mtloops":
-            lim = entry["threads"]
-            row = ctx.buffer(op.index, "natmtrow", (lim, f), np.int64)
-            arrays = [entry["pf"], data, consts["W"], row,
-                      consts["M0"], consts["RND"], consts["SH"],
-                      consts["DMAP"], consts["GB"], out]
-            dims = [lim, *dims]
-        elif entry["variant"] == "blas":
+        if entry["variant"] == "blas":
             xf = ctx.buffer(op.index, "natxf", (nb, in_f), np.float64)
             accf = ctx.buffer(op.index, "nataccf", (nb, f), np.float64)
             arrays = [*consts["blas"], data, consts["W"], xf, accf,

@@ -51,7 +51,6 @@ __all__ = [
     "int_conv_source",
     "int_linear_source",
     "int_epilogue",
-    "int_step_decls",
 ]
 
 
@@ -575,8 +574,8 @@ def int_epilogue(flags: tuple, fused: tuple, dead_at: str) -> list[str]:
     """Per-element requant epilogue on the int64 accumulator ``a`` of
     channel ``f``, then the fused steps, then the store to ``outv[ooff]``.
 
-    Every conv/linear integer kernel (serial blas and loops, tiled
-    mtloops) emits its epilogue through here.  ``flags`` (``"dead"``,
+    Every conv/linear integer kernel (blas and loops) emits its epilogue
+    through here.  ``flags`` (``"dead"``,
     ``"gb"``, ``"out32"``) are baked, like the float kernels' bias/dead
     flags: runtime flag branches would make the compiler unswitch the
     loop into one copy per combination, which doubles compile time once

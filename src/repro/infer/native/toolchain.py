@@ -162,17 +162,16 @@ def _cache_key(source: str, cc: str, flags: tuple) -> str:
     return hashlib.sha256(blob).hexdigest()[:24]
 
 
-def compile_source(source: str, extra_flags: tuple = ()) -> str:
+def compile_source(source: str) -> str:
     """Compile ``source`` (or reuse the disk cache); returns the ``.so`` path.
 
     The write is atomic (temp file + ``os.replace``), so concurrent
     processes racing on the same key both end up with a whole binary.
-    ``extra_flags`` (e.g. ``-pthread`` for the threading runtime) join the
-    command line *and* the cache key, so a flag change never reuses a stale
+    The flags join the cache key, so a flag change never reuses a stale
     binary.
     """
     cc = find_compiler()
-    flags = compile_flags() + tuple(extra_flags)
+    flags = compile_flags()
     cdir = native_cache_dir()
     key = _cache_key(source, cc, flags)
     so_path = os.path.join(cdir, f"k{key}.so")

@@ -124,18 +124,6 @@ class PlanConfig:
             self-verify bitwise against the numpy codegen on first call, so
             every setting produces identical results — on hosts without a C
             toolchain all three behave like ``"numpy"`` (logged once).
-        threads: Intra-op thread count for native kernels.  ``"auto"``
-            (default) reads ``REPRO_NUM_THREADS`` — unset or ``< 2`` keeps
-            the serial untiled kernels (the historical behavior).  An
-            explicit integer ``N >= 1`` binds the *tiled* threaded kernel
-            variants (:mod:`repro.infer.native.threading`) with ``N``
-            participants.  The tile grid depends only on problem shapes,
-            every output element has exactly one writer, and the
-            per-element operation order matches the serial kernel — so
-            results are **bitwise identical for every thread count**
-            (``threads=1`` runs the same tiles inline).  Ignored by the
-            numpy backend; if the worker pool cannot start, kernels fall
-            back to serial execution of the identical tiles.
     """
 
     prune: bool = True
@@ -147,7 +135,6 @@ class PlanConfig:
     fuse: bool = True
     dtype: str = "float"
     backend: str = "auto"
-    threads: int | str = "auto"
 
     def __post_init__(self) -> None:
         if self.kernel not in _KERNELS:
@@ -166,13 +153,6 @@ class PlanConfig:
             )
         if self.autotune_batch < 1 or self.autotune_reps < 1:
             raise ConfigurationError("autotune_batch and autotune_reps must be >= 1")
-        t = self.threads
-        if isinstance(t, bool) or not (
-            t == "auto" or (isinstance(t, int) and t >= 1)
-        ):
-            raise ConfigurationError(
-                f"threads must be 'auto' or an int >= 1, got {self.threads!r}"
-            )
 
 
 class ExecutionContext:
@@ -688,18 +668,6 @@ class ExecutionPlan:
         #: :func:`compile_network` when ``config.dtype == "int8"``; when
         #: set, :meth:`execute` routes batches through it.
         self.intq: Any = None
-        #: Resolved intra-op thread count: 0 = serial untiled native
-        #: kernels (legacy), N >= 1 = tiled threaded variants with N
-        #: participants.  Resolved once at plan construction so every
-        #: traced program, intq twin and serving worker binds consistently.
-        try:
-            from repro.infer.native.threading import runtime as _mtrt
-
-            self.intra_threads = _mtrt.resolve_threads(
-                getattr(self.config, "threads", "auto")
-            )
-        except Exception:  # pragma: no cover - defensive
-            self.intra_threads = 0
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -742,7 +710,6 @@ class ExecutionPlan:
             "dead_filters_remaining": dead_remaining,
             "kernels": kernels,
             "k_hist": k_hist,
-            "intra_threads": getattr(self, "intra_threads", 0),
             "config": {
                 "prune": self.config.prune,
                 "all_dead": self.config.all_dead,
@@ -751,7 +718,6 @@ class ExecutionPlan:
                 "fuse": self.config.fuse,
                 "dtype": self.config.dtype,
                 "backend": getattr(self.config, "backend", "auto"),
-                "threads": getattr(self.config, "threads", "auto"),
             },
             "native": native_status,
             "trace": {
@@ -1236,15 +1202,9 @@ def compile_network(
         if shape is not None:
             from repro.infer.autotune import autotune_ops
 
-            try:
-                from repro.infer.native.threading import runtime as _mtrt
-
-                _threads = _mtrt.resolve_threads(getattr(cfg, "threads", "auto"))
-            except Exception:  # pragma: no cover - defensive
-                _threads = 0
             autotune_report = autotune_ops(
                 compiler.ops, candidates, shape, compiler.dtype, cfg.autotune_reps,
-                backend=cfg.backend, threads=_threads,
+                backend=cfg.backend,
             )
     layer_info = _collect_layer_info(
         compiler.ops, compiler.bindings, prune_report, autotune_report

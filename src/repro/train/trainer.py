@@ -655,13 +655,15 @@ class Trainer:
         graph is built.  The engine is compiled lazily on first use and
         transparently re-derives only the layers that changed since the last
         evaluation.  ``use_engine=False`` keeps the eager fallback (also the
-        reference path the engine is parity-tested against).
+        reference path the engine is parity-tested against).  The eager path
+        restores the model's prior train/eval mode when it is done.
         """
         if use_engine:
             # The engine's internal batch granularity is an execution detail
             # (results are batch-size invariant), so it keeps its own
             # cache-friendly default; eval_batch_size governs the eager path.
             return self._engine().evaluate(dataset)
+        was_training = self.model.training
         self.model.eval()
         loss_avg = RunningAverage()
         acc_avg = RunningAverage()
@@ -675,7 +677,7 @@ class Trainer:
                 loss_avg.update(F.cross_entropy(logits, labels).item(), n)
                 acc_avg.update(accuracy(logits.numpy(), labels), n)
                 top5_avg.update(topk_accuracy(logits.numpy(), labels, k5), n)
-        self.model.train()
+        self.model.train(was_training)
         return {"loss": loss_avg.value, "accuracy": acc_avg.value, "top5": top5_avg.value}
 
     def _engine(self):

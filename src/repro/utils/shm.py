@@ -13,8 +13,7 @@ segment raises :class:`~repro.errors.SharedMemoryError` instead of serving
 garbage weights (the chaos suite's
 :class:`~repro.testing.faults.SharedMemoryCorruptionFault` relies on this).
 
-Used by :mod:`repro.infer.pool` to ship compiled plans to process workers
-and by :mod:`repro.serve.cluster.shm_store` to publish per-model plan
+Used by :mod:`repro.serve.cluster.shm_store` to publish per-model plan
 generations to the supervised worker pool.
 """
 

@@ -101,36 +101,24 @@ def test_native_sweep_smoke(tmp_path):
 
 
 @pytest.mark.infer_bench
-def test_thread_sweep_smoke(tmp_path):
-    """The --thread-sweep section: serial vs tiled threaded kernels, at
-    smoke scale (net 4, threads {1, 2}).  Bitwise invariance across counts
-    is the acceptance bar; speedups are informational (bounded by the
-    host's effective CPUs, which the summary records).  Passes with or
-    without a toolchain — without one, every count runs numpy and
-    invariance holds trivially."""
-    sweep = bench_infer.run_thread_sweep(reps=1, smoke=True)
+def test_default_run_keeps_other_sections(tmp_path):
+    """A default (full-benchmark) run merges into an existing --out file:
+    sweep sections and summary keys it does not produce survive."""
+    out = tmp_path / "BENCH_infer.json"
+    out.write_text(
+        json.dumps(
+            {
+                "native_sweep": [{"network_id": 4}],
+                "summary": {"native": {"all_bitwise_equal": True}},
+            }
+        )
+    )
+    bench_infer.main(["--smoke", "--out", str(out)])
 
-    rows = sweep["thread_sweep"]
-    assert {row["network_id"] for row in rows} == {4}
-    for row in rows:
-        assert row["bitwise_equal_vs_serial"] is True
-        for spec in row["batches"].values():
-            for dt in ("float64", "int8"):
-                assert spec[dt]["serial_s"] > 0
-                assert set(spec[dt]["threads"]) == {"1", "2"}
-                for cell in spec[dt]["threads"].values():
-                    assert cell["time_s"] > 0
-        assert set(row["gemm_choices"]) <= {"blas", "micro"}
-    summary = sweep["thread_summary"]
-    assert summary["all_bitwise_equal_vs_serial"] is True
-    assert summary["effective_cpus"] >= 1
-    # A CPU-limited host must say so instead of claiming scaling headroom.
-    if summary["effective_cpus"] < 2:
-        assert summary["cpu_limited"] is True and summary["cpu_limit_note"]
-
-    out = tmp_path / "BENCH_threads.json"
-    out.write_text(json.dumps(sweep))  # round-trips: everything is plain JSON
-    assert json.loads(out.read_text())["thread_sweep"]
+    result = json.loads(out.read_text())
+    assert result["native_sweep"] == [{"network_id": 4}]
+    assert result["summary"]["native"] == {"all_bitwise_equal": True}
+    assert result["configs"] and "fusion" in result["summary"]
 
 
 @pytest.mark.infer_bench

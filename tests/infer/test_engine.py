@@ -55,6 +55,18 @@ def test_eager_evaluate_builds_no_graph():
     assert all(p.grad is None for p in model.parameters())
 
 
+def test_eager_evaluate_restores_model_mode():
+    """Eager evaluation hands the model back in the mode it found it in."""
+    model = build_small_network(4)
+    trainer = Trainer(model)
+    model.eval()
+    trainer.evaluate(make_dataset(8), use_engine=False)
+    assert not model.training
+    model.train()
+    trainer.evaluate(make_dataset(8), use_engine=False)
+    assert model.training
+
+
 def test_predict_is_argmax_of_logits():
     model = build_small_network(4)
     engine = InferenceEngine(model)

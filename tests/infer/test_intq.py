@@ -198,15 +198,12 @@ class TestRefresh:
 
 
 class TestSharding:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_sharded_matches_serial(self, backend):
-        """Batch sharding runs the integer program in every worker — row-for-
-        row identical to the serial integer path."""
+    def test_sharded_matches_serial(self):
+        """Thread sharding runs the integer program in every worker — byte-
+        for-byte identical to the serial integer path."""
         model = build_small_network(4)
         engine = InferenceEngine(model, config=INT8)
         images = sample_images(14, seed=31)
         serial = engine.predict_logits(images, batch_size=5, workers=1)
-        sharded = engine.predict_logits(
-            images, batch_size=5, workers=3, backend=backend
-        )
-        np.testing.assert_array_equal(sharded, serial)
+        sharded = engine.predict_logits(images, batch_size=5, workers=3)
+        assert sharded.dtype == serial.dtype and sharded.tobytes() == serial.tobytes()

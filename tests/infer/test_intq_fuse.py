@@ -3,9 +3,9 @@
 The int8 lowering folds each ``IntLeakyOp``/``IntRescaleOp`` whose input
 has a single reader into the requant epilogue of the conv/linear that
 produces it.  Fusion must not change a bit: every epilogue (numpy
-reference, native serial, native tiled) has to reproduce the standalone
-op chain byte for byte, and a whole fused program has to match the same
-program split back into standalone ops.  Native assertions are gated on
+reference and native) has to reproduce the standalone op chain byte for
+byte, and a whole fused program has to match the same program split back
+into standalone ops.  Native assertions are gated on
 :func:`binding.available`; without a toolchain both sides run numpy.
 """
 
@@ -110,7 +110,7 @@ def _accumulators(shape: tuple, dtype: str) -> np.ndarray:
     return acc.astype(dtype)
 
 
-def _identity_op(kind: str, acc_dtype: str, steps: tuple, backend: str, threads: int):
+def _identity_op(kind: str, acc_dtype: str, steps: tuple, backend: str):
     """A conv/linear whose requant is the identity (M0=1, SH=0), so the
     epilogue sees the input values themselves as accumulators.  The conv
     carries a dead-input map and a bias to exercise their indexing."""
@@ -124,12 +124,12 @@ def _identity_op(kind: str, acc_dtype: str, steps: tuple, backend: str, threads:
         consts = {"W": eye, "M0": one[:, None], "RND": zero[:, None], "SH": zero[:, None],
                   "GB": gb[:, None], "DMAP": rng.integers(-50, 50, (f, 12))}
         op = IntConvOp(0, 0, 1, 1, 1, 0, f, "intq_gemm", acc_dtype, out_dtype,
-                       ("dead", "gb"), (), consts, backend, threads, steps)
+                       ("dead", "gb"), (), consts, backend, steps)
         x = _accumulators((4, f, 3, 4), acc_dtype)
     else:
         consts = {"W": eye, "M0": one, "RND": zero, "SH": zero, "GB": gb}
         op = IntLinearOp(0, 0, 1, f, "intq_gemm", acc_dtype, out_dtype, ("gb",), (),
-                         consts, backend, threads, steps)
+                         consts, backend, steps)
         x = _accumulators((5, f), acc_dtype)
     return op, x
 
@@ -147,24 +147,22 @@ class TestFusedEpilogue:
     @pytest.mark.parametrize("kind", ["conv", "linear"])
     @pytest.mark.parametrize("leaky,mode", EPILOGUE_CASES)
     def test_matches_standalone_chain(self, leaky, mode, kind, acc_dtype):
-        """numpy, native serial and native tiled fused epilogues all equal
-        the unfused producer -> IntLeakyOp -> IntRescaleOp chain."""
+        """numpy and native fused epilogues both equal the unfused
+        producer -> IntLeakyOp -> IntRescaleOp chain."""
         steps = tuple(s for s in (LEAKY[leaky], RESCALE[mode]) if s is not None)
-        fused_np, x = _identity_op(kind, acc_dtype, steps, "numpy", 0)
+        fused_np, x = _identity_op(kind, acc_dtype, steps, "numpy")
         want, _ = _run(split_fused([fused_np]), {0: x}, 1)
         got, _ = _run([fused_np], {0: x}, 1)
         assert _bitwise_equal(got, want)
-        for threads in (0, 2):
-            op, _ = _identity_op(kind, acc_dtype, steps, "native", threads)
-            got, ctx = _run([op], {0: x}, 1)
-            assert _bitwise_equal(got, want)
-            if NATIVE_OK:
-                entry = ctx.__dict__["_native_int"][op.index]
-                assert entry["mode"] == "native", entry
-                assert (entry["variant"] == "mtloops") == (threads > 0), entry
-                # A second call runs the pinned native kernel alone.
-                op.run(ctx)
-                assert _bitwise_equal(ctx.slots[1], want)
+        op, _ = _identity_op(kind, acc_dtype, steps, "native")
+        got, ctx = _run([op], {0: x}, 1)
+        assert _bitwise_equal(got, want)
+        if NATIVE_OK:
+            entry = ctx.__dict__["_native_int"][op.index]
+            assert entry["mode"] == "native", entry
+            # A second call runs the pinned native kernel alone.
+            op.run(ctx)
+            assert _bitwise_equal(ctx.slots[1], want)
 
     def test_c_left_shift_is_unsigned(self):
         """``a << n`` on a negative signed value is undefined in C: every
@@ -183,13 +181,14 @@ class TestFusedEpilogue:
 
 class TestFusedPrograms:
     @pytest.mark.parametrize("kernel", ["dense", "shift_plane"])
-    @pytest.mark.parametrize("threads", ["auto", 2])
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("backend", ["numpy", "native"])
     @pytest.mark.parametrize("network_id", ALL_CONFIGS)
-    def test_fused_equals_unfused(self, network_id, backend, threads, kernel):
+    def test_fused_equals_unfused(self, network_id, backend, workers, kernel):
         """Splitting every fused op back into standalone ops changes no
-        logit byte."""
-        config = PlanConfig(dtype="int8", backend=backend, threads=threads, kernel=kernel)
+        logit byte, and the engine returns the same bytes serially or
+        sharded across threads."""
+        config = PlanConfig(dtype="int8", backend=backend, kernel=kernel)
         engine = InferenceEngine(build_small_network(network_id), config=config)
         prog = engine.plan.intq
         assert any(getattr(op, "fused", ()) for op in prog.ops)
@@ -201,7 +200,7 @@ class TestFusedPrograms:
         )
         unfused = split.run(images, ExecutionContext()).copy()
         assert _bitwise_equal(fused, unfused)
-        assert _bitwise_equal(engine.predict_logits(images), fused)
+        assert _bitwise_equal(engine.predict_logits(images, batch_size=2, workers=workers), fused)
 
     @pytest.mark.parametrize("network_id", ALL_CONFIGS)
     def test_op_indices_unique(self, network_id):
