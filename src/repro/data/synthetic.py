@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from repro.errors import DataError
 from repro.data.dataset import ArrayDataset, DataSplit
@@ -65,6 +64,10 @@ class SyntheticImageConfig:
 
 def _make_prototypes(config: SyntheticImageConfig, rng: np.random.Generator) -> np.ndarray:
     """Smooth per-class textures of shape (classes, C, H, W), unit RMS."""
+    # Imported here: ``repro.data`` sits on the inference import path, which
+    # never generates data and should not pay for loading scipy.
+    from scipy import ndimage
+
     coarse = rng.normal(
         size=(config.num_classes, config.channels, config.prototype_grid, config.prototype_grid)
     )

@@ -87,7 +87,7 @@ logger = logging.getLogger("repro.infer.intq")
 _native_warned = False
 
 
-def _native_int(ctx, op, kind: str, data: np.ndarray, out: np.ndarray, numpy_run) -> bool:
+def _native_int(ctx, op, kind: str, x: np.ndarray, out: np.ndarray, numpy_run) -> bool:
     """Try the native C integer kernel; ``False`` → caller runs the numpy path.
 
     Any failure in the native ladder (missing package, compiler, BLAS, or a
@@ -95,14 +95,25 @@ def _native_int(ctx, op, kind: str, data: np.ndarray, out: np.ndarray, numpy_run
     crashes because a toolchain is absent.
     """
     global _native_warned
+    if op.backend == "numpy":
+        return False
     try:
         from repro.infer.native import binding
 
-        return binding.run_int_producer(ctx, op, kind, data, out, numpy_run)
+        return binding.run_int_op(ctx, op, kind, x, out, numpy_run)
     except Exception as err:
         if not _native_warned:
             _native_warned = True
             logger.warning("native integer backend disabled: %s", err)
+        return False
+
+
+def _native_available() -> bool:
+    try:
+        from repro.infer.native import binding
+
+        return binding.available()
+    except Exception:
         return False
 
 
@@ -143,15 +154,21 @@ class IntQuantizeOp:
     inv_step: float
     lo: int
     hi: int
+    backend: str = "auto"
 
     def run(self, ctx: ExecutionContext) -> None:
         x = ctx.slots[self.src]
-        tmp = ctx.buffer(self.index, "tmp", x.shape, np.float64)
-        np.multiply(x, self.inv_step, out=tmp)
-        np.rint(tmp, out=tmp)
-        np.clip(tmp, self.lo, self.hi, out=tmp)
         out = ctx.buffer(self.index, "out", x.shape, np.int32)
-        np.copyto(out, tmp, casting="unsafe")
+
+        def run_numpy() -> None:
+            tmp = ctx.buffer(self.index, "tmp", x.shape, np.float64)
+            np.multiply(x, self.inv_step, out=tmp)
+            np.rint(tmp, out=tmp)
+            np.clip(tmp, self.lo, self.hi, out=tmp)
+            np.copyto(out, tmp, casting="unsafe")
+
+        if not _native_int(ctx, self, "quantize", x, out, run_numpy):
+            run_numpy()
         ctx.slots[self.dst] = out
 
 
@@ -251,14 +268,20 @@ class IntMaxPoolOp:
     dst: int
     kernel: int
     stride: int
+    backend: str = "auto"
 
     def run(self, ctx: ExecutionContext) -> None:
         x = ctx.slots[self.src]
         views, oh, ow = _pool_views(x, self.kernel, self.stride)
         out = ctx.buffer(self.index, "out", x.shape[:2] + (oh, ow), x.dtype)
-        out[...] = views[0]
-        for v in views[1:]:
-            np.maximum(out, v, out=out)
+
+        def run_numpy() -> None:
+            out[...] = views[0]
+            for v in views[1:]:
+                np.maximum(out, v, out=out)
+
+        if not _native_int(ctx, self, "maxpool", x, out, run_numpy):
+            run_numpy()
         ctx.slots[self.dst] = out
 
 
@@ -424,35 +447,41 @@ class IntConvOp:
     #: :data:`repro.infer.intq.kernels.STEP_ARGS`).
     fused: tuple = ()
 
-    def run(self, ctx: ExecutionContext) -> None:
-        x = ctx.slots[self.src]
+    def _im2col(self, ctx: ExecutionContext, x: np.ndarray, oh: int, ow: int) -> np.ndarray:
+        """The numpy path's pad + im2col columns, in the accumulator dtype."""
         n, c, h, w = x.shape
         k, s, p = self.kernel, self.stride, self.padding
         mat_dt = np.dtype(self.acc_dtype)
+        if k == 1 and s == 1 and p == 0 and x.dtype == mat_dt:
+            return x.reshape(n, c, h * w)
         if p:
             xp = ctx.buffer(self.index, "pad", (n, c, h + 2 * p, w + 2 * p), x.dtype, zero=True)
             xp[:, :, p:-p, p:-p] = x
-            xs = xp
-        else:
-            xs = x
+            x = xp
+        sn, sc, sh_, sw = x.strides
+        windows = as_strided(
+            x,
+            shape=(n, c, k, k, oh, ow),
+            strides=(sn, sc, sh_, sw, sh_ * s, sw * s),
+            writeable=False,
+        )
+        cols = ctx.buffer(self.index, "cols", (n, c * k * k, oh * ow), mat_dt)
+        cols.reshape(n, c, k, k, oh, ow)[...] = windows
+        return cols
+
+    def run(self, ctx: ExecutionContext) -> None:
+        x = ctx.slots[self.src]
+        n, _, h, w = x.shape
+        k, s, p = self.kernel, self.stride, self.padding
         oh = (h + 2 * p - k) // s + 1
         ow = (w + 2 * p - k) // s + 1
-        if k == 1 and s == 1 and p == 0 and x.dtype == mat_dt:
-            cols = x.reshape(n, c, h * w)
-        else:
-            sn, sc, sh_, sw = xs.strides
-            windows = as_strided(
-                xs,
-                shape=(n, c, k, k, oh, ow),
-                strides=(sn, sc, sh_, sw, sh_ * s, sw * s),
-                writeable=False,
-            )
-            cols = ctx.buffer(self.index, "cols", (n, c * k * k, oh * ow), mat_dt)
-            cols.reshape(n, c, k, k, oh, ow)[...] = windows
         f = self.filters
         out = ctx.buffer(self.index, "out", (n, f, oh * ow), np.dtype(self.out_dtype))
 
         def run_numpy() -> None:
+            # The reference path; the native kernel pads and unrolls in C.
+            cols = self._im2col(ctx, x, oh, ow)
+            mat_dt = np.dtype(self.acc_dtype)
             acc = ctx.buffer(self.index, "acc", (n, f, oh * ow), mat_dt)
             acc64 = (
                 acc if mat_dt == np.int64 else ctx.buffer(self.index, "acc64", acc.shape, np.int64)
@@ -469,7 +498,7 @@ class IntConvOp:
             else:
                 kernel(cols, acc, acc64, out, tmp)
 
-        if self.backend == "numpy" or not _native_int(ctx, self, "conv", cols, out, run_numpy):
+        if not _native_int(ctx, self, "conv", x, out, run_numpy):
             run_numpy()
         ctx.slots[self.dst] = out.reshape(n, f, oh, ow)
 
@@ -520,7 +549,7 @@ class IntLinearOp:
             else:
                 kernel(xin, acc, acc64, out, tmp)
 
-        if self.backend == "numpy" or not _native_int(ctx, self, "linear", xin, out, run_numpy):
+        if not _native_int(ctx, self, "linear", xin, out, run_numpy):
             run_numpy()
         ctx.slots[self.dst] = out
 
@@ -609,6 +638,11 @@ class _IntQBuilder:
         #: Plan ops reading each slot, and the ops folded into a producer.
         self.readers: dict[int, list] = {}
         self.consumed: set[int] = set()
+        #: Backend of the max-pool and quantize ops: native whenever it can
+        #: be (its first-call parity check still guards it), no tournament.
+        self.pool_quant_backend = (
+            "native" if self.config.backend != "numpy" and _native_available() else "numpy"
+        )
 
     def _next_index(self) -> int:
         return _INDEX_BASE + len(self.ops)
@@ -643,7 +677,10 @@ class _IntQBuilder:
         fmt = fixed_point_format_for([self.stats[src]["max_abs"]], bits=MID_BITS)
         half = 2 ** (fmt.bits - 1)
         self.ops.append(
-            IntQuantizeOp(self._next_index(), src, src, 1.0 / fmt.step, -half, half - 1)
+            IntQuantizeOp(
+                self._next_index(), src, src, 1.0 / fmt.step, -half, half - 1,
+                self.pool_quant_backend,
+            )
         )
         spec = GridSpec(fmt.step, half)
         self.spec[src] = spec
@@ -670,7 +707,10 @@ class _IntQBuilder:
             elif isinstance(op, MaxPoolOp):
                 spec = self._grid_input(op.src)
                 self.ops.append(
-                    IntMaxPoolOp(self._next_index(), op.src, op.dst, op.kernel, op.stride)
+                    IntMaxPoolOp(
+                        self._next_index(), op.src, op.dst, op.kernel, op.stride,
+                        self.pool_quant_backend,
+                    )
                 )
                 self.spec[op.dst] = spec
             elif isinstance(op, AvgPoolOp):
@@ -720,7 +760,10 @@ class _IntQBuilder:
             # interpreter's rint/clip.
             half = int(op.half)
             self.ops.append(
-                IntQuantizeOp(self._next_index(), op.src, op.dst, 1.0 / op.step, -half, half - 1)
+                IntQuantizeOp(
+                    self._next_index(), op.src, op.dst, 1.0 / op.step, -half, half - 1,
+                    self.pool_quant_backend,
+                )
             )
             self.spec[op.dst] = GridSpec(op.step, half)
             return
@@ -1011,17 +1054,8 @@ class _IntQBuilder:
         time through the first-call parity ladder.
         """
         cfg = self.config
-        choice = getattr(cfg, "backend", "auto")
-        if choice == "numpy":
-            int_op.backend = "numpy"
-            return None
-        try:
-            from repro.infer.native import binding as native_binding
-
-            native_ok = native_binding.available()
-        except Exception:
-            native_ok = False
-        if not native_ok:
+        choice = cfg.backend
+        if choice == "numpy" or not _native_available():
             int_op.backend = "numpy"
             return None
         if choice == "native":

@@ -45,7 +45,7 @@ __all__ = [
     "make_pool",
     "make_gap",
     "make_add",
-    "run_int_producer",
+    "run_int_op",
 ]
 
 logger = logging.getLogger("repro.infer.native")
@@ -463,118 +463,177 @@ def make_eltwise(chain_sig, x, out, spec, numpy_thunk, record):
     return _checked(call, numpy_thunk, out, [x], record, "eltwise")
 
 
-# -- integer producers (intq) -------------------------------------------------
+# -- integer ops (intq) -------------------------------------------------------
+
+#: Scratch roles of the integer ops' numpy path (reference kernels and the
+#: conv's pad/im2col), released once the op's native kernel passes its
+#: parity check: the native path never touches them again.
+NUMPY_SCRATCH = ("pad", "cols", "acc", "acc64", "tmp", "shifted", "part")
 
 
-def _int_entry(ctx, op, kind: str):
+def _int_entry(ctx, op):
     """Per-context cached native state for one integer op (ops are plain
     picklable dataclasses, so the invoker state lives on the context)."""
     cache = ctx.__dict__.setdefault("_native_int", {})
     entry = cache.get(op.index)
     if entry is not None and entry.get("op") is op:
         return entry
-    entry = {"op": op, "mode": None, "fn": None, "consts": None}
+    entry = {"op": op, "mode": None, "fn": None, "consts": None, "call": None}
     cache[op.index] = entry
     return entry
 
 
-def run_int_producer(ctx, op, kind: str, data: np.ndarray, out: np.ndarray, numpy_run) -> bool:
-    """Run one integer conv/linear natively; ``True`` iff ``out`` is filled.
+def _nan_code(dtype) -> int:
+    """What numpy's unsafe cast stores for a NaN on this platform."""
+    with np.errstate(invalid="ignore"):
+        return int(np.array([np.nan]).astype(dtype)[0])
 
-    ``data`` is the prebuilt im2col columns (conv) or the cast activation
-    matrix (linear), both in the op's accumulator dtype.  The first call
-    per (context, op) runs the parity check against ``numpy_run``; a
-    mismatch pins the op to numpy (returning ``False`` on later calls so
-    the caller's numpy path runs).
-    """
-    entry = _int_entry(ctx, op, kind)
-    if entry["mode"] == "numpy":
-        return False
+
+def _int_bind(kind: str, op, x: np.ndarray, out: np.ndarray):
+    """(spec, C source, prepared constants) for one integer op, or ``None``
+    when its dtypes have no native kernel."""
+    from repro.infer.intq.kernels import step_struct
+    from repro.infer.kernels import KernelSpec
+
+    if kind == "maxpool":
+        if x.dtype not in (np.int32, np.int64) or out.dtype != x.dtype:
+            return None
+        ct = "int32_t" if x.dtype == np.int32 else "int64_t"
+        spec = KernelSpec("intmaxpool", "", (), str(x.dtype), (), (), (op.kernel,))
+        return spec, codegen.pool_source((), op.kernel, ct=ct), {}
+    if kind == "quantize":
+        if x.dtype != np.float64 or out.dtype != np.int32 or not (
+            -(2**31) <= op.lo <= op.hi < 2**31
+        ):
+            return None
+        spec = KernelSpec("intquantize", "", (), "float64", (), ())
+        return spec, codegen.eltwise_source(("aq",), "int32_t"), {"nan": _nan_code(np.int32)}
     acc_dt = np.dtype(op.acc_dtype)
-    if entry["fn"] is None:
-        if not available():
-            entry["mode"] = "numpy"
-            return False
-        if not data.flags.c_contiguous or not out.flags.c_contiguous:
-            entry["mode"] = "numpy"
-            return False
-        bslots = _blas_slots()
-        variant = "blas" if acc_dt == np.int32 and bslots is not None else "loops"
-        ctype = "int32_t" if acc_dt == np.int32 else "int64_t"
-        consts = op.consts
-        f = op.filters
-        prepared = {
-            "M0": _const(consts["M0"], np.int64),
-            "RND": _const(consts["RND"], np.int64),
-            "SH": _const(consts["SH"], np.int64),
-            "DMAP": _const(consts["DMAP"], np.int64) if "dead" in op.flags else None,
-            "GB": _const(consts["GB"], np.int64) if "gb" in op.flags else None,
-        }
-        if variant == "blas":
-            prepared["W"] = _const(consts["W"], np.float64)
-            prepared["blas"] = bslots
-        else:
-            prepared["W"] = _const(consts["W"], acc_dt)
-        from repro.infer.intq.kernels import step_struct
-        from repro.infer.kernels import KernelSpec
+    if x.dtype not in (np.int32, np.int64) or (kind == "linear" and x.dtype != acc_dt):
+        return None
+    bslots = _blas_slots()
+    variant = "blas" if acc_dt == np.int32 and bslots is not None else "loops"
+    ctype = "int32_t" if acc_dt == np.int32 else "int64_t"
+    xtype = "int32_t" if x.dtype == np.int32 else "int64_t"
+    consts = op.consts
+    prepared = {
+        "M0": _const(consts["M0"], np.int64),
+        "RND": _const(consts["RND"], np.int64),
+        "SH": _const(consts["SH"], np.int64),
+        "DMAP": _const(consts["DMAP"], np.int64) if "dead" in op.flags else None,
+        "GB": _const(consts["GB"], np.int64) if "gb" in op.flags else None,
+        "variant": variant,
+    }
+    if variant == "blas":
+        prepared["W"] = _const(consts["W"], np.float64)
+        prepared["blas"] = bslots
+    else:
+        prepared["W"] = _const(consts["W"], acc_dt)
+    flags = tuple(sorted(op.flags)) + (("out32",) if out.dtype == np.int32 else ())
+    fused = step_struct(op.fused)
+    spec = KernelSpec(
+        kind=f"int{kind}",
+        impl=variant,
+        shape=(),
+        dtype=str(acc_dt),
+        flags=flags,
+        epilogue=(("rq", *fused),),
+        extra=(xtype,),
+    )
+    ilp64 = blas.blas_info()["ilp64"] if variant == "blas" else True
+    if kind == "conv":
+        src = codegen.int_conv_source(variant, ilp64, ctype, flags, fused, xtype)
+    else:
+        src = codegen.int_linear_source(variant, ilp64, ctype, flags, fused)
+    return spec, src, prepared
 
-        flags = tuple(sorted(op.flags)) + (("out32",) if out.dtype == np.int32 else ())
-        fused = step_struct(op.fused)
-        spec = KernelSpec(
-            kind=f"int{kind}",
-            impl=variant,
-            shape=(),
-            dtype=str(acc_dt),
-            flags=flags,
-            epilogue=(("rq", *fused),),
-        )
-        ilp64 = blas.blas_info()["ilp64"] if variant == "blas" else True
-        src_fn = codegen.int_conv_source if kind == "conv" else codegen.int_linear_source
-        src = src_fn(variant, ilp64=ilp64, ctype=ctype, flags=flags, fused=fused)
+
+def _int_args(ctx, kind: str, op, consts: dict, x: np.ndarray, out: np.ndarray):
+    """(arrays, dims, scalars) of one call; the native scratch comes from
+    ``ctx`` under its own roles, so it never aliases the numpy path's."""
+    if kind == "maxpool":
+        nb, c, h, w = x.shape
+        k, s = op.kernel, op.stride
+        dims = [nb, c, h, w, k, s, (h - k) // s + 1, (w - k) // s + 1, 0]
+        return [x, out], dims, []
+    if kind == "quantize":
+        return [x, out], [x.size, consts["nan"]], [op.inv_step, op.lo, op.hi, 1.0]
+    f = op.filters
+    step_dims = [int(v) for step in op.fused for v in step[1:]]
+    tail = [consts["M0"], consts["RND"], consts["SH"], consts["DMAP"], consts["GB"], out]
+    blas_variant = consts["variant"] == "blas"
+    if kind == "conv":
+        nb, c, h, w = x.shape
+        k, s, p = op.kernel, op.stride, op.padding
+        oh, ow = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+        ckk, length = c * k * k, oh * ow
+        if consts["W"].shape != (f, ckk) or out.size != nb * f * length or (
+            consts["DMAP"] is not None and consts["DMAP"].size != f * length
+        ):
+            raise ValueError(f"int conv {op.index}: input {x.shape} does not fit its weights")
+        dims = [nb, c, h, w, k, s, p, f, ckk, length, oh, ow]
+        ct = np.float64 if blas_variant else np.dtype(op.acc_dtype)
+        pad = ctx.buffer(op.index, "natpad", (c, h + 2 * p, w + 2 * p), ct, zero=True)
+        cols = ctx.buffer(op.index, "natcols", (ckk, length), ct)
+        if blas_variant:
+            accf = ctx.buffer(op.index, "nataccf", (f, length), np.float64)
+            arrays = [*consts["blas"], x, consts["W"], pad, cols, accf, *tail]
+        else:
+            acc = ctx.buffer(op.index, "natacc", (f, length), np.int64)
+            arrays = [x, consts["W"], pad, cols, acc, *tail]
+    else:
+        nb, in_f = x.shape
+        if consts["W"].shape != (in_f, f) or out.size != nb * f:
+            raise ValueError(f"int linear {op.index}: input {x.shape} does not fit its weights")
+        dims = [nb, in_f, f]
+        if blas_variant:
+            xf = ctx.buffer(op.index, "natxf", (nb, in_f), np.float64)
+            accf = ctx.buffer(op.index, "nataccf", (nb, f), np.float64)
+            arrays = [*consts["blas"], x, consts["W"], xf, accf, *tail]
+        else:
+            row = ctx.buffer(op.index, "natrow", (f,), np.int64)
+            arrays = [x, consts["W"], row, *tail]
+    return arrays, dims + step_dims, []
+
+
+def run_int_op(ctx, op, kind: str, x: np.ndarray, out: np.ndarray, numpy_run) -> bool:
+    """Run one integer op natively; ``True`` iff ``out`` is filled.
+
+    ``kind`` is ``conv`` (``x``: the NCHW activation codes, padded and
+    unrolled in C), ``linear`` (the activation matrix in the accumulator
+    dtype), ``maxpool`` (NCHW codes) or ``quantize`` (the float64 input).
+    The first call per (context, op) runs the parity check against
+    ``numpy_run``; a mismatch pins the op to numpy (returning ``False`` on
+    later calls so the caller's numpy path runs), a match frees the op's
+    numpy-path scratch.  The packed C argument blocks are kept per
+    (context, op) and rebuilt only when the input shape or an input/output
+    address changes; ``ctx.buffer`` returns the same arrays for the same
+    shape, and the packed call pins the arrays it points at, so an
+    unchanged address is the same memory.
+    """
+    entry = _int_entry(ctx, op)
+    if entry["mode"] == "numpy" or not (x.flags.c_contiguous and out.flags.c_contiguous):
+        return False
+    if entry["fn"] is None:
+        bound = _int_bind(kind, op, x, out) if available() else None
+        if bound is None:
+            entry["mode"] = "numpy"
+            return False
+        spec, source, consts = bound
         try:
-            fn = _native_fn(spec, src)
+            fn = _native_fn(spec, source)
         except toolchain.NativeUnavailable as err:
             _log_once(("intcompile", kind), "native int kernel compile failed: %s", err)
             entry["mode"] = "numpy"
             return False
-        entry.update(fn=fn, consts=prepared, variant=variant)
+        entry.update(fn=fn, consts=consts)
         _count("bound")
-    consts = entry["consts"]
-    f = op.filters
-    step_dims = [int(v) for step in op.fused for v in step[1:]]
-    nb = data.shape[0]
-    # Scratch and data buffers can be reallocated between batch sizes, so
-    # the pointer blocks are rebuilt per call (unlike the float path, where
-    # register identity is bind-stable).
-    if kind == "conv":
-        kdim, length = data.shape[1], data.shape[2]
-        dims = [nb, f, kdim, length]
-        if entry["variant"] == "blas":
-            colsf = ctx.buffer(op.index, "natcolsf", (kdim, length), np.float64)
-            accf = ctx.buffer(op.index, "nataccf", (f, length), np.float64)
-            arrays = [*consts["blas"], data, consts["W"], colsf, accf,
-                      consts["M0"], consts["RND"], consts["SH"],
-                      consts["DMAP"], consts["GB"], out]
-        else:
-            acc = ctx.buffer(op.index, "natacc", (f, length), np.int64)
-            arrays = [data, consts["W"], acc,
-                      consts["M0"], consts["RND"], consts["SH"],
-                      consts["DMAP"], consts["GB"], out]
-    else:
-        in_f = data.shape[1]
-        dims = [nb, in_f, f]
-        if entry["variant"] == "blas":
-            xf = ctx.buffer(op.index, "natxf", (nb, in_f), np.float64)
-            accf = ctx.buffer(op.index, "nataccf", (nb, f), np.float64)
-            arrays = [*consts["blas"], data, consts["W"], xf, accf,
-                      consts["M0"], consts["RND"], consts["SH"],
-                      consts["DMAP"], consts["GB"], out]
-        else:
-            row = ctx.buffer(op.index, "natrow", (f,), np.int64)
-            arrays = [data, consts["W"], row,
-                      consts["M0"], consts["RND"], consts["SH"],
-                      consts["DMAP"], consts["GB"], out]
-    call = _pack_call(entry["fn"], arrays, dims + step_dims, [])
+    key = (x.shape, x.ctypes.data, out.ctypes.data)
+    cached = entry["call"]
+    if cached is None or cached[0] != key:
+        arrays, dims, scalars = _int_args(ctx, kind, op, entry["consts"], x, out)
+        cached = entry["call"] = (key, _pack_call(entry["fn"], arrays, dims, scalars))
+    call = cached[1]
     if entry["mode"] == "native":
         call()
         return True
@@ -584,8 +643,10 @@ def run_int_producer(ctx, op, kind: str, data: np.ndarray, out: np.ndarray, nump
     numpy_run()
     if np.array_equal(snap.view(np.uint8), out.view(np.uint8)):
         entry["mode"] = "native"
+        ctx.release(op.index, *NUMPY_SCRATCH)
     else:
         entry["mode"] = "numpy"
+        entry["call"] = None
         _count("check_failures")
         _log_once(
             ("intcheck", kind),

@@ -185,20 +185,32 @@ def _dims_decl(slots: list, consts: dict) -> list[str]:
 # Row copies are plain loops, not memcpy: rows here are a few dozen doubles
 # and the ~C*K*K*OH call overhead of tiny memcpys dominates the actual copy
 # (the compiler vectorizes the loops to the same wide moves, inline).
-def _conv_im2col(haspad: bool, onebyone: bool) -> list[str]:
+def _conv_im2col(
+    haspad: bool,
+    onebyone: bool,
+    xt: str = "double",
+    ct: str = "double",
+    per_sample: bool = False,
+) -> list[str]:
     """im2col statements specialized on the op's structural flags (the
     flags live in the kernel spec, so each combination is its own cached
-    source — no runtime branches survive into the copy loops)."""
+    source — no runtime branches survive into the copy loops).
+
+    ``xt`` is the element type of the input ``xs`` and ``ct`` that of the
+    ``pad``/``cols`` buffers; the pad copy converts one to the other.  The
+    float kernels keep whole-batch buffers; ``per_sample`` points both at
+    one sample's worth, reused for every ``n`` (the integer kernels).
+    """
     if onebyone:
-        return ["const double *src = xs;"]
-    out = ["const double *base; i64 BH, BW;"]
+        return [f"const {ct} *src = xs;"]
+    out = [f"const {ct} *base; i64 BH, BW;"]
     if haspad:
         out += [
-            "double *pd = pad + n * C * HP * WP;",
+            f"{ct} *pd = {'pad' if per_sample else 'pad + n * C * HP * WP'};",
             "for (i64 c = 0; c < C; c++)",
             "    for (i64 i = 0; i < H; i++) {",
-            "        double *pr = pd + (c * HP + i + P) * WP + P;",
-            "        const double *xr = xs + (c * H + i) * W;",
+            f"        {ct} *pr = pd + (c * HP + i + P) * WP + P;",
+            f"        const {xt} *xr = xs + (c * H + i) * W;",
             "        for (i64 j = 0; j < W; j++) pr[j] = xr[j];",
             "    }",
             "base = pd; BH = HP; BW = WP;",
@@ -206,26 +218,26 @@ def _conv_im2col(haspad: bool, onebyone: bool) -> list[str]:
     else:
         out += ["base = xs; BH = H; BW = W;"]
     out += [
-        "double *cl = cols + n * CKK * L;",
+        f"{ct} *cl = {'cols' if per_sample else 'cols + n * CKK * L'};",
         "for (i64 c = 0; c < C; c++)",
         " for (i64 ki = 0; ki < K; ki++)",
         "  for (i64 kj = 0; kj < K; kj++) {",
-        "    double *dst = cl + ((c * K + ki) * K + kj) * L;",
-        "    const double *sr = base + (c * BH + ki) * BW + kj;",
+        f"    {ct} *dst = cl + ((c * K + ki) * K + kj) * L;",
+        f"    const {ct} *sr = base + (c * BH + ki) * BW + kj;",
         "    if (S == 1) {",
         "        for (i64 oi = 0; oi < OH; oi++) {",
-        "            const double *r = sr + oi * BW;",
-        "            double *d = dst + oi * OW;",
+        f"            const {ct} *r = sr + oi * BW;",
+        f"            {ct} *d = dst + oi * OW;",
         "            for (i64 oj = 0; oj < OW; oj++) d[oj] = r[oj];",
         "        }",
         "    } else {",
         "        for (i64 oi = 0; oi < OH; oi++) {",
-        "            const double *r = sr + oi * S * BW;",
+        f"            const {ct} *r = sr + oi * S * BW;",
         "            for (i64 oj = 0; oj < OW; oj++) dst[oi * OW + oj] = r[oj * S];",
         "        }",
         "    }",
         "  }",
-        "const double *src = cl;",
+        f"const {ct} *src = cl;",
     ]
     return out
 
@@ -414,7 +426,11 @@ def linear_source(
 
 
 def pool_source(
-    epi: tuple, kernel: int = 0, is_avg: bool = False, consts: dict | None = None
+    epi: tuple,
+    kernel: int = 0,
+    is_avg: bool = False,
+    consts: dict | None = None,
+    ct: str = "double",
 ) -> str:
     """max/avg pool: window reduction in the numpy kernel's (i-major,
     j-minor) view order, seeded from the first window element.
@@ -422,10 +438,13 @@ def pool_source(
     Small windows (K <= 4, the only sizes the paper's nets use) are fully
     unrolled into straight-line code — same reduce order, but the branch-free
     body vectorizes across output columns; larger K keeps the runtime loop.
+    ``ct`` is the element type of input and output: the int8 program's
+    max-pool runs this same reduction on its ``int32_t``/``int64_t`` codes
+    (``NPMAX`` reduces to a plain max on integers).
     """
     body = [
-        "const double *x = (const double *)ptrs[0];",
-        "double *out = (double *)ptrs[1];",
+        f"const {ct} *x = (const {ct} *)ptrs[0];",
+        f"{ct} *out = ({ct} *)ptrs[1];",
     ]
     body += _dims_decl(
         [("nb", 0), ("C", 1), ("H", 2), ("W", 3), ("K", 4), ("S", 5),
@@ -434,14 +453,14 @@ def pool_source(
     )
     body += [
         "(void)K; (void)dims[8];",
-        "double v, t; (void)t;",
+        f"{ct} v, t; (void)t;",
         "for (i64 n = 0; n < nb; n++) {",
         " for (i64 c = 0; c < C; c++) {",
-        "    const double *xc = x + (n * C + c) * H * W;",
-        "    double *oc = out + (n * C + c) * OH * OW;",
+        f"    const {ct} *xc = x + (n * C + c) * H * W;",
+        f"    {ct} *oc = out + (n * C + c) * OH * OW;",
         "    for (i64 oi = 0; oi < OH; oi++) {",
         "        for (i64 oj = 0; oj < OW; oj++) {",
-        "            const double *wbase = xc + oi * S * W + oj * S;",
+        f"            const {ct} *wbase = xc + oi * S * W + oj * S;",
         "            v = wbase[0];",
     ]
     acc = "v += {e};" if is_avg else "v = NPMAX(v, {e});"
@@ -454,7 +473,7 @@ def pool_source(
         body += [
             "            for (i64 ki = 0; ki < K; ki++)",
             "                for (i64 kj = (ki ? 0 : 1); kj < K; kj++) {",
-            "                    double e = wbase[ki * W + kj];",
+            f"                    {ct} e = wbase[ki * W + kj];",
             "                    " + acc.format(e="e"),
             "                }",
         ]
@@ -540,18 +559,29 @@ def add_source(epi: tuple) -> str:
     return _prelude(blas=False) + _fn(body)
 
 
-def eltwise_source(chain: tuple) -> str:
-    """Standalone elementwise chain (head included); safe when out == x."""
+def eltwise_source(chain: tuple, out_t: str = "double") -> str:
+    """Standalone elementwise chain (head included); safe when out == x.
+
+    With an integer ``out_t`` each result is stored through a cast, like
+    numpy's unsafe ``copyto``: the int8 program's input quantize is the
+    chain ``("aq",)`` with a unit step.  A NaN, whose conversion C leaves
+    undefined, stores ``dims[1]`` instead: numpy's own result for that
+    cast, measured by the caller.
+    """
+    if out_t == "double":
+        store = "out[e] = v;"
+    else:
+        store = f"out[e] = v != v ? ({out_t})dims[1] : ({out_t})v;"
     body = [
         "const double *x = (const double *)ptrs[0];",
-        "double *out = (double *)ptrs[1];",
+        f"{out_t} *out = ({out_t} *)ptrs[1];",
         "i64 count = dims[0];",
         "double v, t; (void)t;",
         "for (i64 e = 0; e < count; e++) {",
         "    v = x[e];",
     ]
     body += ["    " + ln for ln in _emit_epilogue(chain, 0)]
-    body += ["    out[e] = v;", "}"]
+    body += ["    " + store, "}"]
     return _prelude(blas=False) + _fn(body)
 
 
@@ -615,89 +645,106 @@ def int_epilogue(flags: tuple, fused: tuple, dead_at: str) -> list[str]:
     return lines
 
 
+#: Runtime geometry of the integer conv, ``dims[0:12]``; the fused steps'
+#: constants follow from ``dims[12]``.
+INT_CONV_DIMS = ("nb", "C", "H", "W", "K", "S", "P", "F", "CKK", "L", "OH", "OW")
+
+
 def int_conv_source(
     variant: str,
     ilp64: bool = True,
     ctype: str = "int32_t",
     flags: tuple = (),
     fused: tuple = (),
+    xtype: str = "int32_t",
 ) -> str:
-    """Integer conv over pre-built im2col columns.
+    """Integer conv reading the NCHW activation codes (``xtype``) directly.
 
-    ``variant="blas"`` (int32 accumulator bracket only): columns are cast
-    to float64 and routed through dgemm — exact because the static MAC
-    bound keeps every product and partial sum an integer below 2^31 ≪
-    2^53 — then truncated back (the truncation is of an exact integer).
-    ``variant="loops"``: plain C MAC loops accumulating in int64 with a
-    zero-weight skip (the decoded shift weights are sparse).
+    Per sample, the codes are cast into ``pad`` (zeroed by the caller;
+    only its interior is ever written, so the border stays zero) in the
+    GEMM's element type and unrolled into ``cols`` by the float conv's
+    row-copy loops (:func:`_conv_im2col`); both buffers hold one sample.
+    Geometry rides in ``dims`` at runtime, so every conv of a plan with
+    the same accumulator, flags and fused steps shares one compiled
+    source.
 
-    blas ptrs: 0 gemm 1 gemv 2 dot 3 cols(i32) 4 w64 5 colsf 6 accf
-               7 M0 8 RND 9 SH 10 DMAP 11 GB 12 out
-    loops ptrs: 0 cols(CT) 1 W(CT) 2 acc(i64, F*L scratch)
-               3 M0 4 RND 5 SH 6 DMAP 7 GB 8 out
-    dims (both): 0 nb 1 F 2 K 3 L, then the fused steps' constants from 4
+    ``variant="blas"`` (int32 accumulator bracket only): the element type
+    is float64 and the GEMM is dgemm — exact because the static MAC bound
+    keeps every product and partial sum an integer below 2^31 ≪ 2^53 —
+    truncated back to int64 (the truncation is of an exact integer).
+    ``variant="loops"``: the element type is the accumulator's ``ctype``;
+    plain C MAC loops accumulate in int64 with a zero-weight skip (the
+    decoded shift weights are sparse).
+
+    blas ptrs: 0 gemm 1 gemv 2 dot 3 x 4 w64 5 pad 6 cols 7 accf
+               8 M0 9 RND 10 SH 11 DMAP 12 GB 13 out
+    loops ptrs: 0 x 1 W(CT) 2 pad 3 cols 4 acc(i64, F*L scratch)
+               5 M0 6 RND 7 SH 8 DMAP 9 GB 10 out
+    dims (both): :data:`INT_CONV_DIMS`, then the fused steps' constants
     (see :func:`int_step_decls`); ``flags`` and ``fused`` are baked by
     :func:`int_epilogue`
     """
-    if variant == "blas":
+    blas = variant == "blas"
+    ct = "double" if blas else ctype
+    if blas:
         body = [
             "void *gemm = ptrs[0], *gemv = ptrs[1], *dot = ptrs[2];",
-            "const int32_t *cols = (const int32_t *)ptrs[3];",
+            f"const {xtype} *x = (const {xtype} *)ptrs[3];",
             "const double *w64 = (const double *)ptrs[4];",
-            "double *colsf = (double *)ptrs[5];",
-            "double *accf = (double *)ptrs[6];",
-            "const i64 *M0 = (const i64 *)ptrs[7];",
-            "const i64 *RND = (const i64 *)ptrs[8];",
-            "const i64 *SH = (const i64 *)ptrs[9];",
-            "const i64 *DMAP = (const i64 *)ptrs[10];",
-            "const i64 *GB = (const i64 *)ptrs[11];",
-            "void *outv = ptrs[12];",
-            "i64 nb = dims[0], F = dims[1], K = dims[2], L = dims[3];",
-            *int_step_decls(fused, 4),
-            "for (i64 n = 0; n < nb; n++) {",
-            "    const int32_t *cn = cols + n * K * L;",
-            "    for (i64 e = 0; e < K * L; e++) colsf[e] = (double)cn[e];",
-            "    mm(gemm, gemv, dot, F, K, L, w64, colsf, accf);",
-            "    for (i64 f = 0; f < F; f++) {",
-            "        for (i64 l = 0; l < L; l++) {",
-            "            i64 a = (i64)accf[f * L + l];",
-            "            i64 ooff = (n * F + f) * L + l;",
+            "double *pad = (double *)ptrs[5];",
+            "double *cols = (double *)ptrs[6];",
+            "double *accf = (double *)ptrs[7];",
         ]
-        body += ["            " + ln for ln in int_epilogue(flags, fused, "f * L + l")]
-        body += ["        }", "    }", "}"]
-        return _prelude(blas=True, ilp64=ilp64) + _fn(body)
-    body = [
-        f"const {ctype} *cols = (const {ctype} *)ptrs[0];",
-        f"const {ctype} *Wm = (const {ctype} *)ptrs[1];",
-        "i64 *acc = (i64 *)ptrs[2];",
-        "const i64 *M0 = (const i64 *)ptrs[3];",
-        "const i64 *RND = (const i64 *)ptrs[4];",
-        "const i64 *SH = (const i64 *)ptrs[5];",
-        "const i64 *DMAP = (const i64 *)ptrs[6];",
-        "const i64 *GB = (const i64 *)ptrs[7];",
-        "void *outv = ptrs[8];",
-        "i64 nb = dims[0], F = dims[1], K = dims[2], L = dims[3];",
-        *int_step_decls(fused, 4),
+        base = 8
+    else:
+        body = [
+            f"const {xtype} *x = (const {xtype} *)ptrs[0];",
+            f"const {ctype} *Wm = (const {ctype} *)ptrs[1];",
+            f"{ctype} *pad = ({ctype} *)ptrs[2];",
+            f"{ctype} *cols = ({ctype} *)ptrs[3];",
+            "i64 *acc = (i64 *)ptrs[4];",
+        ]
+        base = 5
+    body += [
+        f"const i64 *M0 = (const i64 *)ptrs[{base}];",
+        f"const i64 *RND = (const i64 *)ptrs[{base + 1}];",
+        f"const i64 *SH = (const i64 *)ptrs[{base + 2}];",
+        f"const i64 *DMAP = (const i64 *)ptrs[{base + 3}];",
+        f"const i64 *GB = (const i64 *)ptrs[{base + 4}];",
+        f"void *outv = ptrs[{base + 5}];",
+        *_dims_decl([(name, i) for i, name in enumerate(INT_CONV_DIMS)], {}),
+        "i64 HP = H + 2 * P, WP = W + 2 * P;",
+        *int_step_decls(fused, len(INT_CONV_DIMS)),
         "for (i64 n = 0; n < nb; n++) {",
-        f"    const {ctype} *cn = cols + n * K * L;",
-        "    memset(acc, 0, (size_t)(F * L) * sizeof(i64));",
-        "    for (i64 f = 0; f < F; f++) {",
-        "        i64 *arow = acc + f * L;",
-        "        for (i64 k = 0; k < K; k++) {",
-        "            i64 wv = (i64)Wm[f * K + k];",
-        "            if (!wv) continue;",
-        f"            const {ctype} *crow = cn + k * L;",
-        "            for (i64 l = 0; l < L; l++) arow[l] += wv * (i64)crow[l];",
-        "        }",
-        "    }",
+        f"    const {xtype} *xs = x + n * C * H * W;",
+    ]
+    body += ["    " + ln for ln in _conv_im2col(True, False, xtype, ct, per_sample=True)]
+    if blas:
+        body += ["    mm(gemm, gemv, dot, F, CKK, L, w64, src, accf);"]
+        acc_at = "(i64)accf[f * L + l]"
+    else:
+        body += [
+            "    memset(acc, 0, (size_t)(F * L) * sizeof(i64));",
+            "    for (i64 f = 0; f < F; f++) {",
+            "        i64 *arow = acc + f * L;",
+            "        for (i64 k = 0; k < CKK; k++) {",
+            "            i64 wv = (i64)Wm[f * CKK + k];",
+            "            if (!wv) continue;",
+            f"            const {ctype} *crow = src + k * L;",
+            "            for (i64 l = 0; l < L; l++) arow[l] += wv * (i64)crow[l];",
+            "        }",
+            "    }",
+        ]
+        acc_at = "acc[f * L + l]"
+    body += [
         "    for (i64 f = 0; f < F; f++) {",
         "        for (i64 l = 0; l < L; l++) {",
-        "            i64 a = acc[f * L + l];",
+        f"            i64 a = {acc_at};",
         "            i64 ooff = (n * F + f) * L + l;",
     ]
     body += ["            " + ln for ln in int_epilogue(flags, fused, "f * L + l")]
     body += ["        }", "    }", "}"]
-    return _prelude(blas=False) + _fn(body)
+    return _prelude(blas=blas, ilp64=ilp64) + _fn(body)
 
 
 def int_linear_source(

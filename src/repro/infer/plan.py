@@ -186,6 +186,11 @@ class ExecutionContext:
             self._buffers[key] = buf
         return buf
 
+    def release(self, op_index: int, *roles: str) -> None:
+        """Drop one op's buffers for ``roles`` (absent roles are ignored)."""
+        for role in roles:
+            self._buffers.pop((op_index, role), None)
+
 
 # -- ops ---------------------------------------------------------------------
 

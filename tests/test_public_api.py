@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -61,3 +65,14 @@ def test_version_string():
 
     parts = repro.__version__.split(".")
     assert len(parts) == 3 and all(p.isdigit() for p in parts)
+
+
+def test_inference_path_does_not_import_scipy():
+    """Serving and inference never generate data, so importing them must
+    not load scipy (only the synthetic-data generator uses it)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, repro.infer, repro.serve; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
