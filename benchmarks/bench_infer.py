@@ -30,7 +30,12 @@ synthetic CIFAR-shaped data for the small Table-1 configurations, plus:
   determinism across repeated runs, and the measured per-image integer op
   counts.  The int8 mode models the hardware datapath; numpy's integer
   matmuls bypass BLAS, so its host throughput is reported for tracking,
-  not as a speedup claim.
+  not as a speedup claim;
+* a kernel variant sweep (``--variant-sweep``): on synthetically
+  sparsified nets, ``PlanConfig(kernel="auto")`` against forced
+  ``"dense"`` and ``"shift_plane"`` end to end at batch 1 and 64, with
+  interleaved medians, per-rep win counts and each layer's autotune pick —
+  the evidence for keeping the float shift-plane kernel.
 
 A default run merges its sections into an existing ``--out`` file, so the
 sweep sections recorded by the flags below survive a re-run.
@@ -109,6 +114,13 @@ INT_PARITY_BATCH = 16
 # dtypes; on a toolchain-free host the sweep records the fallback instead.
 NATIVE_CONFIGS = (1, 4, 5)
 NATIVE_BATCHES = (1, 64)
+# Kernel variant sweep: kernel="auto" vs forced dense / shift_plane on
+# sparsified nets.  Only the ResNet (net 2) keeps dead rows past pruning, so
+# only it gives autotune candidates; the VGG nets measure the noise floor.
+VARIANT_CONFIGS = (1, 2, 4, 5)
+VARIANT_FRACTIONS = (0.3, 0.5)
+VARIANT_BATCHES = (1, 64)
+VARIANT_KERNELS = ("auto", "dense", "shift_plane")
 
 
 def _build(network_id: int, scheme_key: str = SCHEME, width_scale: float = 1.0, seed: int = 0):
@@ -657,6 +669,119 @@ def _print_fusion(rows: list[dict], summary: dict) -> None:
     )
 
 
+def _variant_row(
+    network_id: int, fraction: float, reps: int, batches: tuple[int, ...] = VARIANT_BATCHES
+) -> dict:
+    """Time ``kernel="auto"`` against forced dense and shift_plane on one
+    sparsified net, per batch size: interleaved medians, how many reps each
+    variant beat dense in, and each candidate layer's autotune pick.
+
+    The variant order rotates every rep.  A net without candidates (every
+    dead row pruned) compiles the same program under "auto" and "dense",
+    so its auto-vs-dense ratio is the measurement's own noise floor."""
+    model = _build(network_id)
+    report = sparsify_model(model, fraction)
+    engines = {k: InferenceEngine(model, config=PlanConfig(kernel=k)) for k in VARIANT_KERNELS}
+    rng = np.random.default_rng(network_id + 700)
+    row: dict = {
+        "network_id": network_id,
+        "scheme": SCHEME,
+        "structure": model.config.structure,
+        "dead_fraction_requested": fraction,
+        "dead_fraction_actual": report["dead_fraction"],
+        "autotune": [
+            {
+                "op_index": entry["op_index"],
+                "type": entry["type"],
+                "chosen": entry["autotune"]["chosen"],
+                "backend": entry["autotune"]["backend"],
+                "dense_s": entry["autotune"]["dense_s"],
+                "shift_plane_s": entry["autotune"]["shift_plane_s"],
+            }
+            for entry in engines["auto"].plan.layer_info
+            if "autotune" in entry
+        ],
+        "batches": {},
+    }
+    for batch in batches:
+        images = rng.normal(0.0, 1.0, (batch, 3, IMAGE_SIZE, IMAGE_SIZE))
+        for eng in engines.values():  # warm: trace, bind, native compiles
+            eng.forward_batch(images, check_stale=False)
+        once = min(
+            _timed(lambda eng=eng: eng.forward_batch(images, check_stale=False))
+            for eng in engines.values()
+        )
+        inner = max(1, min(20, int(0.02 / max(once, 1e-6))))
+        times: dict[str, list[float]] = {k: [] for k in engines}
+        for rep in range(reps):  # interleave variants, rotating the order
+            for key in VARIANT_KERNELS[rep % 3 :] + VARIANT_KERNELS[: rep % 3]:
+                t0 = time.perf_counter()
+                for _ in range(inner):
+                    engines[key].forward_batch(images, check_stale=False)
+                times[key].append((time.perf_counter() - t0) / inner)
+        med = {k: statistics.median(v) for k, v in times.items()}
+        spec: dict = {f"{k}_s": med[k] for k in engines}
+        for k in ("auto", "shift_plane"):
+            spec[f"{k}_vs_dense"] = med["dense"] / med[k]
+            spec[f"{k}_wins_vs_dense"] = sum(
+                t < d for t, d in zip(times[k], times["dense"])
+            )
+        spec["reps"] = reps
+        row["batches"][str(batch)] = spec
+    return row
+
+
+def _variant_summary(rows: list[dict]) -> dict:
+    """Per batch size, split by whether the net had autotune candidates:
+    the range of auto-vs-dense speedups and the win counts."""
+    out: dict = {"autotune_picks": {}}
+    for row in rows:
+        for pick in row["autotune"]:
+            out["autotune_picks"][pick["chosen"]] = out["autotune_picks"].get(pick["chosen"], 0) + 1
+    for group, members in (
+        ("with_candidates", [r for r in rows if r["autotune"]]),
+        ("no_candidates", [r for r in rows if not r["autotune"]]),
+    ):
+        for batch in sorted({b for r in members for b in r["batches"]}, key=int):
+            specs = [r["batches"][batch] for r in members if batch in r["batches"]]
+            out.setdefault(group, {})[f"batch{batch}"] = {
+                "nets": sorted({r["network_id"] for r in members}),
+                "min_auto_vs_dense": min(s["auto_vs_dense"] for s in specs),
+                "max_auto_vs_dense": max(s["auto_vs_dense"] for s in specs),
+                "auto_wins_vs_dense": sum(s["auto_wins_vs_dense"] for s in specs),
+                "shift_plane_wins_vs_dense": sum(s["shift_plane_wins_vs_dense"] for s in specs),
+                "pairs": sum(s["reps"] for s in specs),
+            }
+    return out
+
+
+def run_variant_sweep(reps: int = 5, smoke: bool = False) -> dict:
+    """Just the kernel variant sweep, for merging into an existing
+    BENCH_infer.json (``--variant-sweep``) and the CI smoke job."""
+    if smoke:
+        rows = [_variant_row(2, 0.5, reps, batches=(1,))]
+    else:
+        rows = [
+            _variant_row(nid, frac, reps) for nid in VARIANT_CONFIGS for frac in VARIANT_FRACTIONS
+        ]
+    return {"variant_sweep": rows, "variant_summary": _variant_summary(rows)}
+
+
+def _print_variant(rows: list[dict], summary: dict) -> None:
+    for row in rows:
+        parts = [
+            f"b{batch} auto {spec['auto_vs_dense']:.2f}x ({spec['auto_wins_vs_dense']}/"
+            f"{spec['reps']} wins), shift_plane {spec['shift_plane_vs_dense']:.2f}x"
+            for batch, spec in row["batches"].items()
+        ]
+        picks = [p["chosen"] for p in row["autotune"]]
+        print(
+            f"net{row['network_id']} {row['dead_fraction_actual']:.0%} dead vs dense: "
+            f"{' | '.join(parts)} | picks {picks.count('shift_plane')}/{len(picks)} shift_plane"
+        )
+    print(f"variants: {summary}")
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--images", type=int, default=512)
@@ -681,6 +806,13 @@ def main(argv=None) -> None:
         "the rows into --out (other sections of an existing file are kept)",
     )
     parser.add_argument(
+        "--variant-sweep",
+        action="store_true",
+        help="run only the kernel=auto vs forced dense/shift_plane sweep on "
+        "sparsified nets and merge the rows into --out (other sections of an "
+        "existing file are kept)",
+    )
+    parser.add_argument(
         "--clear-cache",
         action="store_true",
         help="clear the in-memory and on-disk kernel/autotune/native caches "
@@ -695,6 +827,15 @@ def main(argv=None) -> None:
 
         clear_caches(disk=True)
         print("kernel/autotune/native caches cleared (memory + disk)")
+    if args.variant_sweep:
+        sweep = run_variant_sweep(reps=args.reps, smoke=args.smoke)
+        result = json.loads(args.out.read_text()) if args.out.exists() else {}
+        result["variant_sweep"] = sweep["variant_sweep"]
+        result.setdefault("summary", {})["variants"] = sweep["variant_summary"]
+        args.out.write_text(json.dumps(result, indent=2) + "\n")
+        _print_variant(sweep["variant_sweep"], sweep["variant_summary"])
+        print(f"-> {args.out}")
+        return
     if args.native_sweep:
         sweep = run_native_sweep(reps=args.reps, smoke=args.smoke)
         result = json.loads(args.out.read_text()) if args.out.exists() else {}

@@ -1,18 +1,19 @@
 """Per-layer kernel autotuning: measure, don't guess — and measure once.
 
-Whether a shift-plane sum beats one dense GEMM depends on the BLAS kernel
+Whether a shift-plane sum beats one dense GEMM depends on the kernel
 shapes, the k histogram and how many rows each plane retains — a heuristic
 over those would be wrong somewhere.  Instead, plan compilation executes the
 op list once on a synthetic batch of the model's declared input shape and,
-at each candidate op, times the kernel *variants the traced executor will
-actually run*: the generated, shape-specialized kernels from
-:mod:`repro.infer.kernels` (``bind_standalone_producer``), bound over the
-calibration activations with warm private buffers, best-of-``reps`` wall
-time per variant.
+at each candidate op, times the two kernel variants *the traced executor
+will actually run*: the generated, shape-specialized kernels from
+:mod:`repro.infer.kernels` (``bind_standalone_producer``) on the backend
+the traced program binds — native C whenever a toolchain is present and
+the config does not ask for numpy — over the calibration activations with
+warm private buffers, best-of-three wall time per variant.
 
 Decisions persist in :data:`repro.infer.kernels.AUTOTUNE_CACHE`, keyed by
 the full shape signature of the timing problem — op kind, input shape,
-weight shape, conv geometry, shift-plane structure, dtype, reps.  A plan
+weight shape, conv geometry, shift-plane structure, dtype, backend.  A plan
 rebuild whose layers are shape-identical (the common hot-weight-refresh
 case: new values, same structure) reuses the previous measurement instead
 of re-timing every layer; a rebuild whose dead-filter structure drifted
@@ -31,54 +32,33 @@ import time
 import numpy as np
 
 from repro.infer.kernels import AUTOTUNE_CACHE, autotune_key, bind_standalone_producer
+from repro.infer.native.binding import bound_backend
 from repro.infer.plan import ExecutionContext
 
 __all__ = ["autotune_ops"]
 
+#: Timing repetitions per kernel variant; the minimum wins.
+_REPS = 3
+
 _IMPLS = ("dense", "shift_plane")
 
 
-def _native_available() -> bool:
-    try:
-        from repro.infer.native import binding
+def _time_variant(op, x: np.ndarray, impl: str, dtype: np.dtype, backend: str):
+    """(best-of-``_REPS`` wall time, bound backend) of one variant.
 
-        return binding.available()
-    except Exception:
-        return False
-
-
-def _time_variant(op, x: np.ndarray, impl: str, dtype: np.dtype, reps: int) -> float:
-    """Best-of-``reps`` wall time of the generated ``impl`` kernel on ``x``."""
-    thunk, _ = bind_standalone_producer(op, x, impl, dtype)
-    best = float("inf")
-    for _ in range(max(1, reps)):
-        start = time.perf_counter()
-        thunk()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _time_native_variant(op, x: np.ndarray, impl: str, dtype: np.dtype, reps: int) -> float:
-    """Best-of-``reps`` wall time of the native ``impl`` kernel, or inf.
-
-    The warm-up call pays the compile and the first-call parity check; a
-    variant that declined or failed its bitwise check reports inf so it can
-    never win the tournament.
+    The warm-up call pays any native compile and the first-call parity
+    check; a native kernel that declines or fails that check is timed as
+    the numpy kernel it falls back to, and reported as such.
     """
     record: dict = {}
-    try:
-        thunk, _ = bind_standalone_producer(op, x, impl, dtype, backend="native", record=record)
-        thunk()
-    except Exception:
-        return float("inf")
-    if record.get("backend") != "native":
-        return float("inf")
+    thunk, _ = bind_standalone_producer(op, x, impl, dtype, backend, record)
+    thunk()
     best = float("inf")
-    for _ in range(max(1, reps)):
+    for _ in range(_REPS):
         start = time.perf_counter()
         thunk()
         best = min(best, time.perf_counter() - start)
-    return best
+    return best, record.get("backend", "numpy")
 
 
 def autotune_ops(
@@ -86,17 +66,9 @@ def autotune_ops(
     candidates: list[int],
     input_shape: tuple[int, int, int, int],
     dtype: np.dtype,
-    reps: int = 3,
     backend: str = "auto",
 ) -> dict[int, dict]:
-    """Pick the fastest generated kernel per candidate op; set each winner.
-
-    With ``backend`` "auto" or "native" and a working toolchain, the
-    tournament widens to the native C variants of the same kernels: the
-    numpy winner is chosen exactly as before, then a native variant that
-    beat it flips the op to ``backend="native"``.  Native timings ride the
-    same persistent cache entry (keys grow a ``"native"`` marker so
-    toolchain-free hosts never reuse a native-informed decision).
+    """Pick the faster generated kernel per candidate op; set each winner.
 
     Args:
         ops: The compiled (post-pruning, post-plane-attachment) op list.
@@ -104,15 +76,16 @@ def autotune_ops(
             undecided kernel.
         input_shape: NCHW shape of the synthetic calibration batch.
         dtype: Plan compute dtype.
-        reps: Timing repetitions per kernel; minimum wins.
-        backend: The plan's ``PlanConfig.backend`` knob.
+        backend: The plan's ``PlanConfig.backend``; both variants are timed
+            on the backend the traced program will bind
+            (:func:`~repro.infer.native.binding.bound_backend`).
 
     Returns:
         ``{op_index: {"chosen", "dense_s", "shift_plane_s", "backend",
-        "cached", ...}}`` — timings come from the persistent cache when the
+        "cached"}}`` — timings come from the persistent cache when the
         layer's shape signature was measured before (``cached=True``).
     """
-    time_native = backend in ("auto", "native") and _native_available()
+    backend = bound_backend(backend)
     ctx = ExecutionContext()
     ctx.slots[0] = np.zeros(input_shape, dtype)
     pending = set(candidates)
@@ -122,35 +95,20 @@ def autotune_ops(
             op.run(ctx)
             continue
         x = ctx.slots[op.src]
-        key = autotune_key(op, x.shape, dtype, reps)
-        if time_native:
-            key = key + ("native",)
+        key = autotune_key(op, x.shape, dtype, backend)
         entry = AUTOTUNE_CACHE.get(key)
         if entry is None:
-            timings = {impl: _time_variant(op, x, impl, dtype, reps) for impl in _IMPLS}
-            chosen = "shift_plane" if timings["shift_plane"] <= timings["dense"] else "dense"
+            timed = {impl: _time_variant(op, x, impl, dtype, backend) for impl in _IMPLS}
+            chosen = "shift_plane" if timed["shift_plane"][0] <= timed["dense"][0] else "dense"
             entry = {
                 "chosen": chosen,
-                "dense_s": timings["dense"],
-                "shift_plane_s": timings["shift_plane"],
-                "backend": "numpy",
+                "dense_s": timed["dense"][0],
+                "shift_plane_s": timed["shift_plane"][0],
+                "backend": timed[chosen][1],
                 "cached": False,
             }
-            if time_native:
-                native = {
-                    impl: _time_native_variant(op, x, impl, dtype, reps) for impl in _IMPLS
-                }
-                entry["native_dense_s"] = native["dense"]
-                entry["native_shift_plane_s"] = native["shift_plane"]
-                native_best = (
-                    "shift_plane" if native["shift_plane"] <= native["dense"] else "dense"
-                )
-                if native[native_best] < timings[chosen]:
-                    entry["chosen"] = native_best
-                    entry["backend"] = "native"
             AUTOTUNE_CACHE.put(key, {**entry, "cached": True})
         op.impl = entry["chosen"]
-        op.backend = entry.get("backend", "numpy")
         op.run(ctx)
         report[op.index] = entry
     return report

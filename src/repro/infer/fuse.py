@@ -234,8 +234,8 @@ class TracedProgram:
         self.blocks = blocks  # [(start, end)] batch blocks
         self.bmax = max(e - s for s, e in blocks)
         self.stats = stats
-        #: Plan-level backend policy ("numpy" | "native" | "auto") and the
-        #: per-node outcome records (filled at bind/first-run time by
+        #: Plan-level backend policy ("auto" | "numpy") and the per-node
+        #: outcome records (filled at bind/first-run time by
         #: :mod:`repro.infer.kernels` / the native binding's self-check).
         self.backend = backend
         self.node_backends: dict[int, dict] = {}
@@ -243,20 +243,14 @@ class TracedProgram:
     def _node_backend(self, node) -> tuple[str, dict]:
         """(effective backend for this node's bind, its outcome record).
 
-        ``"numpy"`` at the program level wins everywhere; a per-op choice
-        (autotune's measured pick) beats the program default; otherwise
-        ``"auto"``/``"native"`` both try the native backend — it declines
-        or self-demotes per kernel, so trying is always safe.
+        ``"numpy"`` binds the numpy codegen; ``"auto"`` tries the native
+        backend — it declines or self-demotes per kernel, so trying is
+        always safe.
         """
         rec = self.node_backends.setdefault(
             node.index, {"kind": node.kind, "impl": getattr(node.op, "impl", "")}
         )
-        if self.backend == "numpy":
-            return "numpy", rec
-        op_choice = getattr(node.op, "backend", "auto")
-        if op_choice != "auto":
-            return op_choice, rec
-        return "native", rec
+        return ("numpy" if self.backend == "numpy" else "native"), rec
 
     def backend_counts(self) -> dict:
         """``{"native": n, "numpy": m}`` over nodes bound so far."""
@@ -566,5 +560,5 @@ def optimize(ir, plan) -> TracedProgram:
         zero_regs,
         blocks,
         stats,
-        backend=getattr(plan.config, "backend", "auto"),
+        backend=plan.config.backend,
     )

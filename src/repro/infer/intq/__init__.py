@@ -4,7 +4,7 @@ Lowers a compiled float :class:`~repro.infer.plan.ExecutionPlan` into an
 :class:`~repro.infer.intq.build.IntQProgram` that executes the whole
 network in integer arithmetic: bit-packed shift-code weights
 (:mod:`~repro.infer.intq.pack`), calibrated fixed-point activation grids,
-shift-accumulate / integer-GEMM kernels
+integer-GEMM kernels
 (:mod:`~repro.infer.intq.kernels`) and gemmlowp-style multiplier+shift
 requantization (:mod:`~repro.infer.intq.requant`), with static overflow
 bounds checked at compile time.

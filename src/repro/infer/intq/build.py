@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import logging
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +44,7 @@ from repro.infer.fold import bn_eval_affine
 from repro.infer.intq.kernels import STEP_ARGS, bind_int_kernel, step_struct
 from repro.infer.intq.pack import PackedWeights, pack_weights
 from repro.infer.intq.requant import quantize_multiplier, quantize_multiplier_array
-from repro.infer.kernels import AUTOTUNE_CACHE
+from repro.infer.native.binding import bound_backend
 from repro.infer.plan import (
     ActQuantOp,
     AddOp,
@@ -105,15 +104,6 @@ def _native_int(ctx, op, kind: str, x: np.ndarray, out: np.ndarray, numpy_run) -
         if not _native_warned:
             _native_warned = True
             logger.warning("native integer backend disabled: %s", err)
-        return False
-
-
-def _native_available() -> bool:
-    try:
-        from repro.infer.native import binding
-
-        return binding.available()
-    except Exception:
         return False
 
 
@@ -427,7 +417,7 @@ def _lrelu_scratch(ctx: ExecutionContext, op, shape: tuple) -> np.ndarray | None
 
 @dataclass
 class IntConvOp:
-    """Integer convolution: im2col + shift-accumulate/GEMM + requant epilogue."""
+    """Integer convolution: im2col + integer GEMM + requant epilogue."""
 
     index: int
     src: int
@@ -436,11 +426,9 @@ class IntConvOp:
     stride: int
     padding: int
     filters: int
-    impl: str
     acc_dtype: str
     out_dtype: str
     flags: tuple
-    group_shifts: tuple
     consts: dict = field(repr=False)
     backend: str = "auto"
     #: LeakyReLU/rescale steps folded into the requant epilogue (see
@@ -488,15 +476,10 @@ class IntConvOp:
             )
             tmp = _lrelu_scratch(ctx, self, acc.shape)
             kernel = bind_int_kernel(
-                "conv", self.impl, (n, f, cols.shape[1], oh * ow),
-                mat_dt, self.flags, self.group_shifts, self.consts, self.fused,
+                "conv", (n, f, cols.shape[1], oh * ow), mat_dt, self.flags, self.consts,
+                self.fused,
             )
-            if self.impl == "intq_shift":
-                shifted = ctx.buffer(self.index, "shifted", cols.shape, mat_dt)
-                part = ctx.buffer(self.index, "part", acc.shape, mat_dt)
-                kernel(cols, shifted, part, acc, acc64, out, tmp)
-            else:
-                kernel(cols, acc, acc64, out, tmp)
+            kernel(cols, acc, acc64, out, tmp)
 
         if not _native_int(ctx, self, "conv", x, out, run_numpy):
             run_numpy()
@@ -505,17 +488,15 @@ class IntConvOp:
 
 @dataclass
 class IntLinearOp:
-    """Integer affine map: shift-accumulate/GEMM + requant epilogue."""
+    """Integer affine map: integer GEMM + requant epilogue."""
 
     index: int
     src: int
     dst: int
     filters: int
-    impl: str
     acc_dtype: str
     out_dtype: str
     flags: tuple
-    group_shifts: tuple
     consts: dict = field(repr=False)
     backend: str = "auto"
     #: LeakyReLU/rescale steps folded into the requant epilogue.
@@ -539,15 +520,9 @@ class IntLinearOp:
             )
             tmp = _lrelu_scratch(ctx, self, acc.shape)
             kernel = bind_int_kernel(
-                "linear", self.impl, (n, f, xin.shape[1]),
-                mat_dt, self.flags, self.group_shifts, self.consts, self.fused,
+                "linear", (n, f, xin.shape[1]), mat_dt, self.flags, self.consts, self.fused
             )
-            if self.impl == "intq_shift":
-                shifted = ctx.buffer(self.index, "shifted", xin.shape, mat_dt)
-                part = ctx.buffer(self.index, "part", acc.shape, mat_dt)
-                kernel(xin, shifted, part, acc, acc64, out, tmp)
-            else:
-                kernel(xin, acc, acc64, out, tmp)
+            kernel(xin, acc, acc64, out, tmp)
 
         if not _native_int(ctx, self, "linear", xin, out, run_numpy):
             run_numpy()
@@ -638,11 +613,10 @@ class _IntQBuilder:
         #: Plan ops reading each slot, and the ops folded into a producer.
         self.readers: dict[int, list] = {}
         self.consumed: set[int] = set()
-        #: Backend of the max-pool and quantize ops: native whenever it can
-        #: be (its first-call parity check still guards it), no tournament.
-        self.pool_quant_backend = (
-            "native" if self.config.backend != "numpy" and _native_available() else "numpy"
-        )
+        #: Backend of every op with a C kernel: native whenever a toolchain
+        #: is present, unless the config asks for numpy.  Each op's
+        #: first-call parity check against the numpy path still guards it.
+        self.backend = bound_backend(self.config.backend)
 
     def _next_index(self) -> int:
         return _INDEX_BASE + len(self.ops)
@@ -679,7 +653,7 @@ class _IntQBuilder:
         self.ops.append(
             IntQuantizeOp(
                 self._next_index(), src, src, 1.0 / fmt.step, -half, half - 1,
-                self.pool_quant_backend,
+                self.backend,
             )
         )
         spec = GridSpec(fmt.step, half)
@@ -709,7 +683,7 @@ class _IntQBuilder:
                 self.ops.append(
                     IntMaxPoolOp(
                         self._next_index(), op.src, op.dst, op.kernel, op.stride,
-                        self.pool_quant_backend,
+                        self.backend,
                     )
                 )
                 self.spec[op.dst] = spec
@@ -762,7 +736,7 @@ class _IntQBuilder:
             self.ops.append(
                 IntQuantizeOp(
                     self._next_index(), op.src, op.dst, 1.0 / op.step, -half, half - 1,
-                    self.pool_quant_backend,
+                    self.backend,
                 )
             )
             self.spec[op.dst] = GridSpec(op.step, half)
@@ -909,7 +883,7 @@ class _IntQBuilder:
             dmap = np.rint(fmap / step_out).astype(np.int64)
 
         row_bound = np.abs(w_int).sum(axis=1) * spec_in.bound
-        mac_bound = bound_acc = int(row_bound.max(initial=0))
+        bound_acc = int(row_bound.max(initial=0))
         rq_bits = min(RQ_BITS_MAX, 61 - max(bound_acc, 1).bit_length())
         if rq_bits < 8:
             raise CompileError(
@@ -924,10 +898,7 @@ class _IntQBuilder:
                 f"op {op.index}: requantization product exceeds the int64 guard"
             )
 
-        group_shifts = tuple(d for d, _ in packed.groups) if packed.groups else ()
-        max_shift = max(group_shifts, default=0)
-        acc32 = mac_bound < _INT32_LIMIT and (spec_in.bound << max_shift) < _INT32_LIMIT
-        acc_dt = np.dtype(np.int32 if acc32 else np.int64)
+        acc_dt = np.dtype(np.int32 if bound_acc < _INT32_LIMIT else np.int64)
         m_abs_max = float(np.abs(m).max(initial=0.0))
         bound_out = int(math.ceil(bound_acc * m_abs_max)) + int(np.abs(gb).max(initial=0)) + 1
         if dmap is not None:
@@ -955,44 +926,34 @@ class _IntQBuilder:
             consts["GB"] = chan(gb)
         w_mat = w_int.astype(acc_dt)
         consts["W"] = np.ascontiguousarray(w_mat.T) if linear else w_mat
-        if packed.groups:
-            for i, (_, s_mat) in enumerate(packed.groups):
-                s_cast = s_mat.astype(acc_dt)
-                consts[f"S{i}"] = np.ascontiguousarray(s_cast.T) if linear else s_cast
 
         index = self._next_index()
         if linear:
             int_op = IntLinearOp(
-                index, op.src, dst, f, "intq_gemm", str(acc_dt), str(out_spec.dtype),
-                flags, group_shifts, consts, fused=fused,
+                index, op.src, dst, f, str(acc_dt), str(out_spec.dtype), flags, consts,
+                self.backend, fused,
             )
             out_positions = 1
         else:
             int_op = IntConvOp(
-                index, op.src, dst, op.kernel, op.stride, op.padding, f,
-                "intq_gemm", str(acc_dt), str(out_spec.dtype), flags, group_shifts, consts,
-                fused=fused,
+                index, op.src, dst, op.kernel, op.stride, op.padding, f, str(acc_dt),
+                str(out_spec.dtype), flags, consts, self.backend, fused,
             )
             out_positions = int(out_shape[2] * out_shape[3])
-        # Impl timing must stay numpy-pure — native compiles would pollute it;
-        # the backend chooser below makes the final numpy/native call.
-        int_op.backend = "numpy"
-        autotune = self._choose_impl(int_op, spec_in, in_shape)
-        autotune_backend = self._choose_backend(int_op, spec_in, in_shape)
         self.ops.append(int_op)
 
         nnz = packed.nonzero_terms
         record = {
             "op_index": op.index,
             "type": "linear" if linear else "conv",
-            "impl": int_op.impl,
+            "impl": "intq_gemm",
             "accum_dtype": str(acc_dt),
             "planes": packed.k_max,
             "nonzero_terms": nnz,
             "out_positions": out_positions,
             "shift_ops": (nnz * out_positions) if packed.groups else 0,
             "add_ops": (nnz + f) * out_positions,
-            "int_mult_ops": (nnz * out_positions) if int_op.impl == "intq_gemm" else 0,
+            "int_mult_ops": nnz * out_positions,
             "requant_mult_ops": f * out_positions,
             "requant_bits": rq_bits,
             "scale_in": spec_in.step,
@@ -1001,94 +962,7 @@ class _IntQBuilder:
             "backend": int_op.backend,
             "fused": list(step_struct(fused)),
         }
-        if autotune is not None:
-            record["autotune"] = autotune
-        if autotune_backend is not None:
-            record["autotune_backend"] = autotune_backend
         self.layers.append(record)
-
-    def _choose_impl(self, int_op, spec_in: GridSpec, in_shape: tuple) -> dict | None:
-        """Apply the config's kernel policy; time both variants under "auto"."""
-        cfg = self.config
-        if not int_op.group_shifts:
-            return None
-        if cfg.kernel == "shift_plane":
-            int_op.impl = "intq_shift"
-            return None
-        if cfg.kernel == "dense":
-            return None
-        key = (
-            "intq", type(int_op).__name__, tuple(in_shape),
-            tuple(int_op.consts["W"].shape), int_op.group_shifts,
-            int_op.acc_dtype, int_op.fused, cfg.autotune_reps,
-        )
-        entry = AUTOTUNE_CACHE.get(key)
-        if entry is None:
-            ctx = ExecutionContext()
-            ctx.slots[int_op.src] = np.zeros(in_shape, dtype=spec_in.dtype)
-            timings = {}
-            for impl in ("intq_gemm", "intq_shift"):
-                int_op.impl = impl
-                best = float("inf")
-                for _ in range(max(1, cfg.autotune_reps)):
-                    start = time.perf_counter()
-                    int_op.run(ctx)
-                    best = min(best, time.perf_counter() - start)
-                timings[impl] = best
-            chosen = "intq_shift" if timings["intq_shift"] <= timings["intq_gemm"] else "intq_gemm"
-            entry = {
-                "chosen": chosen,
-                "intq_gemm_s": timings["intq_gemm"],
-                "intq_shift_s": timings["intq_shift"],
-                "cached": False,
-            }
-            AUTOTUNE_CACHE.put(key, {**entry, "cached": True})
-        int_op.impl = entry["chosen"]
-        return entry
-
-    def _choose_backend(self, int_op, spec_in: GridSpec, in_shape: tuple) -> dict | None:
-        """Resolve the op's numpy/native backend; time both under "auto".
-
-        Runs after :meth:`_choose_impl` so the tournament measures the impl
-        the op will actually execute.  Forced "native" still degrades at run
-        time through the first-call parity ladder.
-        """
-        cfg = self.config
-        choice = cfg.backend
-        if choice == "numpy" or not _native_available():
-            int_op.backend = "numpy"
-            return None
-        if choice == "native":
-            int_op.backend = "native"
-            return None
-        key = (
-            "intq-native", type(int_op).__name__, tuple(in_shape),
-            tuple(int_op.consts["W"].shape), int_op.impl, int_op.group_shifts,
-            int_op.acc_dtype, int_op.fused, cfg.autotune_reps,
-        )
-        entry = AUTOTUNE_CACHE.get(key)
-        if entry is None:
-            timings = {}
-            for backend in ("numpy", "native"):
-                int_op.backend = backend
-                ctx = ExecutionContext()
-                ctx.slots[int_op.src] = np.zeros(in_shape, dtype=spec_in.dtype)
-                int_op.run(ctx)  # warm-up pays the compile + parity check
-                best = float("inf")
-                for _ in range(max(1, cfg.autotune_reps)):
-                    start = time.perf_counter()
-                    int_op.run(ctx)
-                    best = min(best, time.perf_counter() - start)
-                timings[backend] = best
-            entry = {
-                "backend": "native" if timings["native"] < timings["numpy"] else "numpy",
-                "native_s": timings["native"],
-                "numpy_s": timings["numpy"],
-                "cached": False,
-            }
-            AUTOTUNE_CACHE.put(key, {**entry, "cached": True})
-        int_op.backend = entry["backend"]
-        return entry
 
 
 def build_intq_program(

@@ -1,21 +1,17 @@
 """Generated integer conv/linear kernels, cached in the codegen cache.
 
 Like the float traced path (:mod:`repro.infer.kernels`), the integer hot
-loops are *generated*: one Python function per (op kind, integer impl,
-structural flags, exponent-group signature), compiled once and cached
-process-wide in :data:`repro.infer.kernels.KERNEL_CACHE` under an
-``intq_*`` impl tag — so int8 plans share the same cache, hit/miss
+loops are *generated*: one Python function per (op kind, accumulator
+dtype, structural flags, fused steps), compiled once and cached
+process-wide in :data:`repro.infer.kernels.KERNEL_CACHE` under the
+``intq_gemm`` impl tag — so int8 plans share the same cache, hit/miss
 counters and ``/metrics`` surfacing as the float compiler.
 
-Two variants per layer, bit-identical in their accumulator results
-(integer addition is associative):
-
-* ``intq_gemm`` — one integer matmul against the decoded ``w_int`` matrix,
-  then the requantization epilogue;
-* ``intq_shift`` — the hardware-faithful form: for each distinct exponent
-  ``d`` in the packed codes, left-shift the quantized activations by ``d``
-  and accumulate through that group's {-1, 0, +1} sign matrix.  No integer
-  multiply appears anywhere in the MAC loop.
+Each kernel is one integer matmul against the decoded ``w_int`` matrix,
+then the requantization epilogue.  The paper's shift-accumulate datapath
+is hardware; its shift/add counts come from the packed codes
+(:mod:`repro.infer.intq.pack`) and feed :mod:`repro.hw` through the intq
+summary, so no host kernel needs to execute the shifts.
 
 The epilogue is shared: the per-channel multiplier+shift requantization
 (:mod:`repro.infer.intq.requant`) brings the accumulator onto the layer's
@@ -116,37 +112,11 @@ def _epilogue_lines(flags: tuple, cast: bool, fused: tuple) -> list[str]:
     return lines
 
 
-def _mac_lines(kind: str, impl: str, group_shifts: tuple) -> tuple[list[str], list[str]]:
-    """(const names, source lines) of the MAC portion for one variant."""
-    if impl == "intq_gemm":
-        if kind == "conv":
-            return ["W"], ["np.matmul(W, x, out=acc)"]
-        return ["W"], ["np.matmul(x, W, out=acc)"]
-    consts, lines = [], []
-    for i, d in enumerate(group_shifts):
-        s = f"S{i}"
-        consts.append(s)
-        operand = "x"
-        if d:
-            lines.append(f"np.left_shift(x, {d}, out=shifted)")
-            operand = "shifted"
-        target = "acc" if i == 0 else "part"
-        if kind == "conv":
-            lines.append(f"np.matmul({s}, {operand}, out={target})")
-        else:
-            lines.append(f"np.matmul({operand}, {s}, out={target})")
-        if i:
-            lines.append("np.add(acc, part, out=acc)")
-    return consts, lines
-
-
 def bind_int_kernel(
     kind: str,
-    impl: str,
     shape: tuple,
     acc_dtype: np.dtype,
     flags: tuple,
-    group_shifts: tuple,
     consts: dict,
     fused: tuple = (),
 ):
@@ -155,45 +125,38 @@ def bind_int_kernel(
     Args:
         kind: ``"conv"`` (``W @ x`` orientation) or ``"linear"``
             (``x @ W``).
-        impl: ``"intq_gemm"`` or ``"intq_shift"``.
         shape: Shape signature for the cache key (batch, layer and output
             geometry) — the source itself depends only on the structure.
         acc_dtype: MAC accumulator dtype (int32 when the static bound
             allows it, else int64).
         flags: Structural source flags out of ``("dead", "gb")``.
-        group_shifts: Distinct exponent shifts of the packed codes (shift
-            variant only; ``()`` for GEMM).
-        consts: Bind-time constant arrays (``W``/``S*``, ``M0``, ``RND``,
+        consts: Bind-time constant arrays (``W``, ``M0``, ``RND``,
             ``SH``, optional ``DMAP``/``GB``).
         fused: Fused epilogue steps (see :data:`STEP_ARGS`); their
             constants are inlined, so they are part of the cache key.
 
     Returns:
-        ``kernel(x, [shifted, part,] acc, acc64, out, tmp)`` — a compiled
-        closure over ``consts``; ``acc64`` may alias ``acc`` when the
-        accumulator is already int64, and ``tmp`` (an int64 scratch shaped
-        like ``acc``) is only touched by a fused ``lrelu`` step.
+        ``kernel(x, acc, acc64, out, tmp)`` — a compiled closure over
+        ``consts``; ``acc64`` may alias ``acc`` when the accumulator is
+        already int64, and ``tmp`` (an int64 scratch shaped like ``acc``)
+        is only touched by a fused ``lrelu`` step.
     """
     cast = np.dtype(acc_dtype) != np.dtype(np.int64)
-    mac_consts, mac_lines = _mac_lines(kind, impl, group_shifts)
-    const_names = mac_consts + ["M0", "RND", "SH"]
+    mac = "np.matmul(W, x, out=acc)" if kind == "conv" else "np.matmul(x, W, out=acc)"
+    const_names = ["W", "M0", "RND", "SH"]
     if "dead" in flags:
         const_names.append("DMAP")
     if "gb" in flags:
         const_names.append("GB")
-    params = ["x"]
-    if impl == "intq_shift":
-        params += ["shifted", "part"]
-    params += ["acc", "acc64", "out", "tmp"]
-    lines = mac_lines + _epilogue_lines(flags, cast, fused)
+    params = ["x", "acc", "acc64", "out", "tmp"]
+    lines = [mac] + _epilogue_lines(flags, cast, fused)
     spec = KernelSpec(
         kind=kind,
-        impl=impl,
+        impl="intq_gemm",
         shape=tuple(shape),
         dtype=str(np.dtype(acc_dtype)),
         flags=tuple(sorted(flags)) + (("cast",) if cast else ()),
         epilogue=(("rq",),) + tuple(fused),
-        extra=tuple(group_shifts),
     )
     factory = KERNEL_CACHE.get(spec, _build_source(const_names, params, lines))
     return factory(consts)

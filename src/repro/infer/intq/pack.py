@@ -1,4 +1,4 @@
-"""Bit-packed integer weight representation for the intq kernels.
+"""Bit-packed integer weight representation for the intq program.
 
 FLightNN/LightNN weights are sums of ``<= k`` signed powers of two.  This
 module routes each layer through the Fig. 3 plane decomposition
@@ -10,15 +10,16 @@ hold:
   zero term, otherwise ``shift = code - 1`` relative to ``2**exp_min``);
 * ``sign_bits`` — the sign planes packed 8-to-a-byte (``np.packbits``);
 * ``w_int`` — the integer weight matrix those codes decode to
-  (``weight == w_int * 2**exp_min``), used by the single-GEMM kernel;
-* ``groups`` — per-shift-amount {-1, 0, +1} accumulation matrices for the
-  shift-accumulate kernel (one integer matmul per distinct exponent).
+  (``weight == w_int * 2**exp_min``), used by the integer GEMM kernel;
+* ``groups`` — per-shift-amount {-1, 0, +1} accumulation matrices: the
+  hardware shift-accumulate schedule (one shifted add per distinct
+  exponent), whose presence the intq summary's shift counts read.
 
 ``w_int`` and ``groups`` are decoded *from the packed bitmask and codes*,
 not from the float weights, so a packing bug cannot cancel out.  Weight
 strategies that are exactly dyadic but not plane-decomposable (fixed-point,
-binary) fall back to a direct integer lift ``w_int = w * 2**f`` and run the
-GEMM kernel only.
+binary) fall back to a direct integer lift ``w_int = w * 2**f`` and have
+no shift schedule.
 """
 
 from __future__ import annotations
@@ -50,9 +51,9 @@ class PackedWeights:
         w_int: int64 ``(F, cols)`` integer weights; the real weight is
             ``w_int * weight_scale``.
         weight_scale: The power of two one integer unit represents.
-        groups: ``[(shift, S)]`` pairs for the shift-accumulate kernel:
+        groups: ``[(shift, S)]`` pairs of the shift-accumulate schedule:
             ``sum_d (S_d @ (x << d)) == w_int @ x`` with ``S_d`` entries in
-            {-1, 0, +1}; ``None`` when only the GEMM kernel applies.
+            {-1, 0, +1}; ``None`` for dyadic lifts.
         k_max: Number of decomposition planes (0 for dyadic lifts).
         nonzero_terms: Count of active (non-gated) shift terms — the
             hardware shift/add work per output position.

@@ -862,13 +862,13 @@ def _shift_signature(op) -> tuple:
     )
 
 
-def autotune_key(op, x_shape: tuple, dtype: np.dtype, reps: int) -> tuple:
-    """Persistent-cache key: identical shapes + kernel set => identical
-    timing problem, regardless of the weight *values* behind it."""
+def autotune_key(op, x_shape: tuple, dtype: np.dtype, backend: str) -> tuple:
+    """Persistent-cache key: identical shapes + kernel set + backend =>
+    identical timing problem, regardless of the weight *values* behind it."""
     kind = "linear" if hasattr(op, "weight_t") else "conv"
     wshape = op.weight_t.shape if kind == "linear" else op.weight2d.shape
     geom = () if kind == "linear" else (op.kernel, op.stride, op.padding)
-    return (kind, tuple(x_shape), tuple(wshape), geom, _shift_signature(op), str(dtype), int(reps))
+    return (kind, tuple(x_shape), tuple(wshape), geom, _shift_signature(op), str(dtype), backend)
 
 
 def bind_standalone_producer(

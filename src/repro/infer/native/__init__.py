@@ -2,7 +2,7 @@
 
 Lowers the same fused IR the numpy codegen executes into small C
 translation units — dense GEMM + im2col, shift-plane accumulate, the
-conv→BN→LeakyReLU→ActQuant epilogues, and the intq shift/requant path —
+conv→BN→LeakyReLU→ActQuant epilogues, and the intq GEMM/requant path —
 compiled per structural signature via cffi (ctypes fallback) with an
 on-disk compile cache.  Every kernel self-verifies bitwise against the
 numpy codegen on its first call; any failure anywhere in the ladder

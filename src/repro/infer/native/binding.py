@@ -79,6 +79,15 @@ def available() -> bool:
         return False
 
 
+def bound_backend(backend: str) -> str:
+    """The backend kernels bind under ``PlanConfig.backend``: native
+    whenever a toolchain is present, unless the config asks for numpy."""
+    try:
+        return "native" if backend != "numpy" and available() else "numpy"
+    except Exception:  # pragma: no cover - the native backend never breaks a build
+        return "numpy"
+
+
 def status() -> dict:
     """Diagnostic block for ``ExecutionPlan.summary()`` / ``/metrics``."""
     info: dict = {"loader": None, "compiler": None, "blas": None}
@@ -468,7 +477,7 @@ def make_eltwise(chain_sig, x, out, spec, numpy_thunk, record):
 #: Scratch roles of the integer ops' numpy path (reference kernels and the
 #: conv's pad/im2col), released once the op's native kernel passes its
 #: parity check: the native path never touches them again.
-NUMPY_SCRATCH = ("pad", "cols", "acc", "acc64", "tmp", "shifted", "part")
+NUMPY_SCRATCH = ("pad", "cols", "acc", "acc64", "tmp")
 
 
 def _int_entry(ctx, op):

@@ -69,7 +69,11 @@ __all__ = [
 _KERNELS = ("auto", "dense", "shift_plane")
 _ALL_DEAD = ("keep", "error")
 _COMPUTE_DTYPES = ("float", "int8")
-_BACKENDS = ("auto", "native", "numpy")
+_BACKENDS = ("auto", "numpy")
+
+#: Batch size of the synthetic calibration input: the float autotune times
+#: its kernel candidates on it, and the int8 build calibrates its grids on it.
+_CALIBRATION_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -91,11 +95,9 @@ class PlanConfig:
             power-of-two plane decomposition wherever the quantizer
             supports it, and ``"auto"`` (default) builds shift planes for
             layers that still carry dead rows after pruning and lets the
-            calibration pass pick the faster kernel per layer.
-        autotune_batch: Batch size of the synthetic calibration input used
-            to time kernel candidates (``"auto"`` only).
-        autotune_reps: Timing repetitions per kernel candidate; the best
-            (minimum) time wins.
+            calibration pass pick the faster kernel per layer, timed on the
+            backend the plan runs on.  Float plans only: int8 conv/linear
+            ops always run one integer GEMM.
         trace: Execute through shape-specialized traced programs
             (:mod:`repro.infer.trace` / :mod:`repro.infer.fuse`): the plan
             is recorded once per input shape into generated fused kernels
@@ -115,22 +117,18 @@ class PlanConfig:
             conv/linear kernels.  Requires the model to declare
             ``in_channels``/``image_size`` (or an explicit calibration
             batch via :func:`repro.infer.intq.build_intq_program`).
-        backend: Kernel execution backend.  ``"numpy"`` forces the numpy
-            codegen everywhere; ``"native"`` uses the C backend
-            (:mod:`repro.infer.native`) wherever it applies, falling back
-            per kernel where it cannot; ``"auto"`` (default) does the same
-            but additionally lets autotune time C against numpy per
-            candidate layer and record the winner.  Native kernels
-            self-verify bitwise against the numpy codegen on first call, so
-            every setting produces identical results — on hosts without a C
-            toolchain all three behave like ``"numpy"`` (logged once).
+        backend: Kernel execution backend.  ``"auto"`` (default) uses the
+            C backend (:mod:`repro.infer.native`) wherever it applies,
+            falling back per kernel where it cannot; ``"numpy"`` forces the
+            numpy codegen everywhere.  Native kernels self-verify bitwise
+            against the numpy codegen on first call, so both settings
+            produce identical results — on hosts without a C toolchain
+            ``"auto"`` behaves like ``"numpy"`` (logged once).
     """
 
     prune: bool = True
     all_dead: str = "keep"
     kernel: str = "auto"
-    autotune_batch: int = 16
-    autotune_reps: int = 3
     trace: bool = True
     fuse: bool = True
     dtype: str = "float"
@@ -151,8 +149,6 @@ class PlanConfig:
             raise ConfigurationError(
                 f"unknown all_dead policy {self.all_dead!r}; use one of {_ALL_DEAD}"
             )
-        if self.autotune_batch < 1 or self.autotune_reps < 1:
-            raise ConfigurationError("autotune_batch and autotune_reps must be >= 1")
 
 
 class ExecutionContext:
@@ -254,9 +250,6 @@ class ConvOp:
     dead_in_weight2d: np.ndarray | None = None
     dead_in_consts: np.ndarray | None = None
     dead_maps: dict = field(default_factory=dict, repr=False)
-    #: Per-op backend override ("auto" defers to the plan config; autotune
-    #: under backend="auto" writes its measured winner here).
-    backend: str = "auto"
 
     def _dead_bias_map(self, h: int, w: int) -> np.ndarray:
         """(F, oh*ow) constant contribution of the pruned input channels."""
@@ -268,8 +261,8 @@ class ConvOp:
             cols, _, _ = _im2col_single(plane, self.kernel, self.stride, self.padding)
             cached = np.matmul(self.dead_in_weight2d, cols[0])
             # Benign race under concurrent contexts: idempotent value, and
-            # plain dict assignment keeps the op picklable for the process
-            # pool backend (no locks on ops).
+            # plain dict assignment keeps the op picklable for the shared-
+            # memory publish to cluster workers (no locks on ops).
             self.dead_maps[(h, w)] = cached
         return cached
 
@@ -345,8 +338,6 @@ class LinearOp:
     shift: "ShiftPlaneSet | None" = None
     live_rows: np.ndarray | None = None
     in_live_cols: np.ndarray | None = None
-    #: Per-op backend override; see :class:`ConvOp`.
-    backend: str = "auto"
 
     def run(self, ctx: ExecutionContext) -> None:
         x = ctx.slots[self.src]
@@ -722,7 +713,7 @@ class ExecutionPlan:
                 "trace": self.config.trace,
                 "fuse": self.config.fuse,
                 "dtype": self.config.dtype,
-                "backend": getattr(self.config, "backend", "auto"),
+                "backend": self.config.backend,
             },
             "native": native_status,
             "trace": {
@@ -744,10 +735,10 @@ class ExecutionPlan:
 
         Op dataclasses hold only arrays and scalars (plus the integer twin
         program when compiled with ``dtype="int8"``), so the payload can be
-        pickled to a process pool or published into shared memory
-        (:mod:`repro.utils.shm`) with the weight arrays hoisted out of the
-        pickle stream.  Workers run it through :func:`execute_ops` (or the
-        integer program's ``run``) against their own
+        published into shared memory (:mod:`repro.utils.shm`) for cluster
+        workers, with the weight arrays hoisted out of the pickle stream.
+        Workers run it through :func:`execute_ops` (or the integer
+        program's ``run``) against their own
         :class:`ExecutionContext` — plan and context stay separate.
         """
         return {
@@ -1116,13 +1107,13 @@ def plan_dtype(model: Module) -> np.dtype:
     return np.dtype(np.float64)
 
 
-def _calibration_shape(model: Module, config: PlanConfig) -> tuple[int, int, int, int] | None:
-    """NCHW shape of the synthetic autotune batch, if the model declares it."""
+def _calibration_shape(model: Module) -> tuple[int, int, int, int] | None:
+    """NCHW shape of the synthetic calibration batch, if the model declares it."""
     channels = getattr(model, "in_channels", None)
     size = getattr(model, "image_size", None)
     if not isinstance(channels, int) or not isinstance(size, int):
         return None
-    return (config.autotune_batch, channels, size, size)
+    return (_CALIBRATION_BATCH, channels, size, size)
 
 
 def _collect_layer_info(
@@ -1182,6 +1173,8 @@ def compile_network(
     and — when ``kernel="auto"`` finds candidates — per-layer kernel
     autotuning on a synthetic calibration batch.  On models with no dead
     filters all three passes are no-ops and compilation cost is unchanged.
+    An int8 plan skips the last two: its integer program never runs the
+    float kernels they choose between.
     """
     cfg = config or PlanConfig()
     compiler = _Compiler(np.float64 if dtype is None else np.dtype(dtype))
@@ -1197,19 +1190,20 @@ def compile_network(
         from repro.infer.prune import prune_plan
 
         prune_report = prune_plan(compiler.ops, compiler.bindings, out, compiler.dtype, cfg)
-    from repro.infer.shift_plane import attach_shift_planes
+    candidates: list[int] = []
+    if cfg.dtype != "int8":
+        from repro.infer.shift_plane import attach_shift_planes
 
-    candidates = attach_shift_planes(compiler.ops, compiler.bindings, compiler.dtype, cfg)
+        candidates = attach_shift_planes(compiler.ops, compiler.bindings, compiler.dtype, cfg)
     compiler.mark_inplace()
     autotune_report: dict = {}
     if cfg.kernel == "auto" and candidates:
-        shape = _calibration_shape(model, cfg)
+        shape = _calibration_shape(model)
         if shape is not None:
             from repro.infer.autotune import autotune_ops
 
             autotune_report = autotune_ops(
-                compiler.ops, candidates, shape, compiler.dtype, cfg.autotune_reps,
-                backend=cfg.backend,
+                compiler.ops, candidates, shape, compiler.dtype, cfg.backend
             )
     layer_info = _collect_layer_info(
         compiler.ops, compiler.bindings, prune_report, autotune_report
@@ -1224,7 +1218,7 @@ def compile_network(
         pruned=prune_report.get("pruned_filters", 0) > 0,
     )
     if cfg.dtype == "int8":
-        shape = _calibration_shape(model, cfg)
+        shape = _calibration_shape(model)
         if shape is None:
             raise CompileError(
                 "PlanConfig(dtype='int8') needs a calibration batch shape; the model "

@@ -101,6 +101,27 @@ def test_native_sweep_smoke(tmp_path):
 
 
 @pytest.mark.infer_bench
+def test_variant_sweep_smoke(tmp_path):
+    """The --variant-sweep section at smoke scale (ResNet net 2, 50% dead,
+    batch 1): every kernel policy is timed, and the residual-blocked layers
+    that keep dead rows report an autotune pick."""
+    sweep = bench_infer.run_variant_sweep(reps=1, smoke=True)
+
+    (row,) = sweep["variant_sweep"]
+    assert row["network_id"] == 2
+    assert row["autotune"]  # ResNet conv2s keep dead rows: autotune candidates
+    assert {p["chosen"] for p in row["autotune"]} <= {"dense", "shift_plane"}
+    spec = row["batches"]["1"]
+    assert spec["auto_s"] > 0 and spec["dense_s"] > 0 and spec["shift_plane_s"] > 0
+    assert 0 <= spec["auto_wins_vs_dense"] <= spec["reps"] == 1
+    assert sweep["variant_summary"]["with_candidates"]["batch1"]["pairs"] == 1
+
+    out = tmp_path / "BENCH_variant.json"
+    out.write_text(json.dumps(sweep))  # round-trips: everything is plain JSON
+    assert json.loads(out.read_text())["variant_sweep"]
+
+
+@pytest.mark.infer_bench
 def test_default_run_keeps_other_sections(tmp_path):
     """A default (full-benchmark) run merges into an existing --out file:
     sweep sections and summary keys it does not produce survive."""

@@ -15,8 +15,11 @@ import pytest
 from repro.errors import CompileError, HardwareModelError
 from repro.hw import intq_measured_ops
 from repro.infer import InferenceEngine, PlanConfig, build_intq_program, compile_network
+from repro.infer.intq import pack_weights
 from repro.infer.intq.build import IntConvOp, IntDequantizeOp, IntLinearOp, IntQuantizeOp
 from repro.infer.intq.requant import quantize_multiplier, rounding_right_shift
+from repro.infer.kernels import AUTOTUNE_CACHE
+from repro.quant.sparsify import sparsify_model
 from repro.testing import run_intq_parity
 
 from tests.infer.conftest import build_small_network, sample_images
@@ -36,22 +39,9 @@ class TestParity:
         assert set(record["accum_dtypes"]) <= {"int32", "int64"}
         assert record["shift_ops"] > 0
 
-    def test_kernel_variants_bitwise_equal(self):
-        """The gemm and shift-plane integer kernels realise the same
-        arithmetic: forcing either must give bit-identical logits."""
-        model = build_small_network(4)
-        images = sample_images(6, seed=11)
-        gemm = InferenceEngine(
-            model, config=PlanConfig(dtype="int8", kernel="dense")
-        ).predict_logits(images)
-        shift = InferenceEngine(
-            model, config=PlanConfig(dtype="int8", kernel="shift_plane")
-        ).predict_logits(images)
-        np.testing.assert_array_equal(gemm, shift)
-
     def test_repeated_engine_builds_identical(self):
         """Two independently compiled int8 engines agree bitwise (the
-        calibration pass and autotuner must be deterministic)."""
+        calibration pass must be deterministic)."""
         images = sample_images(4, seed=3)
         a = InferenceEngine(build_small_network(5), config=INT8).predict_logits(images)
         b = InferenceEngine(build_small_network(5), config=INT8).predict_logits(images)
@@ -59,6 +49,23 @@ class TestParity:
 
 
 class TestIntegerExecution:
+    def test_int8_plan_skips_float_kernel_choice(self, monkeypatch, tmp_path):
+        """An int8 plan of a sparsified ResNet attaches no shift planes,
+        runs no float autotune and times no integer kernels: nothing is
+        written to the autotune cache."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        AUTOTUNE_CACHE.clear()
+        model = build_small_network(7)
+        sparsify_model(model, 0.5)
+        engine = InferenceEngine(model, config=INT8)
+        assert all(getattr(op, "shift", None) is None for op in engine.plan.ops)
+        assert not any("autotune" in entry for entry in engine.plan.layer_info)
+        assert AUTOTUNE_CACHE.stats()["entries"] == 0
+        assert {l["impl"] for l in engine.plan_summary()["intq"]["layers"]} == {"intq_gemm"}
+        # The float plan of the same model does autotune: the test is live.
+        assert any("autotune" in entry for entry in compile_network(model).layer_info)
+        AUTOTUNE_CACHE.clear()
+
     def test_weights_and_accumulators_are_integer(self):
         """No float arrays in any conv/linear inner loop: packed weights,
         shift planes and requant constants are all integer-typed."""
@@ -75,6 +82,17 @@ class TestIntegerExecution:
                 assert np.issubdtype(const.dtype, np.integer), (
                     f"{type(op).__name__} const {name} is {const.dtype}"
                 )
+
+    def test_shift_groups_reassemble_gemm_weights(self):
+        """The packed shift-accumulate schedule the shift counts describe
+        computes the GEMM's weights: ``sum_d S_d << d == w_int``."""
+        plan = compile_network(build_small_network(4))
+        for b in plan.bindings:
+            op = plan.ops[b.op_index]
+            packed = pack_weights(b.layer, op.live_rows, op.in_live_cols)
+            assert packed.groups
+            total = sum(np.left_shift(s_d.astype(np.int64), d) for d, s_d in packed.groups)
+            np.testing.assert_array_equal(total, packed.w_int)
 
     def test_program_brackets_float_boundary(self):
         """The program quantizes at the input and dequantizes exactly once,

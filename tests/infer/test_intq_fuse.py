@@ -29,7 +29,6 @@ from repro.infer.intq.build import (
 )
 from repro.infer.intq.kernels import step_struct
 from repro.infer.intq.requant import quantize_multiplier
-from repro.infer.kernels import AUTOTUNE_CACHE
 from repro.infer.native import binding
 from repro.infer.native.codegen import int_epilogue
 from repro.infer.plan import AddOp, ConvOp, ExecutionContext, LeakyReluOp, LinearOp
@@ -123,13 +122,12 @@ def _identity_op(kind: str, acc_dtype: str, steps: tuple, backend: str):
     if kind == "conv":
         consts = {"W": eye, "M0": one[:, None], "RND": zero[:, None], "SH": zero[:, None],
                   "GB": gb[:, None], "DMAP": rng.integers(-50, 50, (f, 12))}
-        op = IntConvOp(0, 0, 1, 1, 1, 0, f, "intq_gemm", acc_dtype, out_dtype,
-                       ("dead", "gb"), (), consts, backend, steps)
+        op = IntConvOp(0, 0, 1, 1, 1, 0, f, acc_dtype, out_dtype, ("dead", "gb"), consts,
+                       backend, steps)
         x = _accumulators((4, f, 3, 4), acc_dtype)
     else:
         consts = {"W": eye, "M0": one, "RND": zero, "SH": zero, "GB": gb}
-        op = IntLinearOp(0, 0, 1, f, "intq_gemm", acc_dtype, out_dtype, ("gb",), (),
-                         consts, backend, steps)
+        op = IntLinearOp(0, 0, 1, f, acc_dtype, out_dtype, ("gb",), consts, backend, steps)
         x = _accumulators((5, f), acc_dtype)
     return op, x
 
@@ -187,9 +185,14 @@ class TestFusedPrograms:
     def test_fused_equals_unfused(self, network_id, backend, workers, kernel):
         """Splitting every fused op back into standalone ops changes no
         logit byte, and the engine returns the same bytes serially or
-        sharded across threads."""
-        config = PlanConfig(dtype="int8", backend=backend, kernel=kernel)
+        sharded across threads.  ``kernel`` is a float-only knob: an int8
+        plan attaches no shift planes under either policy.  ``"native"`` is
+        the default backend (numpy where no toolchain exists)."""
+        config = PlanConfig(
+            dtype="int8", kernel=kernel, backend="numpy" if backend == "numpy" else "auto"
+        )
         engine = InferenceEngine(build_small_network(network_id), config=config)
+        assert all(getattr(op, "shift", None) is None for op in engine.plan.ops)
         prog = engine.plan.intq
         assert any(getattr(op, "fused", ()) for op in prog.ops)
         images = sample_images(6, seed=network_id)
@@ -255,14 +258,8 @@ class TestFusedPrograms:
         assert _bitwise_equal(prog.run(images, ExecutionContext()), want)
 
     def test_fused_steps_reported_and_keyed(self):
-        """The plan summary names each layer's fused steps, and both intq
-        autotune keys carry them, so a decision timed on an unfused kernel
-        is never applied to a fused one."""
+        """The plan summary names each layer's fused steps."""
         engine = InferenceEngine(build_small_network(4), config=PlanConfig(dtype="int8"))
         layers = engine.plan_summary()["intq"]["layers"]
         assert layers[0]["fused"] == ["lrelu", "rshift"]
         assert layers[-1]["fused"] == []
-        fused = next(op.fused for op in engine.plan.intq.ops if getattr(op, "fused", ()))
-        keys = [k for k in AUTOTUNE_CACHE._entries if k and k[0] in ("intq", "intq-native")]
-        assert keys
-        assert any(fused in key for key in keys)

@@ -1,10 +1,9 @@
 """Native C backend: bitwise parity, fallback ladder and cache plumbing.
 
-The acceptance bar from the issue: every native kernel variant must be
-*bitwise* identical to the numpy codegen it replaces — 8 Table-1 configs
-x {dense, shift_plane} x {float64, int8} — and the backend must degrade
-to numpy (never crash) when the toolchain is missing or a cached binary
-is corrupt.  Parity runs even on a toolchain-free host (both sides are
+Every native kernel must be *bitwise* identical to the numpy codegen it
+replaces — 8 Table-1 configs x {float64 under both float kernels, int8}
+— and the backend must degrade to numpy (never crash) when the toolchain
+is missing or a cached binary is corrupt.  Parity runs even on a toolchain-free host (both sides are
 then numpy and trivially equal); the "native actually executed"
 assertions are gated on :func:`binding.available`.
 """
@@ -37,6 +36,11 @@ def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _native_capable(engine) -> list:
+    """The int8 program's ops that carry a numpy/native backend."""
+    return [op for op in engine.plan.intq.ops if hasattr(op, "backend")]
+
+
 def _traced_backend_counts(engine) -> dict:
     counts: dict[str, int] = {}
     for prog in engine.plan._traced.values():
@@ -52,15 +56,14 @@ class TestBitwiseParity:
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("network_id", ALL_CONFIGS)
     def test_float64(self, network_id, kernel):
-        """backend="native" reproduces backend="numpy" byte-for-byte."""
+        """The default (native) backend reproduces backend="numpy"
+        byte-for-byte."""
         model = build_small_network(network_id)
         images = sample_images(5, seed=network_id)
         want = InferenceEngine(
             model, config=PlanConfig(kernel=kernel, backend="numpy")
         ).predict_logits(images)
-        native_engine = InferenceEngine(
-            model, config=PlanConfig(kernel=kernel, backend="native")
-        )
+        native_engine = InferenceEngine(model, config=PlanConfig(kernel=kernel))
         got = native_engine.predict_logits(images)
         assert _bitwise_equal(got, want)
         if NATIVE_OK:
@@ -70,15 +73,14 @@ class TestBitwiseParity:
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("network_id", ALL_CONFIGS)
     def test_int8(self, network_id, kernel):
-        """The integer program's native kernels are exact: same bits."""
+        """The integer program's native kernels are exact: same bits.
+        ``kernel`` is float-only; the int8 program ignores it."""
         model = build_small_network(network_id)
         images = sample_images(4, seed=network_id)
         want = InferenceEngine(
             model, config=PlanConfig(dtype="int8", kernel=kernel, backend="numpy")
         ).predict_logits(images)
-        native_engine = InferenceEngine(
-            model, config=PlanConfig(dtype="int8", kernel=kernel, backend="native")
-        )
+        native_engine = InferenceEngine(model, config=PlanConfig(dtype="int8", kernel=kernel))
         got = native_engine.predict_logits(images)
         assert _bitwise_equal(got, want)
         if NATIVE_OK:
@@ -87,13 +89,27 @@ class TestBitwiseParity:
                 for op in native_engine.plan.intq.ops
                 if isinstance(op, (IntConvOp, IntLinearOp))
             ]
-            assert any(op.backend == "native" for op in matmuls)
+            assert all(op.backend == "native" for op in matmuls)
+
+    @pytest.mark.parametrize("backend", ["auto", "numpy"])
+    def test_int8_backend_is_native_exactly_when_available(self, backend):
+        """No tournament: int8 ops take native whenever a toolchain is
+        present and the config does not ask for numpy."""
+        engine = InferenceEngine(
+            build_small_network(2), config=PlanConfig(dtype="int8", backend=backend)
+        )
+        want = "native" if backend == "auto" and binding.available() else "numpy"
+        ops = _native_capable(engine)
+        assert {type(op).__name__ for op in ops} >= {"IntConvOp", "IntLinearOp", "IntQuantizeOp"}
+        assert {op.backend for op in ops} == {want}
+        layers = engine.plan_summary()["intq"]["layers"]
+        assert {(l["impl"], l["backend"]) for l in layers} == {("intq_gemm", want)}
 
     def test_batch_size_does_not_change_native_bits(self):
         """Kernels are rebound per batch shape; every binding must agree."""
         model = build_small_network(4)
         images = sample_images(16, seed=2)
-        engine = InferenceEngine(model, config=PlanConfig(backend="native"))
+        engine = InferenceEngine(model)
         ref = engine.predict_logits(images, batch_size=16)
         for bs in (1, 3, 16):
             assert _bitwise_equal(engine.predict_logits(images, batch_size=bs), ref)
@@ -127,7 +143,7 @@ class TestFallback:
         assert not binding.available()
         model = build_small_network(4)
         images = sample_images(5, seed=9)
-        engine = InferenceEngine(model, config=PlanConfig(backend="auto"))
+        engine = InferenceEngine(model)
         got = engine.predict_logits(images)
         want = InferenceEngine(
             model, config=PlanConfig(backend="numpy")
@@ -137,13 +153,16 @@ class TestFallback:
         assert counts.get("native", 0) == 0, counts
         assert counts.get("numpy", 0) > 0
 
-    def test_missing_toolchain_forced_native_still_serves(self, no_toolchain):
-        """Even an explicit backend="native" degrades instead of raising."""
+    def test_missing_toolchain_int8_serves_numpy(self, no_toolchain):
+        """No compiler: every int8 op is built on numpy, and serves the
+        same bytes as an explicit backend="numpy" plan."""
         model = build_small_network(6)
         images = sample_images(3, seed=1)
-        engine = InferenceEngine(model, config=PlanConfig(backend="native"))
+        engine = InferenceEngine(model, config=PlanConfig(dtype="int8"))
+        assert {op.backend for op in _native_capable(engine)} == {"numpy"}
+        assert {l["backend"] for l in engine.plan_summary()["intq"]["layers"]} == {"numpy"}
         want = InferenceEngine(
-            model, config=PlanConfig(backend="numpy")
+            model, config=PlanConfig(dtype="int8", backend="numpy")
         ).predict_logits(images)
         assert _bitwise_equal(engine.predict_logits(images), want)
 

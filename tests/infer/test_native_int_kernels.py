@@ -78,8 +78,7 @@ def _conv_op(k: int, s: int, p: int, acc: str, backend: str) -> IntConvOp:
         "GB": rng.integers(-50, 50, FILTERS)[:, None],
         "DMAP": rng.integers(-50, 50, (FILTERS, oh * ow)),
     }
-    return IntConvOp(7, 0, 1, k, s, p, FILTERS, "intq_gemm", acc, "int64",
-                     ("dead", "gb"), (), consts, backend)
+    return IntConvOp(7, 0, 1, k, s, p, FILTERS, acc, "int64", ("dead", "gb"), consts, backend)
 
 
 def _codes(shape: tuple, dtype: str, bound: int, seed: int) -> np.ndarray:
@@ -205,8 +204,7 @@ def test_program_keeps_no_numpy_conv_scratch():
     """Net 4's int8 program, native: after the first-call checks every
     conv, pool and quantize runs in C, and no conv keeps an im2col buffer
     of the numpy path."""
-    config = PlanConfig(dtype="int8", backend="native")
-    engine = InferenceEngine(build_small_network(4), config=config)
+    engine = InferenceEngine(build_small_network(4), config=PlanConfig(dtype="int8"))
     images = sample_images(5, seed=3)
     ctx = ExecutionContext()
     first = engine.plan.intq.run(images, ctx).copy()

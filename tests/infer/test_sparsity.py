@@ -15,6 +15,7 @@ import pytest
 
 from repro.errors import CompileError, ConfigurationError
 from repro.infer import InferenceEngine, PlanConfig, compile_network, supports_shift_planes
+from repro.infer.native import binding
 from repro.infer.plan import ConvOp, LinearOp
 from repro.models.registry import build_network
 from repro.quant.schemes import scheme_flightnn
@@ -149,6 +150,16 @@ class TestEdgeCases:
         with pytest.raises(ConfigurationError):
             PlanConfig(all_dead="whatever")
 
+    def test_removed_knobs_rejected(self):
+        """``backend`` is "auto" or "numpy"; the autotune batch and reps
+        are fixed, not config fields."""
+        with pytest.raises(ConfigurationError):
+            PlanConfig(backend="native")
+        with pytest.raises(TypeError):
+            PlanConfig(autotune_reps=3)
+        with pytest.raises(TypeError):
+            PlanConfig(autotune_batch=16)
+
 
 class TestShiftPlanes:
     @pytest.mark.parametrize("scheme_key, planes", [("L-1", 1), ("L-2", 2)])
@@ -186,6 +197,29 @@ class TestShiftPlanes:
             assert report["chosen"] in ("dense", "shift_plane")
             assert report["dense_s"] > 0.0 and report["shift_plane_s"] > 0.0
             assert entry["kernel"] == report["chosen"]
+
+    @pytest.mark.parametrize("backend", ["auto", "numpy"])
+    def test_autotune_times_the_backend_that_binds(self, backend):
+        """Both variants are timed on the one backend the plan binds: each
+        report names it, the traced program binds that layer on it, and
+        it is native whenever a toolchain exists under "auto"."""
+        model = sparsified_network(7, dead_fraction=0.5)
+        engine = InferenceEngine(model, config=PlanConfig(backend=backend))
+        engine.predict_logits(sample_images(4, seed=71))
+        (prog,) = engine.plan._traced.values()
+        bound = {
+            nplan.node.op.index: prog.node_backends[nplan.node.index]["backend"]
+            for nplan in prog.node_plans
+            if nplan.node.kind in ("conv", "linear")
+        }
+        tuned = [e for e in engine.plan.layer_info if "autotune" in e]
+        assert tuned
+        for entry in tuned:
+            report = entry["autotune"]
+            assert set(report) == {"chosen", "dense_s", "shift_plane_s", "backend", "cached"}
+            assert report["backend"] == bound[entry["op_index"]]
+        want = "native" if backend == "auto" and binding.available() else "numpy"
+        assert {e["autotune"]["backend"] for e in tuned} == {want}
 
 
 class TestStructuralRefresh:
