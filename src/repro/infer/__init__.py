@@ -8,7 +8,8 @@ run at plan time under :class:`~repro.infer.plan.PlanConfig`; execution then
 goes through shape-specialized traced programs — fused, codegen'd kernels
 with liveness-reused buffers (:mod:`repro.infer.trace`,
 :mod:`repro.infer.fuse`, :mod:`repro.infer.kernels`) — bitwise-identical to
-the op-by-op interpreter.  See
+the op-by-op interpreter.  An int8 plan (:mod:`repro.infer.intq`) lowers
+to an integer program that runs through the same traced compiler.  See
 :class:`~repro.infer.engine.InferenceEngine` for the entry point.
 """
 

@@ -2,18 +2,21 @@
 
 :func:`optimize` takes the linear IR recorded by :mod:`repro.infer.trace`
 and produces a :class:`TracedProgram` — a bound-once, replayed-many
-execution schedule of generated kernels (:mod:`repro.infer.kernels`).  The
-passes, in order:
+execution schedule of generated kernels (:mod:`repro.infer.kernels` for
+float plans, :mod:`repro.infer.intq.kernels` for int8 ones).  The same
+passes run for both dtypes, in order:
 
 1. **Flatten aliasing** — reshape nodes vanish; their outputs become views
    of the root value (this is lowering, not optimization, and always runs).
-2. **Epilogue fusion** (``PlanConfig.fuse``) — a standalone LeakyReLU or
-   ActQuant whose input has exactly one reader is absorbed into its
-   producer's kernel as an epilogue, eliminating a full intermediate
-   traversal per fused op.  Legality: single reader, producer in the fused
-   kernel library, value not the program output, no alias in between.
-3. **Dead-value elimination** (``PlanConfig.fuse``) — nodes whose outputs
-   are never read (and aren't the program output) are dropped.
+2. **Epilogue fusion** — a standalone elementwise node whose input has
+   exactly one reader is absorbed into its producer's kernel as an
+   epilogue, eliminating a full intermediate traversal per fused op.
+   Legality: single reader, value not the program output, no alias in
+   between, and :func:`_folds`: a float LeakyReLU/ActQuant into any kernel
+   with an epilogue, an int8 LeakyReLU (``|slope| <= 1``) or rescale step
+   into an int conv/linear.
+3. **Dead-value elimination** — nodes whose outputs are never read (and
+   aren't the program output) are dropped.
 4. **Batch blocking** — every node kind except ``linear``/``fallback`` is
    per-sample independent (numpy's batched ``matmul`` runs one GEMM per
    sample, so splitting the batch is *bitwise invariant*); nodes before the
@@ -22,8 +25,8 @@ passes, in order:
    full-batch intermediates through memory once per op.
 5. **Register allocation** — liveness-based slot reuse through
    :class:`repro.nn.arena.RegisterPlanner`, one planner per storage scope
-   (per-block vs full-batch).  Peak intermediate memory becomes the high-
-   water mark of live values, not the sum of all of them.
+   (per-block vs full-batch) and dtype.  Peak intermediate memory becomes
+   the high-water mark of live values, not the sum of all of them.
 
 A :class:`TracedProgram` is immutable; per-:class:`ExecutionContext` bound
 state (flat registers, prebound views, the thunk list) is cached on the
@@ -44,11 +47,13 @@ from math import prod
 import numpy as np
 
 from repro.infer import kernels
+from repro.infer.intq import kernels as int_kernels
+from repro.infer.intq.kernels import STEP_ARGS
 from repro.nn.arena import RegisterPlanner
 from repro.nn.tensor import Tensor, no_grad
 from repro.utils.profiler import active_profiler
 
-__all__ = ["TracedProgram", "optimize"]
+__all__ = ["TracedProgram", "fused_steps", "optimize"]
 
 #: Target bytes of per-block working set (activations + scratch) for batch
 #: blocking; roughly "stay L2/L3-resident".  Tests shrink this to force
@@ -102,8 +107,23 @@ def _alias_flatten(ir) -> int:
     return removed
 
 
+def _folds(ir, node, producer) -> bool:
+    """Whether the standalone eltwise ``node`` may become an epilogue step
+    of ``producer``.  Float: a LeakyReLU or ActQuant, into any kernel with
+    an epilogue.  int8: a LeakyReLU with ``|slope| <= 1`` or a rescale,
+    into an int conv/linear only; a steeper LeakyReLU can leave its input's
+    bound, and only its standalone narrowing store reproduces that."""
+    if ir.intq:
+        return (
+            node.head[0] in STEP_ARGS
+            and abs(node.op.slope) <= 1.0
+            and producer.kind in ("conv", "linear")
+        )
+    return node.head[0] in ("lrelu", "aq") and producer.kind in _FUSABLE_PRODUCERS
+
+
 def _fuse_epilogues(ir) -> int:
-    """Absorb single-reader LeakyReLU/ActQuant nodes into their producers."""
+    """Absorb single-reader elementwise nodes into their producers."""
     fused = 0
     out_root = _resolve(ir.vals, ir.out_val)
     changed = True
@@ -111,7 +131,7 @@ def _fuse_epilogues(ir) -> int:
         changed = False
         _recount_readers(ir.nodes, ir.vals)
         for node in ir.nodes:
-            if node.kind != "eltwise" or node.head[0] not in ("lrelu", "aq"):
+            if node.kind != "eltwise":
                 continue
             svid = node.srcs[0]
             sval = ir.vals[svid]
@@ -120,7 +140,7 @@ def _fuse_epilogues(ir) -> int:
             if sval.alias_of is not None:
                 continue
             producer = sval.producer
-            if producer is None or producer.kind not in _FUSABLE_PRODUCERS:
+            if producer is None or not _folds(ir, node, producer):
                 continue
             if svid == out_root or sval.readers != [node]:
                 continue
@@ -151,12 +171,27 @@ def _eliminate_dead(ir) -> int:
     return removed
 
 
+def fused_steps(intq) -> dict:
+    """The steps :func:`_fuse_epilogues` folds into each int conv/linear of
+    the int8 program ``intq``, by op index.  The fold depends only on the
+    program's dataflow, so one batch-1 trace answers for every shape."""
+    from repro.infer.trace import trace_intq
+
+    ir = trace_intq(intq, (1,) + tuple(intq.input_chw))
+    _alias_flatten(ir)
+    _fuse_epilogues(ir)
+    return {n.op.index: tuple(n.epilogue) for n in ir.nodes if n.kind in ("conv", "linear")}
+
+
 # -- scratch planning ---------------------------------------------------------
 
 
-def _node_scratch(node, vals, inplace: bool):
+def _node_scratch(ir, node, inplace: bool):
     """Scratch requests of ``node``'s generated kernel (bind order)."""
     op = node.op
+    vals = ir.vals
+    if ir.intq:
+        return int_kernels.node_scratch(node, vals)
     if node.kind in ("conv", "linear"):
         impl = getattr(op, "impl", "dense")
         return kernels.producer_scratch(
@@ -225,12 +260,12 @@ class TracedProgram:
         self.vals = ir.vals
         self.out_val = ir.out_val
         self.input_shape = ir.input_shape
+        self.intq = ir.intq
         self.n = ir.input_shape[0]
-        self.dtype = np.dtype(ir.dtype)
         self.node_plans = node_plans
-        self.val_reg = val_reg  # root val id -> (scope, register id)
-        self.reg_sizes = reg_sizes  # scope -> [elems per register]
-        self.zero_regs = zero_regs  # {(scope, register id)} zero-filled at bind
+        self.val_reg = val_reg  # root val id -> (scope, dtype, register id)
+        self.reg_sizes = reg_sizes  # (scope, dtype) -> [elems per register]
+        self.zero_regs = zero_regs  # {(scope, dtype, register id)} zero-filled at bind
         self.blocks = blocks  # [(start, end)] batch blocks
         self.bmax = max(e - s for s, e in blocks)
         self.stats = stats
@@ -271,8 +306,8 @@ class TracedProgram:
         if rv.producer is None:  # the program input
             base = state.input if blk is None else state.input[blk[0] : blk[1]]
         else:
-            scope, rid = self.val_reg[root]
-            buf = state.regs[scope][rid]
+            scope, dtype, rid = self.val_reg[root]
+            buf = state.regs[(scope, dtype)][rid]
             if scope == "block":
                 nb = self.n if blk is None else blk[1] - blk[0]
                 base = buf[: nb * prod(rv.shape[1:])].reshape((nb,) + rv.shape[1:])
@@ -283,56 +318,44 @@ class TracedProgram:
             base = base.reshape((base.shape[0],) + vals[vid].shape[1:])
         return base
 
-    def _bind_node(self, state: _BoundState, nplan: _NodePlan, blk):
+    def _bind_node(self, state: _BoundState, nplan: _NodePlan, blk, verdicts: dict):
         node = nplan.node
         nb = self.n if blk is None else blk[1] - blk[0]
-        scope = "block" if nplan.blocked else "full"
+        rows = nb if nplan.blocked else self.n
         scratch = {}
-        for req, rid in nplan.scratch:
-            rows = nb if scope == "block" else self.n
-            buf = state.regs[scope][rid]
+        for req, (scope, dtype, rid) in nplan.scratch:
+            buf = state.regs[(scope, dtype)][rid]
             scratch[req.name] = buf[: rows * prod(req.tail)].reshape((rows,) + req.tail)
         kind, op = node.kind, node.op
         backend, rec = self._node_backend(node)
-        if kind == "conv":
-            x = self._view(state, node.srcs[0], blk)
-            dstv = self._view(state, node.dst, blk)
-            out3 = dstv.reshape(dstv.shape[0], dstv.shape[1], -1)
+        srcs = [self._view(state, s, blk) for s in node.srcs]
+        x = srcs[0]
+        out = x if nplan.inplace else self._view(state, node.dst, blk)
+        if self.intq:
+            return int_kernels.bind_node(node, srcs, out, scratch, backend, rec, verdicts)
+        dtype = self.vals[node.dst].dtype
+        if kind in ("conv", "linear"):
+            if kind == "conv":
+                out = out.reshape(out.shape[0], out.shape[1], -1)
             return kernels.bind_producer(
-                "conv", op, x, out3, scratch, op.impl, node.epilogue, self.dtype, backend, rec
-            )
-        if kind == "linear":
-            x = self._view(state, node.srcs[0], blk)
-            out = self._view(state, node.dst, blk)
-            return kernels.bind_producer(
-                "linear", op, x, out, scratch, op.impl, node.epilogue, self.dtype, backend, rec
+                kind, op, x, out, scratch, op.impl, node.epilogue, dtype, backend, rec
             )
         if kind == "eltwise":
-            x = self._view(state, node.srcs[0], blk)
-            out = x if nplan.inplace else self._view(state, node.dst, blk)
             return kernels.bind_eltwise(
-                [node.head] + node.epilogue, x, out, scratch, self.dtype, backend, rec
+                [node.head] + node.epilogue, x, out, scratch, dtype, backend, rec
             )
         if kind in ("maxpool", "avgpool"):
-            x = self._view(state, node.srcs[0], blk)
-            out = self._view(state, node.dst, blk)
             return kernels.bind_pool(
-                kind, op.kernel, op.stride, x, out, scratch, node.epilogue, self.dtype,
-                backend, rec,
+                kind, op.kernel, op.stride, x, out, scratch, node.epilogue, dtype, backend, rec
             )
         if kind == "gap":
-            x = self._view(state, node.srcs[0], blk)
-            out = self._view(state, node.dst, blk)
-            return kernels.bind_gap(x, out, scratch, node.epilogue, self.dtype, backend, rec)
+            return kernels.bind_gap(x, out, scratch, node.epilogue, dtype, backend, rec)
         if kind == "add":
-            a = self._view(state, node.srcs[0], blk)
-            b = self._view(state, node.srcs[1], blk)
-            out = self._view(state, node.dst, blk)
-            return kernels.bind_add(a, b, out, scratch, node.epilogue, self.dtype, backend, rec)
+            return kernels.bind_add(
+                x, srcs[1], out, scratch, node.epilogue, dtype, backend, rec
+            )
         # fallback: eager module forward, copied into the destination register
         rec.setdefault("backend", "numpy")
-        x = self._view(state, node.srcs[0], blk)
-        out = self._view(state, node.dst, blk)
         module = op.module
 
         def fallback():
@@ -341,25 +364,27 @@ class TracedProgram:
 
         return fallback
 
-    def _bind(self) -> _BoundState:
+    def _bind(self, verdicts: dict) -> _BoundState:
         state = _BoundState()
-        state.input = np.empty(self.input_shape, self.dtype)
+        state.input = np.empty(self.input_shape, self.vals[0].dtype)
         state.regs = {
-            "block": [np.empty(sz * self.bmax, self.dtype) for sz in self.reg_sizes["block"]],
-            "full": [np.empty(sz, self.dtype) for sz in self.reg_sizes["full"]],
+            (scope, dtype): [
+                np.empty(sz * (self.bmax if scope == "block" else 1), dtype) for sz in sizes
+            ]
+            for (scope, dtype), sizes in self.reg_sizes.items()
         }
-        for scope, rid in self.zero_regs:
-            state.regs[scope][rid].fill(0.0)
+        for scope, dtype, rid in self.zero_regs:
+            state.regs[(scope, dtype)][rid].fill(0)
         thunks: list = []
         names: list[str] = []
         for blk in self.blocks:
             for nplan in self.node_plans:
                 if nplan.blocked:
-                    thunks.append(self._bind_node(state, nplan, blk))
+                    thunks.append(self._bind_node(state, nplan, blk, verdicts))
                     names.append(nplan.phase)
         for nplan in self.node_plans:
             if not nplan.blocked:
-                thunks.append(self._bind_node(state, nplan, None))
+                thunks.append(self._bind_node(state, nplan, None, verdicts))
                 names.append(nplan.phase)
         state.thunks = thunks
         state.names = names
@@ -370,13 +395,10 @@ class TracedProgram:
 
     def run(self, x: np.ndarray, ctx) -> np.ndarray:
         """Execute one batch; returns a register view owned by ``ctx``."""
-        cache = getattr(ctx, "_traced", None)
-        if cache is None:
-            cache = {}
-            ctx._traced = cache
+        cache = ctx._traced
         state = cache.get(self.uid)
         if state is None:
-            state = self._bind()
+            state = self._bind(ctx.verdicts)
             cache[self.uid] = state
             while len(cache) > _MAX_BOUND_STATES:
                 cache.pop(next(iter(cache)))
@@ -395,31 +417,32 @@ class TracedProgram:
 # -- the optimizer ------------------------------------------------------------
 
 
+def _scratch_dtype(req, node, vals) -> str:
+    return str(np.dtype(req.dtype or vals[node.dst].dtype))
+
+
 def _naive_bytes(ir) -> int:
     """Intermediate bytes the op-by-op interpreter holds for this program:
     one full-batch buffer per op output plus each op's private scratch
     (pad / im2col columns / plane partials / elementwise temporaries)."""
     n = ir.input_shape[0]
-    itemsize = np.dtype(ir.dtype).itemsize
-    elems = 0
+    total = 0
     for node in ir.nodes:
         if node.kind == "flatten":
             continue  # reshape view, no buffer
-        elems += prod(ir.vals[node.dst].shape)
-        for req in _node_scratch(node, ir.vals, inplace=True):
-            elems += n * prod(req.tail)
-    return elems * itemsize
+        dval = ir.vals[node.dst]
+        total += prod(dval.shape) * dval.dtype.itemsize
+        for req in _node_scratch(ir, node, inplace=True):
+            total += n * prod(req.tail) * np.dtype(_scratch_dtype(req, node, ir.vals)).itemsize
+    return total
 
 
 def optimize(ir, plan) -> TracedProgram:
     """Run the IR passes and produce a bound-ready :class:`TracedProgram`."""
-    fuse_enabled = bool(getattr(plan.config, "fuse", True))
     naive = _naive_bytes(ir)
     aliased = _alias_flatten(ir)
-    fused = dead = 0
-    if fuse_enabled:
-        fused = _fuse_epilogues(ir)
-        dead = _eliminate_dead(ir)
+    fused = _fuse_epilogues(ir)
+    dead = _eliminate_dead(ir)
     nodes = ir.nodes
     vals = ir.vals
     _recount_readers(nodes, vals)
@@ -429,14 +452,7 @@ def optimize(ir, plan) -> TracedProgram:
 
     # Batch-blocking cut: everything before the first non-per-sample node
     # runs in batch blocks, everything from it on runs full-batch.
-    cut = len(nodes)
-    if fuse_enabled:
-        for t, node in enumerate(nodes):
-            if node.kind in _UNBLOCKABLE:
-                cut = t
-                break
-    else:
-        cut = 0
+    cut = next((t for t, node in enumerate(nodes) if node.kind in _UNBLOCKABLE), len(nodes))
 
     # Storage scopes: a value lives per-block iff it is produced and fully
     # consumed inside the blocked region and is not the program output.
@@ -463,8 +479,13 @@ def optimize(ir, plan) -> TracedProgram:
             last_use[_resolve(vals, s)] = t
     last_use[out_root] = len(nodes)  # the output outlives the program
 
-    # Liveness-driven register allocation (reuse only when fusing).
-    planners = {"block": RegisterPlanner(), "full": RegisterPlanner()}
+    # Liveness-driven register allocation: one planner per (scope, dtype),
+    # so registers are only ever reused at their own element type.
+    planners: dict[tuple, RegisterPlanner] = {}
+
+    def planner(scope: str, dtype: str) -> RegisterPlanner:
+        return planners.setdefault((scope, dtype), RegisterPlanner())
+
     val_reg: dict[int, tuple] = {}
     occupants: dict[tuple, set] = {}
     zero_regs: set = set()
@@ -472,22 +493,23 @@ def optimize(ir, plan) -> TracedProgram:
     for t, node in enumerate(nodes):
         blocked = t < cut
         nscope = "block" if blocked else "full"
-        planner = planners[nscope]
         src_roots = [_resolve(vals, s) for s in node.srcs]
         dst = node.dst
         dscope = scope_of[dst]
         dval = vals[dst]
+        ddtype = str(dval.dtype)
         delems = prod(dval.shape[1:]) if dscope == "block" else prod(dval.shape)
 
         # In-place: a standalone elementwise op may overwrite its input when
-        # that value dies here and shares nothing (mirrors `mark_inplace`).
+        # that value dies here, shares nothing and has the output's scope
+        # and dtype (mirrors `mark_inplace`).
         inplace = False
-        if fuse_enabled and node.kind == "eltwise" and len(src_roots) == 1:
+        if node.kind == "eltwise" and len(src_roots) == 1:
             r = src_roots[0]
             key = val_reg.get(r)
             if (
                 key is not None
-                and scope_of[r] == dscope
+                and key[:2] == (dscope, ddtype)
                 and last_use.get(r) == t
                 and occupants.get(key) == {r}
             ):
@@ -499,24 +521,22 @@ def optimize(ir, plan) -> TracedProgram:
             # never be handed the register one of its own inputs lives in.
             # A boundary value (produced blocked, read full-batch) allocates
             # from the *full* planner — its own scope, not the node's.
-            dplanner = planners[dscope]
-            rid = dplanner.alloc(delems) if fuse_enabled else dplanner.alloc_dedicated(delems)
-            val_reg[dst] = (dscope, rid)
-            occupants[(dscope, rid)] = {dst}
+            key = (dscope, ddtype, planner(dscope, ddtype).alloc(delems))
+            val_reg[dst] = key
+            occupants[key] = {dst}
 
         scratch_plan = []
-        for req in _node_scratch(node, vals, inplace):
+        for req in _node_scratch(ir, node, inplace):
             elems = prod(req.tail) if nscope == "block" else n * prod(req.tail)
-            if req.dedicated or not fuse_enabled:
-                srid = planner.alloc_dedicated(elems)
-            else:
-                srid = planner.alloc(elems)
+            sdtype = _scratch_dtype(req, node, vals)
+            splanner = planner(nscope, sdtype)
+            srid = splanner.alloc_dedicated(elems) if req.dedicated else splanner.alloc(elems)
             if req.zero:
-                zero_regs.add((nscope, srid))
-            scratch_plan.append((req, srid))
-        for req, srid in scratch_plan:
-            if not req.dedicated and fuse_enabled:
-                planner.free(srid)
+                zero_regs.add((nscope, sdtype, srid))
+            scratch_plan.append((req, (nscope, sdtype, srid)))
+        for req, key in scratch_plan:
+            if not req.dedicated:
+                planners[key[:2]].free(key[2])
         for r in set(src_roots):
             if last_use.get(r) == t:
                 key = val_reg.get(r)
@@ -524,23 +544,25 @@ def optimize(ir, plan) -> TracedProgram:
                     held = occupants.get(key)
                     if held is not None:
                         held.discard(r)
-                        if not held and fuse_enabled:
-                            planners[key[0]].free(key[1])
+                        if not held:
+                            planners[key[:2]].free(key[2])
         node_plans.append(_NodePlan(node, blocked, inplace, scratch_plan, _phase_name(node)))
 
-    itemsize = np.dtype(ir.dtype).itemsize
-    ps_bytes = planners["block"].peak_elems() * itemsize
+    def peak_bytes(scope: str) -> int:
+        return sum(
+            p.peak_elems() * np.dtype(dtype).itemsize
+            for (pscope, dtype), p in planners.items()
+            if pscope == scope
+        )
+
+    ps_bytes = peak_bytes("block")
     if cut == 0 or ps_bytes == 0 or ps_bytes * n <= _BLOCK_TARGET_BYTES:
         b = n
     else:
         b = max(min(_BLOCK_MIN, n), min(n, _BLOCK_TARGET_BYTES // ps_bytes))
     blocks = [(s, min(s + b, n)) for s in range(0, n, b)] or [(0, n)]
 
-    peak = (
-        planners["block"].peak_elems() * b * itemsize
-        + planners["full"].peak_elems() * itemsize
-        + prod(ir.input_shape) * itemsize
-    )
+    peak = ps_bytes * b + peak_bytes("full") + prod(ir.input_shape) * vals[0].dtype.itemsize
     stats = {
         "input_shape": list(ir.input_shape),
         "nodes": len(nodes),
@@ -556,7 +578,7 @@ def optimize(ir, plan) -> TracedProgram:
         ir,
         node_plans,
         val_reg,
-        {"block": planners["block"].sizes, "full": planners["full"].sizes},
+        {key: p.sizes for key, p in planners.items()},
         zero_regs,
         blocks,
         stats,

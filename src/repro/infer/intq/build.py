@@ -25,6 +25,13 @@ end-to-end in integer arithmetic:
   MAC sum fits and int64 otherwise, and a layer whose requantization
   product could exceed int64 fails compilation rather than wrapping.
 
+The ops are plain data, one per float op (plus the input quantize and
+output dequantize); each LeakyReLU and ActQuant becomes a standalone
+:class:`IntStepOp`.  Executing the program is the traced compiler's job:
+:func:`repro.infer.trace.trace_intq` lowers it into the float plans' IR,
+whose epilogue-fusion pass folds the steps into the conv/linear that
+feeds them, and :mod:`repro.infer.intq.kernels` binds each node.
+
 Floats appear exactly twice: quantizing the network input onto its first
 grid and dequantizing the final logits — everything in between, including
 every conv/linear inner loop, is integer shifts, adds and multiplies.
@@ -32,17 +39,15 @@ every conv/linear inner loop, is integer shifts, adds and multiplies.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
-from repro.errors import CompileError, ShapeError
+from repro.errors import CompileError
 from repro.infer.fold import bn_eval_affine
-from repro.infer.intq.kernels import STEP_ARGS, bind_int_kernel, step_struct
-from repro.infer.intq.pack import PackedWeights, pack_weights
+from repro.infer.intq.kernels import step_struct
+from repro.infer.intq.pack import pack_weights
 from repro.infer.intq.requant import quantize_multiplier, quantize_multiplier_array
 from repro.infer.native.binding import bound_backend
 from repro.infer.plan import (
@@ -58,10 +63,8 @@ from repro.infer.plan import (
     LeakyReluOp,
     LinearOp,
     MaxPoolOp,
-    _pool_views,
 )
 from repro.quant.calibration import fixed_point_format_for
-from repro.utils.profiler import active_profiler
 
 __all__ = ["GridSpec", "IntQProgram", "build_intq_program"]
 
@@ -75,36 +78,8 @@ MID_BITS = 24
 #: the static accumulator bound needs the int64 headroom.
 RQ_BITS_MAX = 24
 
-#: Buffer-key offset so intq ops never collide with float plan ops sharing
-#: an :class:`ExecutionContext`.
-_INDEX_BASE = 10_000
-
 _INT32_LIMIT = 2**31
 _INT64_GUARD = 2**62
-
-logger = logging.getLogger("repro.infer.intq")
-_native_warned = False
-
-
-def _native_int(ctx, op, kind: str, x: np.ndarray, out: np.ndarray, numpy_run) -> bool:
-    """Try the native C integer kernel; ``False`` → caller runs the numpy path.
-
-    Any failure in the native ladder (missing package, compiler, BLAS, or a
-    runtime error) is logged once and degrades to numpy — inference never
-    crashes because a toolchain is absent.
-    """
-    global _native_warned
-    if op.backend == "numpy":
-        return False
-    try:
-        from repro.infer.native import binding
-
-        return binding.run_int_op(ctx, op, kind, x, out, numpy_run)
-    except Exception as err:
-        if not _native_warned:
-            _native_warned = True
-            logger.warning("native integer backend disabled: %s", err)
-        return False
 
 
 @dataclass(frozen=True)
@@ -136,7 +111,7 @@ def _is_pow2(x: float) -> bool:
 
 @dataclass
 class IntQuantizeOp:
-    """Float input -> integer codes: ``clip(rint(x / step))`` (exact vs float)."""
+    """Float input -> int32 codes: ``clip(rint(x / step))`` (exact vs float)."""
 
     index: int
     src: int
@@ -144,22 +119,6 @@ class IntQuantizeOp:
     inv_step: float
     lo: int
     hi: int
-    backend: str = "auto"
-
-    def run(self, ctx: ExecutionContext) -> None:
-        x = ctx.slots[self.src]
-        out = ctx.buffer(self.index, "out", x.shape, np.int32)
-
-        def run_numpy() -> None:
-            tmp = ctx.buffer(self.index, "tmp", x.shape, np.float64)
-            np.multiply(x, self.inv_step, out=tmp)
-            np.rint(tmp, out=tmp)
-            np.clip(tmp, self.lo, self.hi, out=tmp)
-            np.copyto(out, tmp, casting="unsafe")
-
-        if not _native_int(ctx, self, "quantize", x, out, run_numpy):
-            run_numpy()
-        ctx.slots[self.dst] = out
 
 
 @dataclass
@@ -171,84 +130,24 @@ class IntDequantizeOp:
     dst: int
     step: float
 
-    def run(self, ctx: ExecutionContext) -> None:
-        x = ctx.slots[self.src]
-        out = ctx.buffer(self.index, "out", x.shape, np.float64)
-        np.multiply(x, self.step, out=out)
-        ctx.slots[self.dst] = out
-
 
 @dataclass
-class IntRescaleOp:
-    """Grid-to-grid move with saturation (an ActQuant in the integer domain).
+class IntStepOp:
+    """One standalone epilogue step (see
+    :data:`~repro.infer.intq.kernels.STEP_ARGS`) from ``src`` into ``dst``.
 
-    ``mode`` is ``"lshift"`` (coarser -> finer grid, exact), ``"rshift"``
-    (power-of-two downscale with round-half-up) or ``"requant"``
-    (multiplier+shift for arbitrary step ratios).
+    A LeakyReLU step (``max(x, slope*x)`` with the slope as multiplier+shift)
+    keeps its input's grid and dtype; a rescale step (an ActQuant in the
+    integer domain: ``lshift``, ``rshift`` or ``requant``) saturates onto its
+    grid and stores int32.  ``slope`` is a LeakyReLU's float slope (0 for
+    rescales); the epilogue-fusion pass reads it.
     """
 
     index: int
     src: int
     dst: int
-    mode: str
-    amount: int
-    m0: int
-    rnd: int
-    lo: int
-    hi: int
-
-    def run(self, ctx: ExecutionContext) -> None:
-        x = ctx.slots[self.src]
-        # Widen to int64 FIRST: a ufunc with an int32 array and a Python-int
-        # scalar computes in int32 (and would wrap) even with an int64 out.
-        t = ctx.buffer(self.index, "t", x.shape, np.int64)
-        np.copyto(t, x)
-        if self.mode == "lshift":
-            np.left_shift(t, self.amount, out=t)
-        elif self.mode == "rshift":
-            np.add(t, self.rnd, out=t)
-            np.right_shift(t, self.amount, out=t)
-        else:
-            np.multiply(t, self.m0, out=t)
-            np.add(t, self.rnd, out=t)
-            np.right_shift(t, self.amount, out=t)
-        np.clip(t, self.lo, self.hi, out=t)
-        out = ctx.buffer(self.index, "out", x.shape, np.int32)
-        np.copyto(out, t)
-        ctx.slots[self.dst] = out
-
-
-@dataclass
-class IntLeakyOp:
-    """LeakyReLU on a grid: negative branch via multiplier+shift.
-
-    Uses the interpreter's ``max(x, slope*x)`` trick: the requantized
-    ``(x * m0 + rnd) >> sh`` is below ``x`` for positive codes and above it
-    for negative ones, so one integer max selects the right branch.
-    """
-
-    index: int
-    src: int
-    dst: int
-    m0: int
-    rnd: int
-    sh: int
-    zero_slope: bool
-
-    def run(self, ctx: ExecutionContext) -> None:
-        x = ctx.slots[self.src]
-        out = ctx.buffer(self.index, "out", x.shape, x.dtype)
-        if self.zero_slope:
-            np.maximum(x, 0, out=out)
-        else:
-            # Widen before the multiply — int32 * Python int stays int32.
-            t = ctx.buffer(self.index, "t", x.shape, np.int64)
-            np.copyto(t, x)
-            np.multiply(t, self.m0, out=t)
-            np.add(t, self.rnd, out=t)
-            np.right_shift(t, self.sh, out=t)
-            np.maximum(x, t, out=out, casting="unsafe")
-        ctx.slots[self.dst] = out
+    step: tuple
+    slope: float = 0.0
 
 
 @dataclass
@@ -258,21 +157,6 @@ class IntMaxPoolOp:
     dst: int
     kernel: int
     stride: int
-    backend: str = "auto"
-
-    def run(self, ctx: ExecutionContext) -> None:
-        x = ctx.slots[self.src]
-        views, oh, ow = _pool_views(x, self.kernel, self.stride)
-        out = ctx.buffer(self.index, "out", x.shape[:2] + (oh, ow), x.dtype)
-
-        def run_numpy() -> None:
-            out[...] = views[0]
-            for v in views[1:]:
-                np.maximum(out, v, out=out)
-
-        if not _native_int(ctx, self, "maxpool", x, out, run_numpy):
-            run_numpy()
-        ctx.slots[self.dst] = out
 
 
 @dataclass
@@ -290,15 +174,6 @@ class IntSumPoolOp:
     stride: int
     out_dtype: str
 
-    def run(self, ctx: ExecutionContext) -> None:
-        x = ctx.slots[self.src]
-        views, oh, ow = _pool_views(x, self.kernel, self.stride)
-        out = ctx.buffer(self.index, "out", x.shape[:2] + (oh, ow), np.dtype(self.out_dtype))
-        out[...] = views[0]
-        for v in views[1:]:
-            np.add(out, v, out=out, casting="unsafe")
-        ctx.slots[self.dst] = out
-
 
 @dataclass
 class IntGapSumOp:
@@ -308,12 +183,6 @@ class IntGapSumOp:
     src: int
     dst: int
     out_dtype: str
-
-    def run(self, ctx: ExecutionContext) -> None:
-        x = ctx.slots[self.src]
-        out = ctx.buffer(self.index, "out", x.shape[:2], np.dtype(self.out_dtype))
-        np.sum(x, axis=(2, 3), out=out)
-        ctx.slots[self.dst] = out
 
 
 @dataclass
@@ -333,40 +202,12 @@ class IntAddOp:
     tf2: tuple
     out_dtype: str
 
-    def _apply(self, x: np.ndarray, tf: tuple, t: np.ndarray) -> np.ndarray:
-        mode = tf[0]
-        if mode == "id":
-            return x
-        np.copyto(t, x)  # widen to int64 before shifting/multiplying
-        if mode == "lshift":
-            np.left_shift(t, tf[1], out=t)
-            return t
-        _, m0, rnd, sh = tf
-        np.multiply(t, m0, out=t)
-        np.add(t, rnd, out=t)
-        np.right_shift(t, sh, out=t)
-        return t
-
-    def run(self, ctx: ExecutionContext) -> None:
-        a, b = ctx.slots[self.src], ctx.slots[self.src2]
-        ta = ctx.buffer(self.index, "ta", a.shape, np.int64)
-        tb = ctx.buffer(self.index, "tb", b.shape, np.int64)
-        av = self._apply(a, self.tf1, ta)
-        bv = self._apply(b, self.tf2, tb)
-        out = ctx.buffer(self.index, "out", a.shape, np.dtype(self.out_dtype))
-        np.add(av, bv, out=out, casting="unsafe")
-        ctx.slots[self.dst] = out
-
 
 @dataclass
 class IntFlattenOp:
     index: int
     src: int
     dst: int
-
-    def run(self, ctx: ExecutionContext) -> None:
-        x = ctx.slots[self.src]
-        ctx.slots[self.dst] = x.reshape(x.shape[0], -1)
 
 
 @dataclass
@@ -382,42 +223,12 @@ class IntAffineOp:
     bg: np.ndarray  # (C, 1, 1) int64 — shift in output-grid units
     out_dtype: str
 
-    def run(self, ctx: ExecutionContext) -> None:
-        x = ctx.slots[self.src]
-        t = ctx.buffer(self.index, "t", x.shape, np.int64)
-        np.multiply(x, self.m0, out=t, casting="unsafe")
-        np.add(t, self.rnd, out=t)
-        np.right_shift(t, self.sh, out=t)
-        np.add(t, self.bg, out=t)
-        out = ctx.buffer(self.index, "out", x.shape, np.dtype(self.out_dtype))
-        np.copyto(out, t)
-        ctx.slots[self.dst] = out
-
-
-def standalone_step_op(step: tuple, index: int, src: int, dst: int):
-    """The standalone op computing one epilogue step (see
-    :data:`~repro.infer.intq.kernels.STEP_ARGS`) from ``src`` into ``dst``."""
-    kind, args = step[0], dict(zip(STEP_ARGS[step[0]], step[1:]))
-    if kind == "lrelu0":
-        return IntLeakyOp(index, src, dst, 0, 0, 1, True)
-    if kind == "lrelu":
-        return IntLeakyOp(index, src, dst, args["m0"], args["rnd"], args["sh"], False)
-    return IntRescaleOp(
-        index, src, dst, kind, args["amount"], args.get("m0", 0), args.get("rnd", 0),
-        args["lo"], args["hi"],
-    )
-
-
-def _lrelu_scratch(ctx: ExecutionContext, op, shape: tuple) -> np.ndarray | None:
-    """The int64 scratch a fused ``lrelu`` step needs (None without one)."""
-    if "lrelu" not in step_struct(op.fused):
-        return None
-    return ctx.buffer(op.index, "tmp", shape, np.int64)
-
 
 @dataclass
 class IntConvOp:
     """Integer convolution: im2col + integer GEMM + requant epilogue."""
+
+    impl = "intq_gemm"  # the kernel tag in phase names and backend records
 
     index: int
     src: int
@@ -430,65 +241,18 @@ class IntConvOp:
     out_dtype: str
     flags: tuple
     consts: dict = field(repr=False)
-    backend: str = "auto"
-    #: LeakyReLU/rescale steps folded into the requant epilogue (see
-    #: :data:`repro.infer.intq.kernels.STEP_ARGS`).
-    fused: tuple = ()
-
-    def _im2col(self, ctx: ExecutionContext, x: np.ndarray, oh: int, ow: int) -> np.ndarray:
-        """The numpy path's pad + im2col columns, in the accumulator dtype."""
-        n, c, h, w = x.shape
-        k, s, p = self.kernel, self.stride, self.padding
-        mat_dt = np.dtype(self.acc_dtype)
-        if k == 1 and s == 1 and p == 0 and x.dtype == mat_dt:
-            return x.reshape(n, c, h * w)
-        if p:
-            xp = ctx.buffer(self.index, "pad", (n, c, h + 2 * p, w + 2 * p), x.dtype, zero=True)
-            xp[:, :, p:-p, p:-p] = x
-            x = xp
-        sn, sc, sh_, sw = x.strides
-        windows = as_strided(
-            x,
-            shape=(n, c, k, k, oh, ow),
-            strides=(sn, sc, sh_, sw, sh_ * s, sw * s),
-            writeable=False,
-        )
-        cols = ctx.buffer(self.index, "cols", (n, c * k * k, oh * ow), mat_dt)
-        cols.reshape(n, c, k, k, oh, ow)[...] = windows
-        return cols
-
-    def run(self, ctx: ExecutionContext) -> None:
-        x = ctx.slots[self.src]
-        n, _, h, w = x.shape
-        k, s, p = self.kernel, self.stride, self.padding
-        oh = (h + 2 * p - k) // s + 1
-        ow = (w + 2 * p - k) // s + 1
-        f = self.filters
-        out = ctx.buffer(self.index, "out", (n, f, oh * ow), np.dtype(self.out_dtype))
-
-        def run_numpy() -> None:
-            # The reference path; the native kernel pads and unrolls in C.
-            cols = self._im2col(ctx, x, oh, ow)
-            mat_dt = np.dtype(self.acc_dtype)
-            acc = ctx.buffer(self.index, "acc", (n, f, oh * ow), mat_dt)
-            acc64 = (
-                acc if mat_dt == np.int64 else ctx.buffer(self.index, "acc64", acc.shape, np.int64)
-            )
-            tmp = _lrelu_scratch(ctx, self, acc.shape)
-            kernel = bind_int_kernel(
-                "conv", (n, f, cols.shape[1], oh * ow), mat_dt, self.flags, self.consts,
-                self.fused,
-            )
-            kernel(cols, acc, acc64, out, tmp)
-
-        if not _native_int(ctx, self, "conv", x, out, run_numpy):
-            run_numpy()
-        ctx.slots[self.dst] = out.reshape(n, f, oh, ow)
+    #: The native kernels' copies of ``consts`` (see
+    #: :func:`repro.infer.native.binding.make_int_producer`), made once and
+    #: shared by every context and batch size; a benign race like
+    #: ``ConvOp.dead_maps``.
+    native_consts: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass
 class IntLinearOp:
     """Integer affine map: integer GEMM + requant epilogue."""
+
+    impl = "intq_gemm"
 
     index: int
     src: int
@@ -498,35 +262,7 @@ class IntLinearOp:
     out_dtype: str
     flags: tuple
     consts: dict = field(repr=False)
-    backend: str = "auto"
-    #: LeakyReLU/rescale steps folded into the requant epilogue.
-    fused: tuple = ()
-
-    def run(self, ctx: ExecutionContext) -> None:
-        x = ctx.slots[self.src]
-        mat_dt = np.dtype(self.acc_dtype)
-        if x.dtype != mat_dt:
-            xb = ctx.buffer(self.index, "xin", x.shape, mat_dt)
-            np.copyto(xb, x)
-            x = xb
-        n, f = x.shape[0], self.filters
-        out = ctx.buffer(self.index, "out", (n, f), np.dtype(self.out_dtype))
-        xin = x
-
-        def run_numpy() -> None:
-            acc = ctx.buffer(self.index, "acc", (n, f), mat_dt)
-            acc64 = (
-                acc if mat_dt == np.int64 else ctx.buffer(self.index, "acc64", acc.shape, np.int64)
-            )
-            tmp = _lrelu_scratch(ctx, self, acc.shape)
-            kernel = bind_int_kernel(
-                "linear", (n, f, xin.shape[1]), mat_dt, self.flags, self.consts, self.fused
-            )
-            kernel(xin, acc, acc64, out, tmp)
-
-        if not _native_int(ctx, self, "linear", xin, out, run_numpy):
-            run_numpy()
-        ctx.slots[self.dst] = out
+    native_consts: dict = field(default_factory=dict, repr=False)
 
 
 # -- the program ---------------------------------------------------------------
@@ -535,11 +271,13 @@ class IntLinearOp:
 class IntQProgram:
     """A plan's integer-only twin: op list, grids and measured op counts.
 
-    Built by :func:`build_intq_program`; executed by
-    :meth:`~repro.infer.plan.ExecutionPlan.execute` when the plan was
-    compiled with ``PlanConfig(dtype="int8")``.  The program is bound to
-    the input spatial shape it was calibrated on (per-layer grids and
-    dead-input maps are shape-specific); batch size is free.
+    Built by :func:`build_intq_program`.  When the plan was compiled with
+    ``PlanConfig(dtype="int8")``, :meth:`~repro.infer.plan.ExecutionPlan.execute`
+    traces ``ops`` into the same IR as a float plan and runs the optimized
+    program (:mod:`repro.infer.trace` / :mod:`repro.infer.fuse`).  The
+    program is bound to the input spatial shape it was calibrated on
+    (per-layer grids and dead-input maps are shape-specific); batch size is
+    free.
     """
 
     def __init__(
@@ -562,25 +300,6 @@ class IntQProgram:
         #: against the exact same calibration batch.
         self.calibration_images = calibration_images
 
-    def run(self, x: np.ndarray, ctx: ExecutionContext) -> np.ndarray:
-        """Execute one NCHW batch; returns float64 logits (context-owned)."""
-        shape = tuple(np.shape(x))
-        if len(shape) != 4 or shape[1:] != self.input_chw:
-            raise ShapeError(
-                f"int8 plan was calibrated for inputs of shape (N, {', '.join(map(str, self.input_chw))}); "
-                f"got {shape} — rebuild the plan for this input size"
-            )
-        ctx.slots[0] = np.asarray(x, dtype=np.float64)
-        profiler = active_profiler()
-        if profiler is None:
-            for op in self.ops:
-                op.run(ctx)
-        else:
-            for op in self.ops:
-                with profiler.phase(f"intq{op.index - _INDEX_BASE}:{type(op).__name__}"):
-                    op.run(ctx)
-        return ctx.slots[self.out_slot]
-
     def summary_block(self) -> dict:
         """The ``"intq"`` section of ``ExecutionPlan.summary()``."""
         totals = {"shift_ops": 0, "add_ops": 0, "int_mult_ops": 0, "requant_mult_ops": 0}
@@ -590,7 +309,7 @@ class IntQProgram:
         return {
             "enabled": True,
             "mid_bits": MID_BITS,
-            "ops": len(self.ops),
+            "ops": len(self.ops),  # as lowered, before epilogue fusion
             "layers": self.layers,
             "totals_per_image": totals,
             "calibration": self.calibration,
@@ -610,16 +329,13 @@ class _IntQBuilder:
         self.ops: list = []
         self.layers: list[dict] = []
         self.bindings = {b.op_index: b for b in plan.bindings}
-        #: Plan ops reading each slot, and the ops folded into a producer.
-        self.readers: dict[int, list] = {}
-        self.consumed: set[int] = set()
-        #: Backend of every op with a C kernel: native whenever a toolchain
-        #: is present, unless the config asks for numpy.  Each op's
-        #: first-call parity check against the numpy path still guards it.
+        #: Backend every int conv/linear binds: native whenever a toolchain
+        #: is present, unless the config asks for numpy.  Each kernel's
+        #: first-call byte check against the numpy path still guards it.
         self.backend = bound_backend(self.config.backend)
 
     def _next_index(self) -> int:
-        return _INDEX_BASE + len(self.ops)
+        return len(self.ops)
 
     def calibrate(self) -> None:
         """Run the float ops once, recording every slot's shape and range."""
@@ -651,10 +367,7 @@ class _IntQBuilder:
         fmt = fixed_point_format_for([self.stats[src]["max_abs"]], bits=MID_BITS)
         half = 2 ** (fmt.bits - 1)
         self.ops.append(
-            IntQuantizeOp(
-                self._next_index(), src, src, 1.0 / fmt.step, -half, half - 1,
-                self.backend,
-            )
+            IntQuantizeOp(self._next_index(), src, src, 1.0 / fmt.step, -half, half - 1)
         )
         spec = GridSpec(fmt.step, half)
         self.spec[src] = spec
@@ -664,12 +377,6 @@ class _IntQBuilder:
 
     def lower(self) -> None:
         for op in self.plan.ops:
-            for slot in (op.src, getattr(op, "src2", None)):
-                if slot is not None:
-                    self.readers.setdefault(slot, []).append(op)
-        for op in self.plan.ops:
-            if id(op) in self.consumed:
-                continue
             if isinstance(op, ConvOp):
                 self._lower_matmul(op, linear=False)
             elif isinstance(op, LinearOp):
@@ -681,10 +388,7 @@ class _IntQBuilder:
             elif isinstance(op, MaxPoolOp):
                 spec = self._grid_input(op.src)
                 self.ops.append(
-                    IntMaxPoolOp(
-                        self._next_index(), op.src, op.dst, op.kernel, op.stride,
-                        self.backend,
-                    )
+                    IntMaxPoolOp(self._next_index(), op.src, op.dst, op.kernel, op.stride)
                 )
                 self.spec[op.dst] = spec
             elif isinstance(op, AvgPoolOp):
@@ -734,20 +438,17 @@ class _IntQBuilder:
             # interpreter's rint/clip.
             half = int(op.half)
             self.ops.append(
-                IntQuantizeOp(
-                    self._next_index(), op.src, op.dst, 1.0 / op.step, -half, half - 1,
-                    self.backend,
-                )
+                IntQuantizeOp(self._next_index(), op.src, op.dst, 1.0 / op.step, -half, half - 1)
             )
             self.spec[op.dst] = GridSpec(op.step, half)
             return
         step, self.spec[op.dst] = self._rescale_step(op, self.spec[op.src])
-        self.ops.append(standalone_step_op(step, self._next_index(), op.src, op.dst))
+        self.ops.append(IntStepOp(self._next_index(), op.src, op.dst, step))
 
     def _lower_leaky(self, op: LeakyReluOp) -> None:
         self.spec[op.dst] = self._grid_input(op.src)
         self.ops.append(
-            standalone_step_op(self._leaky_step(op), self._next_index(), op.src, op.dst)
+            IntStepOp(self._next_index(), op.src, op.dst, self._leaky_step(op), float(op.slope))
         )
 
     @staticmethod
@@ -773,33 +474,6 @@ class _IntQBuilder:
             return ("lrelu0",)
         m0, sh = quantize_multiplier(float(op.slope), RQ_BITS_MAX)
         return ("lrelu", int(m0), 1 << (sh - 1), int(sh))
-
-    def _fuse_chain(self, slot: int, spec: GridSpec) -> tuple[tuple, int, GridSpec]:
-        """Fold the LeakyReLU/ActQuant ops reading ``slot`` into its producer.
-
-        A step folds only when the slot it reads has exactly one reader and
-        is not the plan output, so the skipped intermediate is never needed.
-        Each folded step's ops are marked consumed, so :meth:`lower` skips
-        them.  Returns the steps, the slot the producer now writes, and that
-        slot's grid.
-        """
-        self.spec[slot] = spec
-        steps: list[tuple] = []
-        while slot != self.plan.out_slot and len(self.readers.get(slot, ())) == 1:
-            reader = self.readers[slot][0]
-            if isinstance(reader, LeakyReluOp) and abs(reader.slope) <= 1.0:
-                # |slope| <= 1 keeps the negative branch inside the input
-                # bound, which the standalone op's narrowing store relies on.
-                steps.append(self._leaky_step(reader))
-            elif isinstance(reader, ActQuantOp):
-                step, spec = self._rescale_step(reader, spec)
-                steps.append(step)
-            else:
-                break
-            self.consumed.add(id(reader))
-            slot = reader.dst
-            self.spec[slot] = spec
-        return tuple(steps), slot, spec
 
     def _lower_add(self, op: AddOp) -> None:
         s1, s2 = self._grid_input(op.src), self._grid_input(op.src2)
@@ -903,7 +577,8 @@ class _IntQBuilder:
         bound_out = int(math.ceil(bound_acc * m_abs_max)) + int(np.abs(gb).max(initial=0)) + 1
         if dmap is not None:
             bound_out += int(np.abs(dmap).max(initial=0))
-        fused, dst, out_spec = self._fuse_chain(op.dst, GridSpec(step_out, bound_out))
+        out_spec = GridSpec(step_out, bound_out)
+        self.spec[op.dst] = out_spec
 
         flags = []
         if dmap is not None:
@@ -930,14 +605,13 @@ class _IntQBuilder:
         index = self._next_index()
         if linear:
             int_op = IntLinearOp(
-                index, op.src, dst, f, str(acc_dt), str(out_spec.dtype), flags, consts,
-                self.backend, fused,
+                index, op.src, op.dst, f, str(acc_dt), str(out_spec.dtype), flags, consts
             )
             out_positions = 1
         else:
             int_op = IntConvOp(
-                index, op.src, dst, op.kernel, op.stride, op.padding, f, str(acc_dt),
-                str(out_spec.dtype), flags, consts, self.backend, fused,
+                index, op.src, op.dst, op.kernel, op.stride, op.padding, f, str(acc_dt),
+                str(out_spec.dtype), flags, consts,
             )
             out_positions = int(out_shape[2] * out_shape[3])
         self.ops.append(int_op)
@@ -959,8 +633,8 @@ class _IntQBuilder:
             "scale_in": spec_in.step,
             "scale_out": step_out,
             "zero_point": 0,
-            "backend": int_op.backend,
-            "fused": list(step_struct(fused)),
+            "backend": self.backend,
+            "fused": [],  # filled from the epilogue-fusion pass, see build_intq_program
         }
         self.layers.append(record)
 
@@ -999,7 +673,7 @@ def build_intq_program(
     builder = _IntQBuilder(plan, images)
     builder.calibrate()
     builder.lower()
-    return IntQProgram(
+    program = IntQProgram(
         ops=builder.ops,
         out_slot=plan.out_slot,
         input_chw=tuple(images.shape[1:]),
@@ -1011,3 +685,12 @@ def build_intq_program(
         },
         calibration_images=images,
     )
+    # Report the steps the shared IR pass folds into each conv/linear (the
+    # fold is structural, so any traced input shape gives the same answer).
+    from repro.infer.fuse import fused_steps
+
+    fused = fused_steps(program)
+    matmuls = [op for op in program.ops if isinstance(op, (IntConvOp, IntLinearOp))]
+    for layer, op in zip(builder.layers, matmuls):
+        layer["fused"] = list(step_struct(fused.get(op.index, ())))
+    return program

@@ -358,6 +358,19 @@ def _native_make(maker: str, *args):
         return None
 
 
+def _bind_backend(backend: str, thunk, record, maker: str = "", *args):
+    """The native kernel ``maker`` binds over ``args`` when ``backend`` is
+    ``"native"`` and it does not decline, else the numpy ``thunk``;
+    ``record`` notes a numpy choice (the native binding notes its own)."""
+    if backend == "native" and maker:
+        native = _native_make(maker, *args)
+        if native is not None:
+            return native
+    if record is not None:
+        record.setdefault("backend", "numpy")
+    return thunk
+
+
 # -- source emission ----------------------------------------------------------
 
 
@@ -420,15 +433,18 @@ def _make(spec: KernelSpec, args: dict, lines: list[str]):
 class ScratchReq:
     """One scratch buffer a kernel needs, shapes *without* the batch dim.
 
-    ``dedicated`` buffers are excluded from register reuse and zeroed once
-    at bind (the conv pad buffer relies on a permanently-zero border, like
-    ``ExecutionContext.buffer(zero=True)``).
+    ``dedicated`` buffers are excluded from register reuse and ``zero``
+    ones are zeroed once at bind (the conv pad buffer relies on a
+    permanently-zero border, like ``ExecutionContext.buffer(zero=True)``).
+    ``dtype`` defaults to the node's output dtype; the int8 kernels name
+    theirs (accumulators, int64 widening, the quantize's float64 temp).
     """
 
     name: str
     tail: tuple
     dedicated: bool = False
     zero: bool = False
+    dtype: str = ""
 
 
 def epilogue_scratch(epilogue, out_tail: tuple) -> list[ScratchReq]:
@@ -481,12 +497,14 @@ def _conv_views(op, x, scratch: dict):
 
     Returns ``(setup_lines, args, cols_name)`` — the data-movement lines and
     bound views feeding the GEMM, exactly as ``ConvOp.run`` arranges them.
+    A 1x1 conv reads ``x`` in place unless ``scratch`` has ``cols`` (an int8
+    conv whose codes need casting to its accumulator dtype).
     """
     nb, c, h, w = x.shape
     k, s, p = op.kernel, op.stride, op.padding
     oh = (h + 2 * p - k) // s + 1
     ow = (w + 2 * p - k) // s + 1
-    if k == 1 and s == 1 and p == 0:
+    if k == 1 and s == 1 and p == 0 and "cols" not in scratch:
         return [], {"cols": x.reshape(nb, c, h * w)}, "cols"
     if p:
         pad = scratch["pad"]
@@ -621,15 +639,10 @@ def bind_producer(
         extra=tuple(extra),
     )
     thunk = _make(spec, args, lines)
-    if backend == "native":
-        native = _native_make(
-            "make_producer", kind, op, x, out, scratch, impl, sig, spec, thunk, record
-        )
-        if native is not None:
-            return native
-    if record is not None:
-        record.setdefault("backend", "numpy")
-    return thunk
+    return _bind_backend(
+        backend, thunk, record, "make_producer", kind, op, x, out, scratch, impl, sig, spec,
+        thunk, record,
+    )
 
 
 # -- elementwise chains (standalone LeakyReLU / ActQuant / Affine) ------------
@@ -714,15 +727,10 @@ def bind_eltwise(
         epilogue=(sig_head,) + sig_rest,
     )
     thunk = _make(spec, args, lines)
-    if backend == "native":
-        native = _native_make(
-            "make_eltwise", (sig_head,) + sig_rest, x, out, spec, thunk, record
-        )
-        if native is not None:
-            return native
-    if record is not None:
-        record.setdefault("backend", "numpy")
-    return thunk
+    return _bind_backend(
+        backend, thunk, record, "make_eltwise", (sig_head,) + sig_rest, x, out, spec, thunk,
+        record,
+    )
 
 
 # -- pools / gap / add --------------------------------------------------------
@@ -740,7 +748,9 @@ def bind_pool(
     backend: str = "numpy",
     record: dict | None = None,
 ):
-    """Max/avg pool with the ``k*k`` shifted window views prebound."""
+    """Max/avg pool with the ``k*k`` shifted window views prebound.  At an
+    integer ``dtype`` the avg pool is the int8 program's exact window sum:
+    no ``1/k**2`` multiply (it is folded into the next grid's step)."""
     oh = (x.shape[2] - kernel) // stride + 1
     ow = (x.shape[3] - kernel) // stride + 1
     args: dict = {"out": out}
@@ -755,7 +765,7 @@ def bind_pool(
     reducer = "np.maximum(out, {v}, out=out)" if pool_kind == "maxpool" else "np.add(out, {v}, out=out)"
     for v in names[1:]:
         lines.append(reducer.format(v=v))
-    if pool_kind == "avgpool":
+    if pool_kind == "avgpool" and np.dtype(dtype).kind == "f":
         lines.append(f"np.multiply(out, {repr(1.0 / (kernel * kernel))}, out=out)")
     sig = _epilogue_sig(epilogue)
     etmps = sorted(n for n in scratch if n.startswith("etmp"))
@@ -772,15 +782,10 @@ def bind_pool(
         extra=(len(names),),
     )
     thunk = _make(spec, args, lines)
-    if backend == "native":
-        native = _native_make(
-            "make_pool", pool_kind, kernel, stride, x, out, sig, spec, thunk, record
-        )
-        if native is not None:
-            return native
-    if record is not None:
-        record.setdefault("backend", "numpy")
-    return thunk
+    return _bind_backend(
+        backend, thunk, record, "make_pool", pool_kind, kernel, stride, x, out, sig, spec,
+        thunk, record,
+    )
 
 
 def bind_gap(
@@ -792,8 +797,11 @@ def bind_gap(
     backend: str = "numpy",
     record: dict | None = None,
 ):
+    """Global average pool; at an integer ``dtype`` the int8 program's exact
+    spatial sum (its ``1/(H*W)`` is folded into the next grid's step)."""
     args: dict = {"x": x, "out": out}
-    lines = ["np.mean(x, axis=(2, 3), out=out)"]
+    reduce = "mean" if np.dtype(dtype).kind == "f" else "sum"
+    lines = [f"np.{reduce}(x, axis=(2, 3), out=out)"]
     sig = _epilogue_sig(epilogue)
     etmps = sorted(n for n in scratch if n.startswith("etmp"))
     for name in etmps:
@@ -803,13 +811,7 @@ def bind_gap(
         kind="gap", impl="", shape=tuple(x.shape[1:]), dtype=str(dtype), flags=(), epilogue=sig
     )
     thunk = _make(spec, args, lines)
-    if backend == "native":
-        native = _native_make("make_gap", x, out, sig, spec, thunk, record)
-        if native is not None:
-            return native
-    if record is not None:
-        record.setdefault("backend", "numpy")
-    return thunk
+    return _bind_backend(backend, thunk, record, "make_gap", x, out, sig, spec, thunk, record)
 
 
 def bind_add(
@@ -833,13 +835,7 @@ def bind_add(
         kind="add", impl="", shape=tuple(a.shape[1:]), dtype=str(dtype), flags=(), epilogue=sig
     )
     thunk = _make(spec, args, lines)
-    if backend == "native":
-        native = _native_make("make_add", a, b, out, sig, spec, thunk, record)
-        if native is not None:
-            return native
-    if record is not None:
-        record.setdefault("backend", "numpy")
-    return thunk
+    return _bind_backend(backend, thunk, record, "make_add", a, b, out, sig, spec, thunk, record)
 
 
 # -- autotune support ---------------------------------------------------------

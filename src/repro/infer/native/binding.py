@@ -1,12 +1,15 @@
 """Bind generated C kernels over the same arrays the numpy codegen uses.
 
-This is the bridge between :mod:`repro.infer.kernels` (which owns specs,
-scratch planning and the numpy thunks) and the C side (:mod:`.codegen` /
-:mod:`.toolchain` / :mod:`.blas`).  Each ``make_*`` function receives the
-already-bound numpy kernel plus every array the fused node touches, and
-returns a callable drop-in replacement — or ``None`` when the native
-backend must decline (no toolchain, no verifiable BLAS, an epilogue step
-with no C lowering, a non-contiguous view, a non-float64 dtype).
+This is the bridge between :mod:`repro.infer.kernels` /
+:mod:`repro.infer.intq.kernels` (which own specs, scratch planning and the
+numpy thunks) and the C side (:mod:`.codegen` / :mod:`.toolchain` /
+:mod:`.blas`).  Each ``make_*`` function — float64 nodes and, as
+``make_int_*``, the int8 program's conv, linear, max-pool and input
+quantize — receives the already-bound numpy kernel plus every array the
+fused node touches, and returns a callable drop-in replacement — or
+``None`` when the native backend must decline (no toolchain, no
+verifiable BLAS, an epilogue step with no C lowering, a non-contiguous
+view, a dtype with no C kernel).
 
 Fallback ladder (cheapest exit first):
 
@@ -21,7 +24,8 @@ Fallback ladder (cheapest exit first):
    :class:`~.toolchain.NativeUnavailable` and turn into a decline.
 
 The parity check costs one extra kernel execution and one output copy per
-bound thunk per process — amortized to nothing over a serving lifetime,
+bound float thunk, and per (context, op) for an int8 kernel (see
+:func:`_checked`) — amortized to nothing over a serving lifetime,
 and it is what lets ``backend="auto"`` default to on: a miscompiled or
 exotic-platform kernel demotes itself instead of corrupting results.
 """
@@ -45,7 +49,9 @@ __all__ = [
     "make_pool",
     "make_gap",
     "make_add",
-    "run_int_op",
+    "make_int_producer",
+    "make_int_maxpool",
+    "make_int_quantize",
 ]
 
 logger = logging.getLogger("repro.infer.native")
@@ -181,14 +187,37 @@ def _native_fn(spec, source: str):
 # -- the first-call parity check ----------------------------------------------
 
 
-def _checked(native_call, numpy_thunk, out: np.ndarray, inputs: list, record, key):
+def _note(record, passed: bool) -> None:
+    if record is not None:
+        record["backend"] = "native" if passed else "numpy"
+        if not passed:
+            record["native_check_failed"] = True
+
+
+def _checked(native_call, numpy_thunk, out: np.ndarray, inputs: list, record, key, memo=None):
     """Wrap ``native_call`` so its first invocation self-verifies bitwise.
 
     ``inputs`` are the arrays the numpy thunk *reads*; any that share
     memory with ``out`` (the in-place elementwise case, or register
     aliasing) are snapshotted before the native run and restored before
     the numpy re-run.
+
+    A float kernel is checked once per bound program.  An int8 kernel
+    passes ``memo = (verdicts, op)``, its context's
+    :attr:`~repro.infer.plan.ExecutionContext.verdicts`: the verdict is
+    kept per (context, op), so rebinding the op for another batch size
+    pins at once instead of re-running its numpy reference, which is
+    several times slower than the C kernel.
     """
+    _count("bound")
+    if memo is not None:
+        verdicts, op = memo
+        seen = verdicts.get(op.index)
+        if seen is not None and seen[0] is op:
+            _note(record, seen[1])
+            return native_call if seen[1] else numpy_thunk
+    if record is not None:
+        record["backend"] = "native"
     aliased = [a for a in inputs if np.shares_memory(a, out)]
     state: list = [None]  # None = unchecked, else the pinned callable
 
@@ -199,16 +228,13 @@ def _checked(native_call, numpy_thunk, out: np.ndarray, inputs: list, record, ke
         for a, s in zip(aliased, saved):
             a[...] = s
         numpy_thunk()
-        if np.array_equal(snap.view(np.uint8), out.view(np.uint8)):
-            state[0] = native_call
-            if record is not None:
-                record["backend"] = "native"
-        else:
-            state[0] = numpy_thunk
+        passed = np.array_equal(snap.view(np.uint8), out.view(np.uint8))
+        state[0] = native_call if passed else numpy_thunk
+        _note(record, passed)
+        if memo is not None:
+            memo[0][memo[1].index] = (memo[1], passed)
+        if not passed:
             _count("check_failures")
-            if record is not None:
-                record["backend"] = "numpy"
-                record["native_check_failed"] = True
             _log_once(
                 ("check", key),
                 "native kernel %s failed the bitwise parity self-check; "
@@ -362,9 +388,6 @@ def make_producer(kind, op, x, out, scratch, impl, sig, spec, numpy_thunk, recor
         fn = _native_fn(spec, source)
     except toolchain.NativeUnavailable as err:
         return _decline((kind, "compile"), str(err))
-    _count("bound")
-    if record is not None:
-        record["backend"] = "native"
     call = _pack_call(fn, arrays, dims, scalars)
     return _checked(call, numpy_thunk, out, [x], record, f"{kind}/{impl}")
 
@@ -395,9 +418,6 @@ def make_pool(pool_kind, kernel, stride, x, out, sig, spec, numpy_thunk, record)
         )
     except toolchain.NativeUnavailable as err:
         return _decline((pool_kind, "compile"), str(err))
-    _count("bound")
-    if record is not None:
-        record["backend"] = "native"
     call = _pack_call(fn, [x, out], dims, scalars)
     return _checked(call, numpy_thunk, out, [x], record, pool_kind)
 
@@ -419,9 +439,6 @@ def make_gap(x, out, sig, spec, numpy_thunk, record):
         fn = _native_fn(spec, codegen.gap_source(epi, consts=consts))
     except toolchain.NativeUnavailable as err:
         return _decline(("gap", "compile"), str(err))
-    _count("bound")
-    if record is not None:
-        record["backend"] = "native"
     call = _pack_call(fn, [x, out], [nb, c, h * w], scalars)
     return _checked(call, numpy_thunk, out, [x], record, "gap")
 
@@ -441,9 +458,6 @@ def make_add(a, b, out, sig, spec, numpy_thunk, record):
         fn = _native_fn(spec, codegen.add_source(epi))
     except toolchain.NativeUnavailable as err:
         return _decline(("add", "compile"), str(err))
-    _count("bound")
-    if record is not None:
-        record["backend"] = "native"
     call = _pack_call(fn, [a, b, out], [a.size], scalars)
     return _checked(call, numpy_thunk, out, [a, b], record, "add")
 
@@ -465,31 +479,11 @@ def make_eltwise(chain_sig, x, out, spec, numpy_thunk, record):
         fn = _native_fn(spec, codegen.eltwise_source(struct))
     except toolchain.NativeUnavailable as err:
         return _decline(("eltwise", "compile"), str(err))
-    _count("bound")
-    if record is not None:
-        record["backend"] = "native"
     call = _pack_call(fn, [x, out], [x.size], scalars)
     return _checked(call, numpy_thunk, out, [x], record, "eltwise")
 
 
 # -- integer ops (intq) -------------------------------------------------------
-
-#: Scratch roles of the integer ops' numpy path (reference kernels and the
-#: conv's pad/im2col), released once the op's native kernel passes its
-#: parity check: the native path never touches them again.
-NUMPY_SCRATCH = ("pad", "cols", "acc", "acc64", "tmp")
-
-
-def _int_entry(ctx, op):
-    """Per-context cached native state for one integer op (ops are plain
-    picklable dataclasses, so the invoker state lives on the context)."""
-    cache = ctx.__dict__.setdefault("_native_int", {})
-    entry = cache.get(op.index)
-    if entry is not None and entry.get("op") is op:
-        return entry
-    entry = {"op": op, "mode": None, "fn": None, "consts": None, "call": None}
-    cache[op.index] = entry
-    return entry
 
 
 def _nan_code(dtype) -> int:
@@ -498,169 +492,140 @@ def _nan_code(dtype) -> int:
         return int(np.array([np.nan]).astype(dtype)[0])
 
 
-def _int_bind(kind: str, op, x: np.ndarray, out: np.ndarray):
-    """(spec, C source, prepared constants) for one integer op, or ``None``
-    when its dtypes have no native kernel."""
+def _int_codes(*arrays) -> bool:
+    return all(a.dtype in (np.int32, np.int64) and a.flags.c_contiguous for a in arrays)
+
+
+def _int_consts(op, variant: str) -> dict:
+    """``op``'s constants in the layout the C kernel reads, cached on the op
+    (every context and batch size binds the same arrays; converting W to
+    float64 for dgemm is the one real copy)."""
+    cached = op.native_consts.get(variant)
+    if cached is None:
+        consts = op.consts
+        w_dt = np.float64 if variant == "blas" else np.dtype(op.acc_dtype)
+        cached = {
+            "W": _const(consts["W"], w_dt),
+            "M0": _const(consts["M0"], np.int64),
+            "RND": _const(consts["RND"], np.int64),
+            "SH": _const(consts["SH"], np.int64),
+            "DMAP": _const(consts["DMAP"], np.int64) if "dead" in op.flags else None,
+            "GB": _const(consts["GB"], np.int64) if "gb" in op.flags else None,
+        }
+        op.native_consts[variant] = cached
+    return cached
+
+
+def make_int_producer(kind, op, x, out, steps, numpy_thunk, record, verdicts):
+    """Native int conv/linear over the node's arrays, or ``None``.
+
+    ``x`` is the conv's NCHW codes (padded and unrolled in C, one sample at
+    a time, into scratch private to this thunk) or the linear's codes
+    already in the accumulator dtype; ``steps`` are the epilogue steps the
+    IR folded in.  The int32-accumulator bracket runs dgemm when a
+    verifiable BLAS is present (exact: every product and partial sum is an
+    integer below 2**31), else plain C MAC loops.  Checked once per
+    (context, op) through ``verdicts``.
+    """
     from repro.infer.intq.kernels import step_struct
     from repro.infer.kernels import KernelSpec
 
-    if kind == "maxpool":
-        if x.dtype not in (np.int32, np.int64) or out.dtype != x.dtype:
-            return None
-        ct = "int32_t" if x.dtype == np.int32 else "int64_t"
-        spec = KernelSpec("intmaxpool", "", (), str(x.dtype), (), (), (op.kernel,))
-        return spec, codegen.pool_source((), op.kernel, ct=ct), {}
-    if kind == "quantize":
-        if x.dtype != np.float64 or out.dtype != np.int32 or not (
-            -(2**31) <= op.lo <= op.hi < 2**31
-        ):
-            return None
-        spec = KernelSpec("intquantize", "", (), "float64", (), ())
-        return spec, codegen.eltwise_source(("aq",), "int32_t"), {"nan": _nan_code(np.int32)}
-    acc_dt = np.dtype(op.acc_dtype)
-    if x.dtype not in (np.int32, np.int64) or (kind == "linear" and x.dtype != acc_dt):
+    if not available():
         return None
+    key = ("int" + kind, "layout")
+    acc_dt = np.dtype(op.acc_dtype)
+    if not _int_codes(x, out) or (kind == "linear" and x.dtype != acc_dt):
+        return _decline(key, "input/output not contiguous codes in a kernel dtype")
     bslots = _blas_slots()
     variant = "blas" if acc_dt == np.int32 and bslots is not None else "loops"
+    consts = _int_consts(op, variant)
+    flags = tuple(sorted(op.flags)) + (("out32",) if out.dtype == np.int32 else ())
+    fused = step_struct(steps)
     ctype = "int32_t" if acc_dt == np.int32 else "int64_t"
     xtype = "int32_t" if x.dtype == np.int32 else "int64_t"
-    consts = op.consts
-    prepared = {
-        "M0": _const(consts["M0"], np.int64),
-        "RND": _const(consts["RND"], np.int64),
-        "SH": _const(consts["SH"], np.int64),
-        "DMAP": _const(consts["DMAP"], np.int64) if "dead" in op.flags else None,
-        "GB": _const(consts["GB"], np.int64) if "gb" in op.flags else None,
-        "variant": variant,
-    }
-    if variant == "blas":
-        prepared["W"] = _const(consts["W"], np.float64)
-        prepared["blas"] = bslots
-    else:
-        prepared["W"] = _const(consts["W"], acc_dt)
-    flags = tuple(sorted(op.flags)) + (("out32",) if out.dtype == np.int32 else ())
-    fused = step_struct(op.fused)
-    spec = KernelSpec(
-        kind=f"int{kind}",
-        impl=variant,
-        shape=(),
-        dtype=str(acc_dt),
-        flags=flags,
-        epilogue=(("rq", *fused),),
-        extra=(xtype,),
-    )
     ilp64 = blas.blas_info()["ilp64"] if variant == "blas" else True
-    if kind == "conv":
-        src = codegen.int_conv_source(variant, ilp64, ctype, flags, fused, xtype)
-    else:
-        src = codegen.int_linear_source(variant, ilp64, ctype, flags, fused)
-    return spec, src, prepared
-
-
-def _int_args(ctx, kind: str, op, consts: dict, x: np.ndarray, out: np.ndarray):
-    """(arrays, dims, scalars) of one call; the native scratch comes from
-    ``ctx`` under its own roles, so it never aliases the numpy path's."""
-    if kind == "maxpool":
-        nb, c, h, w = x.shape
-        k, s = op.kernel, op.stride
-        dims = [nb, c, h, w, k, s, (h - k) // s + 1, (w - k) // s + 1, 0]
-        return [x, out], dims, []
-    if kind == "quantize":
-        return [x, out], [x.size, consts["nan"]], [op.inv_step, op.lo, op.hi, 1.0]
+    spec = KernelSpec(
+        kind=f"int{kind}", impl=variant, shape=(), dtype=str(acc_dt), flags=flags,
+        epilogue=(("rq", *fused),), extra=(xtype,),
+    )
+    try:
+        if kind == "conv":
+            source = codegen.int_conv_source(variant, ilp64, ctype, flags, fused, xtype)
+        else:
+            source = codegen.int_linear_source(variant, ilp64, ctype, flags, fused)
+        fn = _native_fn(spec, source)
+    except toolchain.NativeUnavailable as err:
+        return _decline(("int" + kind, "compile"), str(err))
     f = op.filters
-    step_dims = [int(v) for step in op.fused for v in step[1:]]
     tail = [consts["M0"], consts["RND"], consts["SH"], consts["DMAP"], consts["GB"], out]
-    blas_variant = consts["variant"] == "blas"
     if kind == "conv":
         nb, c, h, w = x.shape
         k, s, p = op.kernel, op.stride, op.padding
         oh, ow = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
         ckk, length = c * k * k, oh * ow
-        if consts["W"].shape != (f, ckk) or out.size != nb * f * length or (
-            consts["DMAP"] is not None and consts["DMAP"].size != f * length
-        ):
-            raise ValueError(f"int conv {op.index}: input {x.shape} does not fit its weights")
         dims = [nb, c, h, w, k, s, p, f, ckk, length, oh, ow]
-        ct = np.float64 if blas_variant else np.dtype(op.acc_dtype)
-        pad = ctx.buffer(op.index, "natpad", (c, h + 2 * p, w + 2 * p), ct, zero=True)
-        cols = ctx.buffer(op.index, "natcols", (ckk, length), ct)
-        if blas_variant:
-            accf = ctx.buffer(op.index, "nataccf", (f, length), np.float64)
-            arrays = [*consts["blas"], x, consts["W"], pad, cols, accf, *tail]
+        ct = np.float64 if variant == "blas" else acc_dt
+        pad = np.zeros((c, h + 2 * p, w + 2 * p), ct)
+        cols = np.empty((ckk, length), ct)
+        if variant == "blas":
+            accf = np.empty((f, length), np.float64)
+            arrays = [*bslots, x, consts["W"], pad, cols, accf, *tail]
         else:
-            acc = ctx.buffer(op.index, "natacc", (f, length), np.int64)
+            acc = np.empty((f, length), np.int64)
             arrays = [x, consts["W"], pad, cols, acc, *tail]
     else:
         nb, in_f = x.shape
-        if consts["W"].shape != (in_f, f) or out.size != nb * f:
-            raise ValueError(f"int linear {op.index}: input {x.shape} does not fit its weights")
         dims = [nb, in_f, f]
-        if blas_variant:
-            xf = ctx.buffer(op.index, "natxf", (nb, in_f), np.float64)
-            accf = ctx.buffer(op.index, "nataccf", (nb, f), np.float64)
-            arrays = [*consts["blas"], x, consts["W"], xf, accf, *tail]
+        if variant == "blas":
+            xf = np.empty((nb, in_f), np.float64)
+            accf = np.empty((nb, f), np.float64)
+            arrays = [*bslots, x, consts["W"], xf, accf, *tail]
         else:
-            row = ctx.buffer(op.index, "natrow", (f,), np.int64)
-            arrays = [x, consts["W"], row, *tail]
-    return arrays, dims + step_dims, []
+            arrays = [x, consts["W"], np.empty(f, np.int64), *tail]
+    dims += [int(v) for step in steps for v in step[1:]]
+    call = _pack_call(fn, arrays, dims, [])
+    return _checked(call, numpy_thunk, out, [x], record, f"int{kind}", (verdicts, op))
 
 
-def run_int_op(ctx, op, kind: str, x: np.ndarray, out: np.ndarray, numpy_run) -> bool:
-    """Run one integer op natively; ``True`` iff ``out`` is filled.
+def make_int_maxpool(op, x, out, numpy_thunk, record, verdicts):
+    """Native int max-pool over the NCHW codes (the float pool's emitter at
+    the codes' element type), or ``None``."""
+    if not available():
+        return None
+    if not _int_codes(x, out) or out.dtype != x.dtype:
+        return _decline(("intmaxpool", "layout"), "input/output not contiguous codes")
+    from repro.infer.kernels import KernelSpec
 
-    ``kind`` is ``conv`` (``x``: the NCHW activation codes, padded and
-    unrolled in C), ``linear`` (the activation matrix in the accumulator
-    dtype), ``maxpool`` (NCHW codes) or ``quantize`` (the float64 input).
-    The first call per (context, op) runs the parity check against
-    ``numpy_run``; a mismatch pins the op to numpy (returning ``False`` on
-    later calls so the caller's numpy path runs), a match frees the op's
-    numpy-path scratch.  The packed C argument blocks are kept per
-    (context, op) and rebuilt only when the input shape or an input/output
-    address changes; ``ctx.buffer`` returns the same arrays for the same
-    shape, and the packed call pins the arrays it points at, so an
-    unchanged address is the same memory.
-    """
-    entry = _int_entry(ctx, op)
-    if entry["mode"] == "numpy" or not (x.flags.c_contiguous and out.flags.c_contiguous):
-        return False
-    if entry["fn"] is None:
-        bound = _int_bind(kind, op, x, out) if available() else None
-        if bound is None:
-            entry["mode"] = "numpy"
-            return False
-        spec, source, consts = bound
-        try:
-            fn = _native_fn(spec, source)
-        except toolchain.NativeUnavailable as err:
-            _log_once(("intcompile", kind), "native int kernel compile failed: %s", err)
-            entry["mode"] = "numpy"
-            return False
-        entry.update(fn=fn, consts=consts)
-        _count("bound")
-    key = (x.shape, x.ctypes.data, out.ctypes.data)
-    cached = entry["call"]
-    if cached is None or cached[0] != key:
-        arrays, dims, scalars = _int_args(ctx, kind, op, entry["consts"], x, out)
-        cached = entry["call"] = (key, _pack_call(entry["fn"], arrays, dims, scalars))
-    call = cached[1]
-    if entry["mode"] == "native":
-        call()
-        return True
-    # first call: parity check against the numpy kernel
-    call()
-    snap = out.copy()
-    numpy_run()
-    if np.array_equal(snap.view(np.uint8), out.view(np.uint8)):
-        entry["mode"] = "native"
-        ctx.release(op.index, *NUMPY_SCRATCH)
-    else:
-        entry["mode"] = "numpy"
-        entry["call"] = None
-        _count("check_failures")
-        _log_once(
-            ("intcheck", kind),
-            "native int %s kernel failed the bitwise parity self-check; "
-            "pinned to the numpy codegen",
-            kind,
-        )
-    return True  # out holds the numpy (authoritative) result either way
+    ct = "int32_t" if x.dtype == np.int32 else "int64_t"
+    spec = KernelSpec("intmaxpool", "", (), str(x.dtype), (), (), (op.kernel,))
+    try:
+        fn = _native_fn(spec, codegen.pool_source((), op.kernel, ct=ct))
+    except toolchain.NativeUnavailable as err:
+        return _decline(("intmaxpool", "compile"), str(err))
+    nb, c, h, w = x.shape
+    k, s = op.kernel, op.stride
+    dims = [nb, c, h, w, k, s, (h - k) // s + 1, (w - k) // s + 1, 0]
+    call = _pack_call(fn, [x, out], dims, [])
+    return _checked(call, numpy_thunk, out, [x], record, "intmaxpool", (verdicts, op))
+
+
+def make_int_quantize(op, x, out, numpy_thunk, record, verdicts):
+    """Native input quantize (float64 -> int32 codes), or ``None``."""
+    if not available():
+        return None
+    if not (
+        _contig_f64(x) and out.dtype == np.int32 and out.flags.c_contiguous
+        and -(2**31) <= op.lo <= op.hi < 2**31
+    ):
+        return _decline(("intquantize", "layout"), "not a contiguous float64 -> int32 cast")
+    from repro.infer.kernels import KernelSpec
+
+    spec = KernelSpec("intquantize", "", (), "float64", (), ())
+    try:
+        fn = _native_fn(spec, codegen.eltwise_source(("aq",), "int32_t"))
+    except toolchain.NativeUnavailable as err:
+        return _decline(("intquantize", "compile"), str(err))
+    call = _pack_call(
+        fn, [x, out], [x.size, _nan_code(np.int32)], [op.inv_step, op.lo, op.hi, 1.0]
+    )
+    return _checked(call, numpy_thunk, out, [x], record, "intquantize", (verdicts, op))

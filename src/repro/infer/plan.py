@@ -101,14 +101,11 @@ class PlanConfig:
         trace: Execute through shape-specialized traced programs
             (:mod:`repro.infer.trace` / :mod:`repro.infer.fuse`): the plan
             is recorded once per input shape into generated fused kernels
-            with pre-bound buffers.  Bitwise-identical to the op-by-op
-            interpreter; shapes that fail to trace fall back transparently.
-        fuse: Run the IR optimization passes on traced programs — epilogue
-            fusion (conv/linear→LeakyReLU→ActQuant collapse into one kernel
-            call), dead-buffer elimination, liveness-based register reuse
-            and cache-sized batch blocking.  ``trace=True, fuse=False``
-            isolates the codegen speedup from the fusion speedup (ablation
-            knob); with ``trace=False`` this has no effect.
+            with pre-bound buffers, epilogue fusion, liveness-based register
+            reuse and cache-sized batch blocking.  Bitwise-identical to the
+            op-by-op interpreter; shapes that fail to trace fall back
+            transparently.  ``trace=False`` runs a float plan op by op (the
+            byte reference); an int8 plan always runs traced.
         dtype: Compute domain.  ``"float"`` (default) runs the plan in its
             floating-point dtype; ``"int8"`` lowers the compiled plan into
             an integer-only program (:mod:`repro.infer.intq`): bit-packed
@@ -130,7 +127,6 @@ class PlanConfig:
     all_dead: str = "keep"
     kernel: str = "auto"
     trace: bool = True
-    fuse: bool = True
     dtype: str = "float"
     backend: str = "auto"
 
@@ -165,6 +161,11 @@ class ExecutionContext:
         # Bound traced-program states (registers + prebound kernel thunks),
         # keyed by TracedProgram.uid; see repro.infer.fuse.TracedProgram.run.
         self._traced: dict[int, Any] = {}
+        #: The int8 native kernels' byte-check verdicts in this context,
+        #: ``op.index -> (op, passed)``: each int op is checked once per
+        #: context, whatever batch sizes its programs bind (see
+        #: :func:`repro.infer.native.binding._checked`).
+        self.verdicts: dict[int, tuple] = {}
 
     def buffer(
         self,
@@ -181,11 +182,6 @@ class ExecutionContext:
             buf = np.zeros(shape, dtype) if zero else np.empty(shape, dtype)
             self._buffers[key] = buf
         return buf
-
-    def release(self, op_index: int, *roles: str) -> None:
-        """Drop one op's buffers for ``roles`` (absent roles are ignored)."""
-        for role in roles:
-            self._buffers.pop((op_index, role), None)
 
 
 # -- ops ---------------------------------------------------------------------
@@ -711,14 +707,12 @@ class ExecutionPlan:
                 "all_dead": self.config.all_dead,
                 "kernel": self.config.kernel,
                 "trace": self.config.trace,
-                "fuse": self.config.fuse,
                 "dtype": self.config.dtype,
                 "backend": self.config.backend,
             },
             "native": native_status,
             "trace": {
-                "enabled": self.config.trace,
-                "fuse": self.config.fuse,
+                "enabled": self.config.trace or self.intq is not None,
                 "programs": programs,
                 "fused_elementwise_total": sum(p["fused_elementwise"] for p in programs),
                 "eliminated_buffers_total": sum(p["eliminated_buffers"] for p in programs),
@@ -737,14 +731,16 @@ class ExecutionPlan:
         program when compiled with ``dtype="int8"``), so the payload can be
         published into shared memory (:mod:`repro.utils.shm`) for cluster
         workers, with the weight arrays hoisted out of the pickle stream.
-        Workers run it through :func:`execute_ops` (or the integer
-        program's ``run``) against their own
+        Workers run a float plan's ops through :func:`execute_ops`, and an
+        int8 plan through :meth:`execute` on a plan rebuilt from the payload
+        (so its traced programs, like the engine's), against their own
         :class:`ExecutionContext` — plan and context stay separate.
         """
         return {
             "ops": self.ops,
             "out_slot": self.out_slot,
             "dtype": self.dtype,
+            "config": self.config,
             "intq": self.intq,
         }
 
@@ -756,12 +752,20 @@ class ExecutionPlan:
         pre-bound buffers (:mod:`repro.infer.fuse`), compiled lazily on the
         first batch of each input shape and bitwise-identical to the
         interpreter.  Shapes that fail to trace, and ``trace=False`` plans,
-        run op-by-op via :func:`execute_ops`.
+        run op-by-op via :func:`execute_ops`.  An int8 plan always runs its
+        integer program traced; it returns float64 logits.
         """
         if np.ndim(x) != 4:
             raise ShapeError(f"plan input must be NCHW, got shape {np.shape(x)}")
         if self.intq is not None:
-            return self.intq.run(x, ctx)
+            chw = tuple(self.intq.input_chw)
+            if tuple(np.shape(x)[1:]) != chw:
+                raise ShapeError(
+                    f"int8 plan was calibrated for inputs of shape (N, "
+                    f"{', '.join(map(str, chw))}); got {np.shape(x)} — rebuild the plan "
+                    "for this input size"
+                )
+            return self.traced_program(np.shape(x)).run(x, ctx)
         if self.config.trace:
             program = self.traced_program(np.shape(x))
             if program is not None:
@@ -770,7 +774,7 @@ class ExecutionPlan:
 
     def traced_program(self, input_shape: tuple):
         """The traced program for ``input_shape`` (compiled lazily), or
-        ``None`` if that shape cannot be traced."""
+        ``None`` if that shape cannot be traced (an int8 plan raises)."""
         shape = tuple(int(s) for s in input_shape)
         program = self._traced.get(shape)
         if program is None and shape not in self._trace_failed:
@@ -870,9 +874,6 @@ class ExecutionPlan:
             b.built_fp = b.current_fp()
             b.built_dead = b.current_dead()
         if bindings:
-            # Traced programs hold bind-time references to the op arrays
-            # just replaced; recompile them against the fresh weights.
-            self.invalidate_traced()
             if self.intq is not None:
                 # The integer program's packed weights and requant constants
                 # derive from the arrays just patched; rebuild it against the
@@ -882,6 +883,10 @@ class ExecutionPlan:
                 self.intq = build_intq_program(
                     self, calibration_images=self.intq.calibration_images
                 )
+            # Traced programs hold bind-time references to the op arrays
+            # (and int ops) just replaced; recompile them against the fresh
+            # ones.  After the int rebuild, so no trace sees the old program.
+            self.invalidate_traced()
         return len(bindings)
 
 

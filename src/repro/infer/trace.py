@@ -18,6 +18,10 @@ running through the op-by-op interpreter for that input shape.  A
 wrapped module on a single zero sample — but pins itself and everything
 after it to full-batch execution.
 
+:func:`trace_intq` lowers an int8 plan's integer program into the same IR
+(values then carry integer dtypes).  It has no interpreter behind it, so
+it raises instead of returning ``None``.
+
 Shapes recorded here mirror each op's ``run()`` arithmetic exactly (same
 floor-division output sizes, same im2col column counts), so a program built
 from this IR computes the same ufunc calls on the same shapes as the
@@ -45,17 +49,31 @@ from repro.infer.plan import (
     LinearOp,
     MaxPoolOp,
 )
+from repro.errors import CompileError
+from repro.infer.intq.build import (
+    IntAddOp,
+    IntAffineOp,
+    IntConvOp,
+    IntDequantizeOp,
+    IntFlattenOp,
+    IntGapSumOp,
+    IntLinearOp,
+    IntMaxPoolOp,
+    IntQuantizeOp,
+    IntStepOp,
+    IntSumPoolOp,
+)
 from repro.nn.tensor import Tensor, no_grad
 from repro.utils.logging import get_logger
 
-__all__ = ["Val", "IRNode", "IRProgram", "trace_plan", "build_traced_program"]
+__all__ = ["Val", "IRNode", "IRProgram", "trace_plan", "trace_intq", "build_traced_program"]
 
 logger = get_logger("infer.trace")
 
 
 @dataclass
 class Val:
-    """One SSA value: a full-batch intermediate with static shape.
+    """One SSA value: a full-batch intermediate with static shape and dtype.
 
     ``alias_of`` marks pure reshapes (flatten) that share the root value's
     storage; passes always resolve reads to the root.  ``producer`` and
@@ -64,6 +82,7 @@ class Val:
 
     id: int
     shape: tuple
+    dtype: np.dtype
     producer: "IRNode | None" = None
     alias_of: "int | None" = None
     readers: list = field(default_factory=list)
@@ -79,6 +98,13 @@ class IRNode:
     rebuilds the traced program automatically picks up fresh arrays).
     ``head`` (eltwise only) is the node's own elementwise step; ``epilogue``
     holds steps fused in behind the base computation by the optimizer.
+
+    An int8 program's nodes reuse the kinds: its sum-pool is ``avgpool``,
+    its GAP sum ``gap``, and the input quantize, LeakyReLU and rescale
+    steps, affine and output dequantize are ``eltwise`` heads
+    (``("quantize",)``, a step tuple of
+    :data:`~repro.infer.intq.kernels.STEP_ARGS`, ``("affine",)``,
+    ``("dequantize",)``); ``op`` is the int op.
     """
 
     index: int  # originating plan-op index (phase names, diagnostics)
@@ -92,13 +118,37 @@ class IRNode:
 
 @dataclass
 class IRProgram:
-    """A traced plan: linear node list over a val table, for one input shape."""
+    """A traced plan: linear node list over a val table, for one input shape.
+
+    ``intq`` marks a traced int8 program (integer nodes between a float64
+    input and float64 logits).
+    """
 
     nodes: list
     vals: list
     out_val: int
     input_shape: tuple
-    dtype: np.dtype
+    intq: bool = False
+
+
+class _Recorder:
+    """Slot -> value bookkeeping while lowering an op list."""
+
+    def __init__(self, input_shape: tuple, dtype) -> None:
+        self.vals: list[Val] = [Val(0, input_shape, np.dtype(dtype))]
+        self.slot_val: dict[int, int] = {0: 0}
+        self.nodes: list[IRNode] = []
+
+    def emit(self, op, kind: str, srcs: tuple, shape: tuple, dtype, head=None) -> None:
+        node = IRNode(op.index, kind, op, srcs, -1, head=head)
+        self.vals.append(
+            Val(len(self.vals), tuple(int(s) for s in shape), np.dtype(dtype), producer=node)
+        )
+        node.dst = self.vals[-1].id
+        for s in srcs:
+            self.vals[s].readers.append(node)
+        self.nodes.append(node)
+        self.slot_val[op.dst] = node.dst
 
 
 def _conv_out_shape(op: ConvOp, src: tuple) -> "tuple | None":
@@ -144,21 +194,11 @@ def trace_plan(plan: ExecutionPlan, input_shape: tuple) -> "IRProgram | None":
     input_shape = tuple(int(s) for s in input_shape)
     if len(input_shape) != 4:
         return None
-    vals: list[Val] = [Val(0, input_shape)]
-    slot_val: dict[int, int] = {0: 0}
-    nodes: list[IRNode] = []
-
-    def new_val(shape: tuple, node: IRNode) -> int:
-        vals.append(Val(len(vals), tuple(int(s) for s in shape), producer=node))
-        return vals[-1].id
+    rec = _Recorder(input_shape, plan.dtype)
+    vals, slot_val = rec.vals, rec.slot_val
 
     def emit(op, kind: str, srcs: tuple, shape: tuple, head=None) -> None:
-        node = IRNode(op.index, kind, op, srcs, -1, head=head)
-        node.dst = new_val(shape, node)
-        for s in srcs:
-            vals[s].readers.append(node)
-        nodes.append(node)
-        slot_val[op.dst] = node.dst
+        rec.emit(op, kind, srcs, shape, plan.dtype, head)
 
     for op in plan.ops:
         src = slot_val.get(op.src)
@@ -208,22 +248,96 @@ def trace_plan(plan: ExecutionPlan, input_shape: tuple) -> "IRProgram | None":
     out_val = slot_val.get(plan.out_slot)
     if out_val is None or out_val == 0:
         return None
-    return IRProgram(nodes, vals, out_val, input_shape, plan.dtype)
+    return IRProgram(rec.nodes, vals, out_val, input_shape)
+
+
+def _intq_node(op, shape: tuple, dtype: np.dtype):
+    """``(kind, output shape, output dtype, head)`` of one int op, or
+    ``None`` when it does not fit ``shape``."""
+    if isinstance(op, IntQuantizeOp):
+        return "eltwise", shape, np.int32, ("quantize",)
+    if isinstance(op, IntDequantizeOp):
+        return "eltwise", shape, np.float64, ("dequantize",)
+    if isinstance(op, IntStepOp):
+        return "eltwise", shape, dtype if op.step[0].startswith("lrelu") else np.int32, op.step
+    if isinstance(op, IntAffineOp):
+        if len(shape) != 4 or shape[1] != op.m0.shape[0]:
+            return None
+        return "eltwise", shape, op.out_dtype, ("affine",)
+    if isinstance(op, IntConvOp):
+        if len(shape) != 4 or op.consts["W"].shape[1] != shape[1] * op.kernel**2:
+            return None
+        oh = (shape[2] + 2 * op.padding - op.kernel) // op.stride + 1
+        ow = (shape[3] + 2 * op.padding - op.kernel) // op.stride + 1
+        if oh < 1 or ow < 1:
+            return None
+        return "conv", (shape[0], op.filters, oh, ow), op.out_dtype, None
+    if isinstance(op, IntLinearOp):
+        if len(shape) != 2 or op.consts["W"].shape[0] != shape[1]:
+            return None
+        return "linear", (shape[0], op.filters), op.out_dtype, None
+    if isinstance(op, (IntMaxPoolOp, IntSumPoolOp)):
+        out = _pool_out_shape(op, shape)
+        if out is None:
+            return None
+        if isinstance(op, IntMaxPoolOp):
+            return "maxpool", out, dtype, None
+        return "avgpool", out, op.out_dtype, None
+    if isinstance(op, IntGapSumOp):
+        return ("gap", shape[:2], op.out_dtype, None) if len(shape) == 4 else None
+    if isinstance(op, IntAddOp):
+        return "add", shape, op.out_dtype, None
+    if isinstance(op, IntFlattenOp):
+        return "flatten", (shape[0], prod(shape[1:])), dtype, None
+    return None
+
+
+def trace_intq(intq, input_shape: tuple) -> IRProgram:
+    """Record an int8 plan's integer program for one NCHW ``input_shape``.
+
+    The same IR as a float plan, with per-value dtypes: float64 input,
+    integer codes, float64 logits.  Unlike :func:`trace_plan` this raises
+    :class:`~repro.errors.CompileError` on an op or shape it cannot lower,
+    since an int8 plan has no interpreter to fall back to.
+    """
+    input_shape = tuple(int(s) for s in input_shape)
+    rec = _Recorder(input_shape, np.float64)
+    for op in intq.ops:
+        src = rec.slot_val[op.src]
+        shape, dtype = rec.vals[src].shape, rec.vals[src].dtype
+        lowered = _intq_node(op, shape, dtype)
+        srcs = (src,)
+        if isinstance(op, IntAddOp):
+            srcs = (src, rec.slot_val[op.src2])
+            if rec.vals[srcs[1]].shape != shape:
+                lowered = None
+        if lowered is None:
+            raise CompileError(
+                f"int8 op {op.index} ({type(op).__name__}) cannot run on input shape "
+                f"{shape} traced from {input_shape}"
+            )
+        kind, out_shape, out_dtype, head = lowered
+        rec.emit(op, kind, srcs, out_shape, out_dtype, head)
+    return IRProgram(rec.nodes, rec.vals, rec.slot_val[intq.out_slot], input_shape, intq=True)
 
 
 def build_traced_program(plan: ExecutionPlan, input_shape: tuple):
-    """Trace + optimize ``plan`` for one input shape; ``None`` on any failure.
+    """Trace + optimize ``plan`` for one input shape.
 
-    The traced path is an accelerator, never a correctness dependency: any
-    exception in tracing or optimization is logged and swallowed, and the
-    plan keeps executing through the interpreter for that shape.
+    For a float plan the traced path is an accelerator, never a correctness
+    dependency: any failure in tracing or optimization is logged and
+    swallowed (``None``), and the plan keeps executing through the
+    interpreter for that shape.  An int8 plan runs only traced, so its
+    failures raise.
     """
+    from repro.infer.fuse import optimize
+
+    if plan.intq is not None:
+        return optimize(trace_intq(plan.intq, input_shape), plan)
     try:
         ir = trace_plan(plan, input_shape)
         if ir is None:
             return None
-        from repro.infer.fuse import optimize
-
         return optimize(ir, plan)
     except Exception:  # pragma: no cover - defensive, interpreter fallback
         logger.warning(

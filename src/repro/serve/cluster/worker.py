@@ -32,25 +32,34 @@ import time
 
 import numpy as np
 
-from repro.infer.plan import ExecutionContext, execute_ops
+from repro.infer.plan import ExecutionContext, ExecutionPlan, execute_ops
 from repro.utils.shm import load_object
 
 __all__ = ["worker_main"]
 
 
 class _Program:
-    """One plan variant bound to this worker's private scratch context."""
+    """One plan variant bound to this worker's private scratch context.
+
+    An int8 plan runs traced, as in the engine (it has no interpreter); a
+    float plan runs op by op through :func:`execute_ops`.
+    """
 
     def __init__(self, payload: dict) -> None:
         self.ops = payload["ops"]
         self.out_slot = payload["out_slot"]
         self.dtype = payload["dtype"]
-        self.intq = payload["intq"]
+        self.plan = None
+        if payload["intq"] is not None:
+            self.plan = ExecutionPlan(
+                self.ops, self.out_slot, [], self.dtype, config=payload["config"]
+            )
+            self.plan.intq = payload["intq"]
         self.ctx = ExecutionContext()
 
     def run(self, images: np.ndarray) -> np.ndarray:
-        if self.intq is not None:
-            return self.intq.run(np.asarray(images), self.ctx)
+        if self.plan is not None:
+            return self.plan.execute(np.asarray(images), self.ctx)
         return execute_ops(self.ops, images, self.ctx, self.out_slot, self.dtype)
 
 

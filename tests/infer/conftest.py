@@ -8,6 +8,8 @@ the full-size models exactly.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from repro.models.network import QuantizedNetwork
@@ -68,3 +70,26 @@ def eager_logits(model: QuantizedNetwork, images: np.ndarray) -> np.ndarray:
         out = model(Tensor(images)).numpy()
     model.train(mode)
     return out
+
+
+def traced_int_chain(x: np.ndarray, chain: list, backend: str = "auto"):
+    """A traced int8 program over hand-built IR, for kernel-level tests.
+
+    ``chain`` lists ``(op, kind, head, out_shape, out_dtype)``; each node
+    reads the previous value and the program input has ``x``'s shape and
+    dtype (integer codes, where a real int8 program starts from float64).
+    The result is optimized like any traced program, so adjacent steps fold
+    into a conv/linear epilogue unless the fusion pass is patched out.
+    """
+    from repro.infer import PlanConfig, fuse
+    from repro.infer.trace import IRNode, IRProgram, Val
+
+    vals = [Val(0, tuple(x.shape), x.dtype)]
+    nodes = []
+    for op, kind, head, shape, dtype in chain:
+        node = IRNode(op.index, kind, op, (len(vals) - 1,), len(vals), head=head)
+        vals[-1].readers.append(node)
+        vals.append(Val(len(vals), tuple(shape), np.dtype(dtype), producer=node))
+        nodes.append(node)
+    ir = IRProgram(nodes, vals, len(vals) - 1, tuple(x.shape), intq=True)
+    return fuse.optimize(ir, SimpleNamespace(config=PlanConfig(backend=backend)))

@@ -1,39 +1,32 @@
 """Fused int8 epilogues: LeakyReLU and the activation rescale in the kernel.
 
-The int8 lowering folds each ``IntLeakyOp``/``IntRescaleOp`` whose input
-has a single reader into the requant epilogue of the conv/linear that
-produces it.  Fusion must not change a bit: every epilogue (numpy
-reference and native) has to reproduce the standalone op chain byte for
-byte, and a whole fused program has to match the same program split back
-into standalone ops.  Native assertions are gated on
-:func:`binding.available`; without a toolchain both sides run numpy.
+The int8 lowering emits every LeakyReLU and ActQuant as a standalone
+``IntStepOp``; the traced compiler's epilogue-fusion pass folds each one
+whose input has a single reader into the requant epilogue of the int
+conv/linear that produces it.  Fusion must not change a bit: every fused
+epilogue (numpy reference and native) has to reproduce the standalone step
+chain byte for byte, and a whole fused program has to match the same
+program traced with the fusion pass switched off.  Native assertions are
+gated on :func:`binding.available`; without a toolchain both sides run
+numpy.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import re
 
 import numpy as np
 import pytest
 
-from repro.infer import InferenceEngine, PlanConfig, build_intq_program, compile_network
-from repro.infer.intq.build import (
-    IntAddOp,
-    IntConvOp,
-    IntLeakyOp,
-    IntLinearOp,
-    IntQProgram,
-    IntRescaleOp,
-    standalone_step_op,
-)
-from repro.infer.intq.kernels import step_struct
+from repro.infer import InferenceEngine, PlanConfig, build_intq_program, compile_network, fuse
+from repro.infer.intq.build import IntConvOp, IntLinearOp, IntStepOp
+from repro.infer.intq.kernels import STEP_ARGS, step_struct
 from repro.infer.intq.requant import quantize_multiplier
 from repro.infer.native import binding
 from repro.infer.native.codegen import int_epilogue
-from repro.infer.plan import AddOp, ConvOp, ExecutionContext, LeakyReluOp, LinearOp
+from repro.infer.plan import AddOp, ConvOp, ExecutionContext, LeakyReluOp
 
-from tests.infer.conftest import build_small_network, sample_images
+from tests.infer.conftest import build_small_network, sample_images, traced_int_chain
 
 ALL_CONFIGS = tuple(range(1, 9))
 RESIDUAL_CONFIGS = (2, 6, 7, 8)
@@ -67,37 +60,6 @@ RESCALE = {
 }
 
 
-def split_fused(ops: list) -> list:
-    """Split every fused conv/linear back into the producer plus its
-    standalone step ops.  The producer then stores int64, which holds its
-    value exactly whatever grid it had."""
-    split, next_slot, next_index = [], 10**6, 10**6
-    for op in ops:
-        if not getattr(op, "fused", ()):
-            split.append(op)
-            continue
-        kinds = step_struct(op.fused)
-        mid_dtype = op.out_dtype if all(k.startswith("lrelu") for k in kinds) else "int64"
-        src = next_slot
-        split.append(
-            dataclasses.replace(op, dst=src, out_dtype=mid_dtype, fused=(), index=next_index)
-        )
-        next_slot, next_index = next_slot + 1, next_index + 1
-        for i, step in enumerate(op.fused):
-            dst = op.dst if i == len(op.fused) - 1 else next_slot
-            split.append(standalone_step_op(step, next_index, src, dst))
-            src, next_slot, next_index = dst, next_slot + 1, next_index + 1
-    return split
-
-
-def _run(ops: list, inputs: dict, out_slot: int) -> tuple[np.ndarray, ExecutionContext]:
-    ctx = ExecutionContext()
-    ctx.slots.update(inputs)
-    for op in ops:
-        op.run(ctx)
-    return ctx.slots[out_slot].copy(), ctx
-
-
 # -- epilogue unit tests --------------------------------------------------------
 
 
@@ -109,27 +71,32 @@ def _accumulators(shape: tuple, dtype: str) -> np.ndarray:
     return acc.astype(dtype)
 
 
-def _identity_op(kind: str, acc_dtype: str, steps: tuple, backend: str):
+def _identity_chain(kind: str, acc_dtype: str, steps: tuple) -> tuple:
     """A conv/linear whose requant is the identity (M0=1, SH=0), so the
-    epilogue sees the input values themselves as accumulators.  The conv
-    carries a dead-input map and a bias to exercise their indexing."""
+    epilogue sees the input values themselves as accumulators, followed by
+    ``steps`` as standalone nodes.  The conv carries a dead-input map and a
+    bias to exercise their indexing.  The producer stores int64, which holds
+    its value exactly whatever grid it had."""
     f = 6
     one, zero = np.ones(f, np.int64), np.zeros(f, np.int64)
     rng = np.random.default_rng(9)
     gb = rng.integers(-50, 50, f)
-    out_dtype = "int32" if steps and not step_struct(steps)[-1].startswith("lrelu") else "int64"
     eye = np.eye(f, dtype=acc_dtype)
     if kind == "conv":
         consts = {"W": eye, "M0": one[:, None], "RND": zero[:, None], "SH": zero[:, None],
                   "GB": gb[:, None], "DMAP": rng.integers(-50, 50, (f, 12))}
-        op = IntConvOp(0, 0, 1, 1, 1, 0, f, acc_dtype, out_dtype, ("dead", "gb"), consts,
-                       backend, steps)
+        op = IntConvOp(0, 0, 1, 1, 1, 0, f, acc_dtype, "int64", ("dead", "gb"), consts)
         x = _accumulators((4, f, 3, 4), acc_dtype)
     else:
         consts = {"W": eye, "M0": one, "RND": zero, "SH": zero, "GB": gb}
-        op = IntLinearOp(0, 0, 1, f, acc_dtype, out_dtype, ("gb",), consts, backend, steps)
+        op = IntLinearOp(0, 0, 1, f, acc_dtype, "int64", ("gb",), consts)
         x = _accumulators((5, f), acc_dtype)
-    return op, x
+    chain = [(op, kind, None, x.shape, "int64")]
+    dtype = "int64"
+    for i, step in enumerate(steps, start=1):
+        dtype = dtype if step[0].startswith("lrelu") else "int32"
+        chain.append((IntStepOp(i, i, i + 1, step), "eltwise", step, x.shape, dtype))
+    return x, chain
 
 
 EPILOGUE_CASES = [
@@ -144,23 +111,29 @@ class TestFusedEpilogue:
     @pytest.mark.parametrize("acc_dtype", ["int32", "int64"])
     @pytest.mark.parametrize("kind", ["conv", "linear"])
     @pytest.mark.parametrize("leaky,mode", EPILOGUE_CASES)
-    def test_matches_standalone_chain(self, leaky, mode, kind, acc_dtype):
+    def test_matches_standalone_chain(self, leaky, mode, kind, acc_dtype, monkeypatch):
         """numpy and native fused epilogues both equal the unfused
-        producer -> IntLeakyOp -> IntRescaleOp chain."""
+        producer -> LeakyReLU step -> rescale step chain."""
         steps = tuple(s for s in (LEAKY[leaky], RESCALE[mode]) if s is not None)
-        fused_np, x = _identity_op(kind, acc_dtype, steps, "numpy")
-        want, _ = _run(split_fused([fused_np]), {0: x}, 1)
-        got, _ = _run([fused_np], {0: x}, 1)
-        assert _bitwise_equal(got, want)
-        op, _ = _identity_op(kind, acc_dtype, steps, "native")
-        got, ctx = _run([op], {0: x}, 1)
-        assert _bitwise_equal(got, want)
+        x, chain = _identity_chain(kind, acc_dtype, steps)
+        ctx = ExecutionContext()
+        for backend in ("numpy", "auto"):
+            program = traced_int_chain(x, chain, backend)
+            (node,) = [p.node for p in program.node_plans]
+            assert tuple(node.epilogue) == steps
+            got = program.run(x, ctx).copy()
+            if backend == "numpy":
+                want = got
+            assert _bitwise_equal(got, want)
         if NATIVE_OK:
-            entry = ctx.__dict__["_native_int"][op.index]
-            assert entry["mode"] == "native", entry
+            assert program.node_backends[0]["backend"] == "native"
             # A second call runs the pinned native kernel alone.
-            op.run(ctx)
-            assert _bitwise_equal(ctx.slots[1], want)
+            assert _bitwise_equal(program.run(x, ctx), want)
+        with monkeypatch.context() as patch:
+            patch.setattr(fuse, "_fuse_epilogues", lambda ir: 0)
+            split = traced_int_chain(x, chain, "numpy")
+            assert len(split.node_plans) == 1 + len(steps)
+            assert _bitwise_equal(split.run(x, ExecutionContext()), want)
 
     def test_c_left_shift_is_unsigned(self):
         """``a << n`` on a negative signed value is undefined in C: every
@@ -177,37 +150,41 @@ class TestFusedEpilogue:
 # -- whole programs ---------------------------------------------------------------
 
 
+def _nodes(engine, shape: tuple) -> list:
+    return [p.node for p in engine.plan.traced_program(shape).node_plans]
+
+
 class TestFusedPrograms:
     @pytest.mark.parametrize("kernel", ["dense", "shift_plane"])
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("backend", ["numpy", "native"])
     @pytest.mark.parametrize("network_id", ALL_CONFIGS)
-    def test_fused_equals_unfused(self, network_id, backend, workers, kernel):
-        """Splitting every fused op back into standalone ops changes no
-        logit byte, and the engine returns the same bytes serially or
-        sharded across threads.  ``kernel`` is a float-only knob: an int8
-        plan attaches no shift planes under either policy.  ``"native"`` is
-        the default backend (numpy where no toolchain exists)."""
+    def test_fused_equals_unfused(self, network_id, backend, workers, kernel, monkeypatch):
+        """Tracing with the fusion pass off changes no logit byte, and the
+        engine returns the same bytes serially or sharded across threads.
+        ``kernel`` is a float-only knob: an int8 plan attaches no shift
+        planes under either policy.  ``"native"`` is the default backend
+        (numpy where no toolchain exists)."""
         config = PlanConfig(
             dtype="int8", kernel=kernel, backend="numpy" if backend == "numpy" else "auto"
         )
-        engine = InferenceEngine(build_small_network(network_id), config=config)
+        model = build_small_network(network_id)
+        engine = InferenceEngine(model, config=config)
         assert all(getattr(op, "shift", None) is None for op in engine.plan.ops)
-        prog = engine.plan.intq
-        assert any(getattr(op, "fused", ()) for op in prog.ops)
         images = sample_images(6, seed=network_id)
-        fused = prog.run(images, ExecutionContext()).copy()
-        split = IntQProgram(
-            split_fused(prog.ops), prog.out_slot, prog.input_chw, prog.layers,
-            prog.calibration, prog.calibration_images,
-        )
-        unfused = split.run(images, ExecutionContext()).copy()
+        fused = engine.plan.execute(images, ExecutionContext()).copy()
+        assert engine.plan.traced_program(images.shape).stats["fused_elementwise"] > 0
+        with monkeypatch.context() as patch:
+            patch.setattr(fuse, "_fuse_epilogues", lambda ir: 0)
+            split = InferenceEngine(model, config=config)
+            unfused = split.plan.execute(images, ExecutionContext()).copy()
+            assert split.plan.traced_program(images.shape).stats["fused_elementwise"] == 0
         assert _bitwise_equal(fused, unfused)
         assert _bitwise_equal(engine.predict_logits(images, batch_size=2, workers=workers), fused)
 
     @pytest.mark.parametrize("network_id", ALL_CONFIGS)
     def test_op_indices_unique(self, network_id):
-        """Buffer keys and profiler labels are keyed by ``op.index``."""
+        """Phase names and backend records are keyed by ``op.index``."""
         engine = InferenceEngine(build_small_network(network_id), config=PlanConfig(dtype="int8"))
         indices = [op.index for op in engine.plan.intq.ops]
         assert len(indices) == len(set(indices))
@@ -215,28 +192,26 @@ class TestFusedPrograms:
     @pytest.mark.parametrize("network_id", RESIDUAL_CONFIGS)
     def test_residual_add_inputs_not_fused(self, network_id):
         """A conv whose raw output feeds a residual add keeps it: the add
-        reads that slot, so nothing may be folded into its producer."""
+        reads that value, so nothing may be folded into its producer."""
         engine = InferenceEngine(build_small_network(network_id), config=PlanConfig(dtype="int8"))
-        plan_ops = engine.plan.ops
-        add_inputs = {s for op in plan_ops if isinstance(op, AddOp) for s in (op.src, op.src2)}
-        weighted = [op for op in plan_ops if isinstance(op, (ConvOp, LinearOp))]
-        matmuls = [op for op in engine.plan.intq.ops if isinstance(op, (IntConvOp, IntLinearOp))]
-        assert len(weighted) == len(matmuls)
-        feeding_adds = [iop for pop, iop in zip(weighted, matmuls) if pop.dst in add_inputs]
+        add_inputs = {
+            s for op in engine.plan.ops if isinstance(op, AddOp) for s in (op.src, op.src2)
+        }
+        nodes = _nodes(engine, (2, 3, 16, 16))
+        adds = [n for n in nodes if n.kind == "add"]
+        feeding_adds = [n for n in nodes if n.kind == "conv" and n.op.dst in add_inputs]
         assert feeding_adds
-        for op in feeding_adds:
-            assert op.fused == ()
-            assert any(isinstance(a, IntAddOp) and op.dst in (a.src, a.src2)
-                       for a in engine.plan.intq.ops)
-        # The LeakyReLU and rescale after each add stay standalone ops.
-        ops = engine.plan.intq.ops
-        assert any(isinstance(op, IntLeakyOp) for op in ops)
-        assert any(isinstance(op, IntRescaleOp) for op in ops)
+        for node in feeding_adds:
+            assert node.epilogue == []
+            assert any(node.dst in add.srcs for add in adds)
+        # The LeakyReLU and rescale after each add stay standalone steps.
+        heads = {n.head[0] for n in nodes if n.kind == "eltwise"}
+        assert heads & {"lrelu", "lrelu0"} and heads & {"lshift", "rshift", "requant"}
 
-    def test_output_with_two_readers_not_fused(self):
+    def test_output_with_two_readers_not_fused(self, monkeypatch):
         """A conv output read by a LeakyReLU *and* another op must stay
         materialised: rewire net 4 so an add also reads the first conv's
-        raw output, and the LeakyReLU after it must lower standalone."""
+        raw output, and the LeakyReLU after it must stay standalone."""
         images = sample_images(4, seed=1)
         plan = compile_network(build_small_network(4))
         ops = plan.ops
@@ -247,15 +222,16 @@ class TestFusedPrograms:
         add_slot = 1 + max(op.dst for op in ops)
         ops.insert(ops.index(leaky) + 1, AddOp(len(ops), conv.dst, leaky.dst, add_slot))
         quant.src = add_slot
-        prog = build_intq_program(plan, calibration_images=sample_images(8, seed=2))
-        first = next(op for op in prog.ops if isinstance(op, IntConvOp))
-        assert first.fused == () and first.dst == conv.dst
-        assert any(isinstance(op, IntLeakyOp) and op.src == conv.dst for op in prog.ops)
-        want = IntQProgram(
-            split_fused(prog.ops), prog.out_slot, prog.input_chw, prog.layers,
-            prog.calibration, prog.calibration_images,
-        ).run(images, ExecutionContext()).copy()
-        assert _bitwise_equal(prog.run(images, ExecutionContext()), want)
+        plan.intq = build_intq_program(plan, calibration_images=sample_images(8, seed=2))
+        assert plan.intq.layers[0]["fused"] == []
+        nodes = [p.node for p in plan.traced_program(images.shape).node_plans]
+        first = next(n for n in nodes if n.kind == "conv")
+        assert first.epilogue == [] and first.op.dst == conv.dst
+        assert any(n.head and n.head[0] in STEP_ARGS and n.srcs == (first.dst,) for n in nodes)
+        got = plan.execute(images, ExecutionContext()).copy()
+        plan.invalidate_traced()
+        monkeypatch.setattr(fuse, "_fuse_epilogues", lambda ir: 0)
+        assert _bitwise_equal(got, plan.execute(images, ExecutionContext()))
 
     def test_fused_steps_reported_and_keyed(self):
         """The plan summary names each layer's fused steps."""
@@ -263,3 +239,6 @@ class TestFusedPrograms:
         layers = engine.plan_summary()["intq"]["layers"]
         assert layers[0]["fused"] == ["lrelu", "rshift"]
         assert layers[-1]["fused"] == []
+        nodes = _nodes(engine, (3, 3, 16, 16))
+        matmuls = [n for n in nodes if n.kind in ("conv", "linear")]
+        assert [list(step_struct(n.epilogue)) for n in matmuls] == [l["fused"] for l in layers]

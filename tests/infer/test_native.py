@@ -17,7 +17,6 @@ import pytest
 
 from repro.infer import InferenceEngine, PlanConfig
 from repro.infer import kernels
-from repro.infer.intq.build import IntConvOp, IntLinearOp
 from repro.infer.native import binding, toolchain
 
 from tests.infer.conftest import build_small_network, sample_images
@@ -36,9 +35,15 @@ def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _native_capable(engine) -> list:
-    """The int8 program's ops that carry a numpy/native backend."""
-    return [op for op in engine.plan.intq.ops if hasattr(op, "backend")]
+def _int8_kernel_backends(engine, shape: tuple) -> dict:
+    """Backend of each node with a C kernel (conv, linear, max-pool, input
+    quantize) in the int8 engine's bound program for ``shape``, by phase."""
+    program = engine.plan.traced_program(shape)
+    return {
+        p.phase: program.node_backends[p.node.index]["backend"]
+        for p in program.node_plans
+        if p.node.kind in ("conv", "linear", "maxpool") or p.node.head == ("quantize",)
+    }
 
 
 def _traced_backend_counts(engine) -> dict:
@@ -84,12 +89,9 @@ class TestBitwiseParity:
         got = native_engine.predict_logits(images)
         assert _bitwise_equal(got, want)
         if NATIVE_OK:
-            matmuls = [
-                op
-                for op in native_engine.plan.intq.ops
-                if isinstance(op, (IntConvOp, IntLinearOp))
-            ]
-            assert all(op.backend == "native" for op in matmuls)
+            backends = _int8_kernel_backends(native_engine, images.shape)
+            assert set(backends.values()) == {"native"}, backends
+            assert native_engine.plan_summary()["native"]["check_failures"] == 0
 
     @pytest.mark.parametrize("backend", ["auto", "numpy"])
     def test_int8_backend_is_native_exactly_when_available(self, backend):
@@ -99,9 +101,13 @@ class TestBitwiseParity:
             build_small_network(2), config=PlanConfig(dtype="int8", backend=backend)
         )
         want = "native" if backend == "auto" and binding.available() else "numpy"
-        ops = _native_capable(engine)
-        assert {type(op).__name__ for op in ops} >= {"IntConvOp", "IntLinearOp", "IntQuantizeOp"}
-        assert {op.backend for op in ops} == {want}
+        images = sample_images(3, seed=5)
+        engine.predict_logits(images)
+        backends = _int8_kernel_backends(engine, images.shape)
+        assert {name.split(":")[1].split("[")[0] for name in backends} >= {
+            "conv", "linear", "quantize"
+        }
+        assert set(backends.values()) == {want}
         layers = engine.plan_summary()["intq"]["layers"]
         assert {(l["impl"], l["backend"]) for l in layers} == {("intq_gemm", want)}
 
@@ -159,12 +165,12 @@ class TestFallback:
         model = build_small_network(6)
         images = sample_images(3, seed=1)
         engine = InferenceEngine(model, config=PlanConfig(dtype="int8"))
-        assert {op.backend for op in _native_capable(engine)} == {"numpy"}
         assert {l["backend"] for l in engine.plan_summary()["intq"]["layers"]} == {"numpy"}
         want = InferenceEngine(
             model, config=PlanConfig(dtype="int8", backend="numpy")
         ).predict_logits(images)
         assert _bitwise_equal(engine.predict_logits(images), want)
+        assert set(_int8_kernel_backends(engine, images.shape).values()) == {"numpy"}
 
     def test_status_reports_reason(self, no_toolchain):
         info = binding.status()

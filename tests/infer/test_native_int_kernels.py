@@ -2,12 +2,14 @@
 
 The integer conv pads and unrolls the NCHW activation codes itself, the
 max-pool reduces the codes with the float pool's emitter, and the input
-quantize replays numpy's multiply/rint/clip/cast.  Each is run here on
-shapes, strides, dtypes and values chosen to hit the edges (odd sizes,
-channel counts off the tile sizes, ragged batches, int64 accumulators,
-rounding ties, clip bounds, infinities and NaN) and must match the
-``backend="numpy"`` op exactly.  Without a toolchain both sides run numpy;
-the "native actually ran" assertions are gated on :func:`binding.available`.
+quantize replays numpy's multiply/rint/clip/cast.  Each runs here as a
+traced program (the same binding, registers and first-call byte check an
+int8 plan uses) on shapes, strides, dtypes and values chosen to hit the
+edges (odd sizes, channel counts off the tile sizes, ragged batches, int64
+accumulators, rounding ties, clip bounds, infinities and NaN) and must
+match the ``backend="numpy"`` program exactly.  Without a toolchain both
+sides run numpy; the "native actually ran" assertions (read from
+``program.node_backends``) are gated on :func:`binding.available`.
 
 The float kernels' C sources share those emitters, so a digest of the
 sources for a fixed set of specs pins them: a change there would recompile
@@ -19,17 +21,19 @@ from __future__ import annotations
 import hashlib
 import itertools
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.infer import InferenceEngine, PlanConfig
+from repro.infer.intq import kernels as int_kernels
 from repro.infer.intq.build import IntConvOp, IntMaxPoolOp, IntQuantizeOp
 from repro.infer.intq.requant import quantize_multiplier_array
 from repro.infer.native import binding, codegen
 from repro.infer.plan import ExecutionContext
 
-from tests.infer.conftest import build_small_network, sample_images
+from tests.infer.conftest import build_small_network, sample_images, traced_int_chain
 
 NATIVE_OK = binding.available()
 
@@ -38,20 +42,14 @@ def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _run(op, x: np.ndarray, calls: int = 1) -> tuple[np.ndarray, ExecutionContext]:
-    ctx = ExecutionContext()
-    ctx.slots[op.src] = x
+def _run(x: np.ndarray, node: tuple, backend: str, calls: int = 1, ctx=None):
+    """Run the one-node program ``node`` on ``x`` ``calls`` times; returns
+    the output copy and the node's backend record."""
+    program = traced_int_chain(x, [node], backend)
+    ctx = ctx or ExecutionContext()
     for _ in range(calls):
-        op.run(ctx)
-    return ctx.slots[op.dst].copy(), ctx
-
-
-def _native_mode(ctx: ExecutionContext, op):
-    return ctx.__dict__.get("_native_int", {}).get(op.index, {}).get("mode")
-
-
-def _roles(ctx: ExecutionContext, op) -> dict:
-    return {role: buf.dtype for (index, role), buf in ctx._buffers.items() if index == op.index}
+        out = program.run(x, ctx)
+    return out.copy(), program.node_backends[node[0].index]
 
 
 # -- conv ------------------------------------------------------------------------
@@ -62,7 +60,7 @@ C_IN, FILTERS, H, W = 5, 7, 7, 9
 ACC_CASES = [("int32", "int32"), ("int64", "int32"), ("int64", "int64")]
 
 
-def _conv_op(k: int, s: int, p: int, acc: str, backend: str) -> IntConvOp:
+def _conv(k: int, s: int, p: int, acc: str, batch: int) -> tuple:
     rng = np.random.default_rng(k * 100 + s * 10 + p)
     ckk = C_IN * k * k
     oh, ow = (H + 2 * p - k) // s + 1, (W + 2 * p - k) // s + 1
@@ -78,7 +76,8 @@ def _conv_op(k: int, s: int, p: int, acc: str, backend: str) -> IntConvOp:
         "GB": rng.integers(-50, 50, FILTERS)[:, None],
         "DMAP": rng.integers(-50, 50, (FILTERS, oh * ow)),
     }
-    return IntConvOp(7, 0, 1, k, s, p, FILTERS, acc, "int64", ("dead", "gb"), consts, backend)
+    op = IntConvOp(7, 0, 1, k, s, p, FILTERS, acc, "int64", ("dead", "gb"), consts)
+    return op, "conv", None, (batch, FILTERS, oh, ow), "int64"
 
 
 def _codes(shape: tuple, dtype: str, bound: int, seed: int) -> np.ndarray:
@@ -95,39 +94,44 @@ class TestIntConv:
     def test_matches_numpy(self, k, s, p, acc, xdt, batch):
         bound = {"int32": 2**20, "int64": 2**30}[acc] if xdt == "int32" else 2**33
         x = _codes((batch, C_IN, H, W), xdt, bound, seed=batch + k)
-        want, _ = _run(_conv_op(k, s, p, acc, "numpy"), x)
-        op = _conv_op(k, s, p, acc, "native")
-        got, ctx = _run(op, x, calls=2)
+        want, _ = _run(x, _conv(k, s, p, acc, batch), "numpy")
+        got, record = _run(x, _conv(k, s, p, acc, batch), "auto", calls=2)
         assert _bitwise_equal(got, want)
         if NATIVE_OK:
-            assert _native_mode(ctx, op) == "native"
-            # After its check the native path holds no numpy pad/im2col
-            # scratch; its own pad and cols are one sample, not int32 codes.
-            roles = _roles(ctx, op)
-            assert not set(roles) & set(binding.NUMPY_SCRATCH), roles
-            assert roles["natpad"] != np.int32 or acc == "int32"
-            assert roles["natcols"] == roles["natpad"]
+            assert record["backend"] == "native", record
 
-    def test_batch_changes_rebuild_the_call(self):
-        """The packed C call is reused while the batch (and so every array
-        it points at) is steady, and rebuilt when a ragged batch
-        reallocates the output buffer."""
-        op = _conv_op(3, 1, 1, "int32", "native")
-        ref = _conv_op(3, 1, 1, "int32", "numpy")
-        ctx, ref_ctx = ExecutionContext(), ExecutionContext()
-        inputs = {b: _codes((b, C_IN, H, W), "int32", 2**20, seed=b) for b in (3, 4)}
-        calls = []
-        for batch in (4, 4, 3, 4, 4):
-            ctx.slots[0] = ref_ctx.slots[0] = inputs[batch]
-            op.run(ctx)
-            ref.run(ref_ctx)
-            assert _bitwise_equal(ctx.slots[1], ref_ctx.slots[1])
-            if NATIVE_OK:
-                calls.append(ctx.__dict__["_native_int"][op.index]["call"][1])
+    def test_second_batch_size_skips_the_reference(self, monkeypatch):
+        """The native conv is byte-checked against its numpy reference once
+        per (context, op): a program for another batch size in the same
+        context binds it checked, a fresh context checks it again."""
+        calls: Counter = Counter()
+        real = int_kernels._thunk
+
+        def counting(kind, *args):
+            thunk = real(kind, *args)
+
+            def counted() -> None:
+                calls[kind] += 1
+                thunk()
+
+            return counted
+
+        monkeypatch.setattr(int_kernels, "_thunk", counting)
+        op = _conv(3, 1, 1, "int32", 4)[0]
+        ctx = ExecutionContext()
+        for batch in (4, 3, 4):
+            x = _codes((batch, C_IN, H, W), "int32", 2**20, seed=batch)
+            node = _conv(3, 1, 1, "int32", batch)
+            want, _ = _run(x, node, "numpy")
+            node = (op,) + node[1:]
+            got, record = _run(x, node, "auto", ctx=ctx)
+            assert _bitwise_equal(got, want)
         if NATIVE_OK:
-            assert calls[1] is calls[0]
-            assert calls[2] is not calls[1] and calls[3] is not calls[2]
-            assert calls[4] is calls[3]
+            assert record["backend"] == "native"
+            # One reference run for the check plus one per numpy program.
+            assert calls["conv"] == 1 + 3
+            _run(x, node, "auto")
+            assert calls["conv"] == 1 + 3 + 1
 
 
 # -- max-pool ----------------------------------------------------------------------
@@ -141,12 +145,13 @@ class TestIntMaxPool:
         info = np.iinfo(dtype)
         x = _codes((3, 5, h, w), dtype, 2**20, seed=k + s + h)
         x.reshape(-1)[5:9] = [info.min, info.max, info.min + 1, info.max - 1]
-        want, _ = _run(IntMaxPoolOp(3, 0, 1, k, s, "numpy"), x)
-        op = IntMaxPoolOp(3, 0, 1, k, s, "native")
-        got, ctx = _run(op, x, calls=2)
+        out_shape = (3, 5, (h - k) // s + 1, (w - k) // s + 1)
+        node = (IntMaxPoolOp(3, 0, 1, k, s), "maxpool", None, out_shape, dtype)
+        want, _ = _run(x, node, "numpy")
+        got, record = _run(x, node, "auto", calls=2)
         assert _bitwise_equal(got, want)
         if NATIVE_OK:
-            assert _native_mode(ctx, op) == "native"
+            assert record["backend"] == "native", record
 
 
 # -- input quantize ----------------------------------------------------------------
@@ -174,51 +179,62 @@ def _quantize_inputs(inv_step: float) -> np.ndarray:
     return x
 
 
+def _quantize(inv_step: float, shape: tuple) -> tuple:
+    op = IntQuantizeOp(2, 0, 1, inv_step, LO, HI)
+    return op, "eltwise", ("quantize",), shape, "int32"
+
+
 class TestIntQuantize:
     @pytest.mark.parametrize("inv_step", [4.0, 1.0 / 0.3, 2.0**-3])
     def test_matches_numpy(self, inv_step):
         x = _quantize_inputs(inv_step)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # numpy's NaN cast
-            want, _ = _run(IntQuantizeOp(2, 0, 1, inv_step, LO, HI, "numpy"), x)
-            op = IntQuantizeOp(2, 0, 1, inv_step, LO, HI, "native")
-            got, ctx = _run(op, x, calls=2)
+            want, _ = _run(x, _quantize(inv_step, x.shape), "numpy")
+            got, record = _run(x, _quantize(inv_step, x.shape), "auto", calls=2)
         assert _bitwise_equal(got, want)
         if NATIVE_OK:
-            assert _native_mode(ctx, op) == "native"
-            assert "tmp" not in _roles(ctx, op)
+            assert record["backend"] == "native", record
 
     def test_non_contiguous_input_runs_numpy(self):
+        """A strided view is copied into the program's contiguous input, and
+        the C quantize itself declines a view it cannot stream."""
         x = _quantize_inputs(4.0)[:, :, :, ::2]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            want, _ = _run(IntQuantizeOp(2, 0, 1, 4.0, LO, HI, "numpy"), x)
-            got, _ = _run(IntQuantizeOp(2, 0, 1, 4.0, LO, HI, "native"), x)
+            want, _ = _run(x, _quantize(4.0, x.shape), "numpy")
+            got, _ = _run(x, _quantize(4.0, x.shape), "auto")
         assert _bitwise_equal(got, want)
+        out = np.empty(x.shape, np.int32)
+        op = _quantize(4.0, x.shape)[0]
+        assert binding.make_int_quantize(op, x, out, lambda: None, {}, {}) is None
 
 
 # -- whole program ------------------------------------------------------------------
 
 
-def test_program_keeps_no_numpy_conv_scratch():
+def test_program_binds_every_kernel_native():
     """Net 4's int8 program, native: after the first-call checks every
-    conv, pool and quantize runs in C, and no conv keeps an im2col buffer
-    of the numpy path."""
+    conv, max-pool and quantize node runs in C, and the logits equal the
+    numpy program's."""
     engine = InferenceEngine(build_small_network(4), config=PlanConfig(dtype="int8"))
     images = sample_images(5, seed=3)
     ctx = ExecutionContext()
-    first = engine.plan.intq.run(images, ctx).copy()
-    again = engine.plan.intq.run(images, ctx)
+    first = engine.plan.execute(images, ctx).copy()
+    again = engine.plan.execute(images, ctx)
     ref = InferenceEngine(build_small_network(4), config=PlanConfig(dtype="int8", backend="numpy"))
     assert _bitwise_equal(first, ref.predict_logits(images))
     assert _bitwise_equal(again, first)
+    program = engine.plan.traced_program(images.shape)
+    kernels = {
+        p.node.index: p.node
+        for p in program.node_plans
+        if p.node.kind in ("conv", "maxpool") or p.node.head == ("quantize",)
+    }
+    assert {type(node.op) for node in kernels.values()} == {IntConvOp, IntMaxPoolOp, IntQuantizeOp}
     if NATIVE_OK:
-        ops = [op for op in engine.plan.intq.ops
-               if isinstance(op, (IntConvOp, IntMaxPoolOp, IntQuantizeOp))]
-        assert {type(op) for op in ops} == {IntConvOp, IntMaxPoolOp, IntQuantizeOp}
-        for op in ops:
-            assert _native_mode(ctx, op) == "native", op
-            assert not set(_roles(ctx, op)) & set(binding.NUMPY_SCRATCH)
+        for index, node in kernels.items():
+            assert program.node_backends[index]["backend"] == "native", node
 
 
 # -- float sources ------------------------------------------------------------------

@@ -152,9 +152,11 @@ class TestEdgeCases:
 
     def test_removed_knobs_rejected(self):
         """``backend`` is "auto" or "numpy"; the autotune batch and reps
-        are fixed, not config fields."""
+        are fixed, not config fields; traced programs always fuse."""
         with pytest.raises(ConfigurationError):
             PlanConfig(backend="native")
+        with pytest.raises(TypeError):
+            PlanConfig(fuse=False)
         with pytest.raises(TypeError):
             PlanConfig(autotune_reps=3)
         with pytest.raises(TypeError):

@@ -77,17 +77,32 @@ class TestBitwiseParity:
         cfg = PlanConfig()
         assert np.array_equal(_logits(model, cfg, images), _logits(model, _interp(cfg), images))
 
-    def test_fuse_disabled_still_bitwise(self):
-        """trace=True, fuse=False runs the unfused traced path — still exact."""
+    def test_unfused_program_still_bitwise(self, monkeypatch):
+        """With the epilogue-fusion pass switched off the traced program
+        runs every elementwise op standalone — still exact."""
+        monkeypatch.setattr(fuse, "_fuse_epilogues", lambda ir: 0)
         model = build_small_network(5)
         images = sample_images(6, seed=3)
-        cfg = PlanConfig(fuse=False)
+        cfg = PlanConfig()
         got = _logits(model, cfg, images)
         assert np.array_equal(got, _logits(model, _interp(cfg), images))
         prog = compile_network(model, config=cfg).traced_program(images.shape)
-        # A second build for the logits above already compiled one; this
-        # fresh plan's program must report zero fusions under fuse=False.
         assert prog is not None and prog.stats["fused_elementwise"] == 0
+
+    @pytest.mark.parametrize("network_id", [1, 2, 4])
+    def test_int8_multiblock_matches_single_block(self, network_id, monkeypatch):
+        """An int8 program split into batch blocks with a ragged tail
+        returns the single-block bytes."""
+        model = build_small_network(network_id)
+        images = sample_images(7, seed=network_id)
+        cfg = PlanConfig(dtype="int8")
+        want = _logits(model, cfg, images)
+        force_multiblock(monkeypatch, target_bytes=16 << 10)
+        engine = InferenceEngine(model, config=cfg)
+        got = engine.forward_batch(images, check_stale=False)
+        (stats,) = engine.plan_summary()["trace"]["programs"]
+        assert stats["blocks"] > 1 and 7 % stats["block_size"], stats
+        assert got.tobytes() == want.tobytes()
 
     def test_trace_disabled_uses_interpreter(self):
         model = build_small_network(4)
@@ -134,11 +149,22 @@ class TestProgramStructure:
         engine = InferenceEngine(model)
         engine.forward_batch(sample_images(4), check_stale=False)
         trace = engine.plan_summary()["trace"]
-        assert trace["enabled"] is True and trace["fuse"] is True
+        assert trace["enabled"] is True and "fuse" not in trace
         assert len(trace["programs"]) == 1
         assert trace["fused_elementwise_total"] > 0
         assert trace["peak_intermediate_bytes"] > 0
         assert {"kernels", "autotune"} <= set(trace["cache"])
+
+    def test_int8_program_in_trace_summary(self):
+        """An int8 plan runs as a traced program: it shows in the trace
+        summary with its backends, and liveness reuse beats one buffer per
+        value."""
+        engine = InferenceEngine(build_small_network(4), config=PlanConfig(dtype="int8"))
+        engine.forward_batch(sample_images(4), check_stale=False)
+        (program,) = engine.plan_summary()["trace"]["programs"]
+        assert sum(program["backends"].values()) == program["nodes"] > 0
+        assert program["fused_elementwise"] > 0
+        assert 0 < program["peak_intermediate_bytes"] < program["naive_intermediate_bytes"]
 
     def test_bound_state_cache_is_bounded(self):
         """One context compiling many input shapes keeps at most a few bound
@@ -244,6 +270,16 @@ class TestProfiler:
         assert phases and all(p.startswith("ir") for p in phases)
         assert any("conv[dense]" in p and "+lrelu+aq" in p for p in phases)
         assert all(count >= 1 for count in timings["counts"].values())
+
+    def test_int8_phase_names(self):
+        engine = InferenceEngine(
+            build_small_network(4), config=PlanConfig(dtype="int8"), profile=True
+        )
+        engine.forward_batch(sample_images(3), check_stale=False)
+        phases = list(engine.plan_summary()["timings"]["totals"])
+        assert phases and all(p.startswith("ir") for p in phases)
+        for kind in (":conv[intq_gemm]+lrelu+rshift", ":linear", ":maxpool", ":gap"):
+            assert any(kind in p for p in phases), (kind, phases)
 
     def test_interpreter_phase_names(self):
         engine = InferenceEngine(

@@ -211,3 +211,20 @@ class TestHTTPFrontEnd:
             client._request("/v1/predict", {"image": image, "tenant": "greedy"})
         assert info.value.status == 429
         assert info.value.payload["quota"] is True
+
+
+@pytest.mark.timeout(90)
+def test_int8_engine_runs_in_a_worker():
+    """An int8-only engine: the worker runs the plan's traced integer
+    program and returns the engine's bytes."""
+    engine = InferenceEngine(build_small_network(4), config=PlanConfig(dtype="int8"))
+    service = ClusterService(ClusterConfig(workers=1, **FAST))
+    service.register("net4-int8", engines=engine)
+    service.start()
+    try:
+        images = sample_images(3, seed=33)
+        got = _resolve([service.submit(img) for img in images])
+        want = engine.predict_logits(images)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    finally:
+        service.stop()
