@@ -79,12 +79,12 @@ def main() -> None:
         for t in threads:
             t.join()
 
-        # 3. Hot weight update: mutate in place, then quiesce-and-refresh.
-        #    In-flight requests finish on the old weights; later ones see new.
+        # 3. Hot weight update: mutate in place, then refresh (recompile).
+        #    In-flight requests finish on the old plan; later ones see new.
         first_conv = next(p for p in model.parameters() if p.data.ndim == 4)
         first_conv.data[...] *= 1.01
-        rebuilt = registry.refresh("net4")
-        print(f"hot refresh rebuilt {rebuilt} cached op(s)")
+        stale = registry.refresh("net4")
+        print(f"hot refresh recompiled the plan for {stale} stale layer(s)")
         print(f"post-refresh prediction: {client.predict(images[0]).predictions}")
 
         # 4. The server's own view of the run.

@@ -10,27 +10,26 @@ Staleness: the plan snapshots version counters and content fingerprints of
 every source weight at build time.  ``on_stale`` controls what happens when
 the model has since been trained or mutated:
 
-* ``"refresh"`` (default) — transparently re-quantize/re-fold just the
-  changed layers before predicting;
+* ``"refresh"`` (default) — transparently recompile the plan against the
+  current weights before predicting;
 * ``"error"`` — raise :class:`~repro.errors.StalePlanError`;
 * ``"ignore"`` — serve the cached weights anyway (explicit opt-out).
 
 Concurrency contract (what the serving layer in :mod:`repro.serve` relies
 on):
 
-* the stale-check/refresh path is serialized by an internal lock, so two
-  threads can never rebuild the same op concurrently;
+* the stale-check/refresh path is serialized by an internal lock, so a
+  weight change triggers one recompile even when several threads see it;
 * :meth:`predict_logits` / :meth:`evaluate` are re-entrant — each call
   borrows a private :class:`ExecutionContext` from an internal pool and
   copies results out of its scratch buffers before returning it;
 * :meth:`forward_batch` returns a live scratch buffer, so concurrent callers
   **must** each pass their own context from :meth:`make_context` — one
   context per worker thread, never shared between in-flight batches;
-* a refresh that races an in-flight batch swaps that op's weight arrays
-  mid-execution.  Callers needing a strict "whole batch sees one weight
-  version" guarantee must quiesce execution around :meth:`refresh` — the
-  serving registry does exactly that by pausing its batcher
-  (:meth:`repro.serve.registry.ModelRegistry.refresh`).
+* plans are immutable: a refresh compiles a new plan and swaps
+  ``self.plan``, so a batch (or a whole :meth:`predict_logits` call) that
+  races a refresh finishes on the plan it started with — one weight
+  version per call, with no quiesce needed.
 """
 
 from __future__ import annotations
@@ -88,7 +87,8 @@ class InferenceEngine:
             (:class:`~repro.infer.plan.PlanConfig`): dead-filter pruning,
             kernel selection (dense / shift-plane / autotuned), traced-
             program execution (``trace``), the compute dtype and the
-            all-dead-layer policy.  The same config is reused on every structural rebuild.
+            all-dead-layer policy.  Every refresh recompiles with the same
+            config.
         profile: Attach a :class:`~repro.utils.profiler.PhaseProfiler` to
             this engine and time every execution phase with per-IR-op names
             (``ir3:conv[dense]+lrelu+aq`` on the traced path,
@@ -117,8 +117,8 @@ class InferenceEngine:
         self.profiler: "PhaseProfiler | None" = PhaseProfiler() if profile else None
         self.plan: ExecutionPlan = compile_network(model, dtype=dtype, config=self.config)
         self._ctx = ExecutionContext()
-        # Serializes stale-check/refresh so concurrent callers never rebuild
-        # the same op twice or interleave partial weight/bias swaps.
+        # Serializes stale-check/refresh so concurrent callers trigger one
+        # recompile per weight change, not one each.
         self._refresh_lock = threading.Lock()
         # Reuse pool backing the re-entrant predict/evaluate paths: contexts
         # are borrowed per call and returned once results are copied out.
@@ -144,33 +144,29 @@ class InferenceEngine:
     # -- staleness -------------------------------------------------------------
 
     def _refresh_stale_locked(self, stale: list) -> int:
-        """Refresh under the lock: patch arrays in place when the dead-filter
-        structure is intact, rebuild the whole plan when it is not.
+        """Recompile the plan under the lock; returns ``len(stale)``.
 
-        A pruned plan (cross-layer constant folds) or a stale layer whose
-        dead mask moved (new thresholds → new k histogram → new channel
-        layout) cannot be patched — re-quantizing into the old layout would
-        silently mis-shape or mis-fold.  Recompiling reruns pruning,
-        shift-plane attachment and autotuning against the fresh weights;
-        the plan swap is atomic under the refresh lock, and execution
-        contexts re-bind their scratch buffers by shape automatically.
+        Every refresh is a full :func:`compile_network`, so pruning,
+        shift-plane attachment, autotuning and the int8 program all follow
+        the new weights (a new k histogram can move the dead-filter
+        layout).  The swap is atomic under the refresh lock; callers still
+        running the old plan finish on it.
         """
         for b in stale:
             # Quantize caches may hold arrays from raw .data mutations that
-            # never bumped a version; drop them so both the structure check
-            # and any rebuild see fresh weights.
+            # never bumped a version; drop them so the recompile sees fresh
+            # weights.
             if hasattr(b.layer, "invalidate_weight_cache"):
                 b.layer.invalidate_weight_cache()
-        if self.plan.pruned or self.plan.structure_changed(stale):
-            self.plan = compile_network(self.model, dtype=self.plan.dtype, config=self.config)
-            return len(self.plan.ops)
-        return self.plan.refresh(stale)
+        self.plan = compile_network(self.model, dtype=self.plan.dtype, config=self.config)
+        return len(stale)
 
     def check_stale(self, fingerprint: bool = True) -> int:
-        """Apply the ``on_stale`` policy; returns the number of ops rebuilt.
+        """Apply the ``on_stale`` policy; returns the number of stale
+        layers that triggered a recompile (0 when nothing was stale).
 
         Thread-safe: the check-and-refresh runs under the engine's refresh
-        lock, so concurrent callers see each binding rebuilt exactly once.
+        lock, so concurrent callers trigger one recompile, not several.
         """
         if self.on_stale == "ignore":
             return 0
@@ -181,20 +177,14 @@ class InferenceEngine:
             if self.on_stale == "error":
                 layers = sorted({type(b.layer).__name__ for b in stale})
                 raise StalePlanError(
-                    f"{len(stale)} plan op(s) reference mutated weights ({', '.join(layers)}); "
+                    f"{len(stale)} layer(s) have mutated weights ({', '.join(layers)}); "
                     "call refresh() or construct the engine with on_stale='refresh'"
                 )
             return self._refresh_stale_locked(stale)
 
     def refresh(self) -> int:
-        """Force re-derivation of every stale op; returns ops rebuilt.
-
-        Falls back to a full plan rebuild when the stale weights changed
-        the dead-filter structure (see :meth:`_refresh_stale_locked`) — the
-        serving layer's hot weight refresh relies on this to rebuild
-        pruning/shift-plane/autotune state instead of re-quantizing into a
-        stale channel layout.
-        """
+        """Recompile the plan if any layer is stale (content fingerprints
+        included); returns the number of stale layers, 0 if none."""
         with self._refresh_lock:
             stale = self.plan.stale_bindings()
             if not stale:
@@ -260,11 +250,14 @@ class InferenceEngine:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         if isinstance(images, ArrayDataset):
             images = images.images
+        self.check_stale()
+        # Every shard runs this one plan, even if a refresh swaps in a new
+        # one mid-call.
+        plan = self.plan
         # One up-front cast to the plan's compute dtype, so per-batch
         # execute() sees its native precision and converts nothing.
-        images = np.asarray(images, dtype=self.plan.dtype)
+        images = np.asarray(images, dtype=plan.dtype)
         batch_size = batch_size or self.batch_size
-        self.check_stale()
         slices = shard_slices(len(images), batch_size)
         if not slices:
             raise ConfigurationError("cannot run inference on an empty image array")
@@ -272,7 +265,7 @@ class InferenceEngine:
         def run(sl: slice) -> np.ndarray:
             ctx = self._borrow_context()
             try:
-                return self.plan.execute(images[sl], ctx).copy()
+                return plan.execute(images[sl], ctx).copy()
             finally:
                 # The rows were copied out, so the context's scratch buffers
                 # are free to recycle for the next batch or call.

@@ -30,11 +30,10 @@ passes run for both dtypes, in order:
 
 A :class:`TracedProgram` is immutable; per-:class:`ExecutionContext` bound
 state (flat registers, prebound views, the thunk list) is cached on the
-context keyed by the program's ``uid``.  Invalidation rides the plan's
-``WeightBinding`` fingerprint machinery: any refresh that touches weights
-calls ``ExecutionPlan.invalidate_traced()``, dropping the programs (and
-orphaning their bound states), so the next execution re-traces and re-binds
-against the fresh arrays atomically.
+context keyed by the program's ``uid``.  Nothing is ever invalidated: plans
+are immutable too, and a weight refresh compiles a new plan whose programs
+trace and bind afresh on their first batch (the old plan's bound states
+are orphaned with it).
 """
 
 from __future__ import annotations

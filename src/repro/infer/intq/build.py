@@ -287,7 +287,6 @@ class IntQProgram:
         input_chw: tuple[int, int, int],
         layers: list[dict],
         calibration: dict,
-        calibration_images: np.ndarray,
     ) -> None:
         self.ops = ops
         self.out_slot = out_slot
@@ -296,9 +295,6 @@ class IntQProgram:
         #: multiply counts per image, in/out scales (see ``summary_block``).
         self.layers = layers
         self.calibration = calibration
-        #: Retained so a hot weight refresh can rebuild the packed state
-        #: against the exact same calibration batch.
-        self.calibration_images = calibration_images
 
     def summary_block(self) -> dict:
         """The ``"intq"`` section of ``ExecutionPlan.summary()``."""
@@ -683,7 +679,6 @@ def build_intq_program(
             "mid_bits": MID_BITS,
             "zero_point": 0,
         },
-        calibration_images=images,
     )
     # Report the steps the shared IR pass folds into each conv/linear (the
     # fold is structural, so any traced input shape gives the same answer).

@@ -29,11 +29,11 @@ Two process-wide caches live here:
   kernel candidates are unchanged (the common hot-weight-refresh case)
   reuses the previous measurement instead of re-timing every layer.
 
-Invalidation rides the plan's existing fingerprint machinery: weight
-refreshes and structural rebuilds drop the *traced programs* (which hold
-the bound array views); the shape-keyed entries here stay valid because
-they close over nothing — binding fresh arrays to a cached factory is what
-a "recompile" of the traced program mostly amounts to.
+A weight refresh recompiles the whole plan, so its *traced programs*
+(which hold the bound array views) are new; the shape-keyed entries here
+stay valid because they close over nothing — binding fresh arrays to a
+cached factory is what a "recompile" of the traced program mostly amounts
+to.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from repro.errors import CompileError, ConfigurationError, ShapeError, StalePlanError
+from repro.errors import CompileError, ConfigurationError, ShapeError
 from repro.infer.fold import (
     bn_eval_affine,
     bn_fingerprint,
@@ -576,7 +576,6 @@ class WeightBinding:
     bn: BatchNorm2d | None
     built_key: tuple = ()
     built_fp: tuple = ()
-    built_dead: tuple = ()  # dead-row indices of the folded weights at build
 
     def current_key(self) -> tuple:
         """Version vector of every tensor the op's arrays derive from."""
@@ -602,20 +601,6 @@ class WeightBinding:
             fp.extend([float(t.sum()), float(np.abs(t).sum())])
         return tuple(fp)
 
-    def current_dead(self) -> tuple:
-        """Dead-row indices the layer's *current* folded weights would have.
-
-        This is the plan's structural signature: pruning decisions and shift
-        planes were derived from it, so a refresh that changes it (e.g. new
-        thresholds moving the k histogram) must rebuild the whole plan
-        rather than patch arrays into the old channel layout.
-        """
-        if hasattr(self.layer, "kernel_size"):
-            weight2d, _ = _conv_arrays(self.layer, self.bn, np.float64)
-            return tuple(int(i) for i in dead_filter_rows(weight2d))
-        weight_t, _ = _linear_arrays(self.layer, np.float64)
-        return tuple(int(i) for i in dead_filter_rows(weight_t.T))
-
 
 class ExecutionPlan:
     """A compiled model: flat op program + weight bindings + output slot.
@@ -626,6 +611,12 @@ class ExecutionPlan:
     the opt-in float32 deployment mode for quantized networks, which halves
     memory traffic at the cost of occasional one-LSB activation rounding
     flips.
+
+    A plan is immutable once :func:`compile_network` returns: nothing
+    rewrites its ops or weight arrays, so a batch that started on a plan
+    finishes on it.  New weights mean a new plan (the engine recompiles on
+    every refresh); only the lazy per-shape caches (traced programs, conv
+    ``dead_maps``) fill in.
     """
 
     def __init__(
@@ -647,13 +638,11 @@ class ExecutionPlan:
         #: (see :func:`_collect_layer_info`); surfaced through
         #: :meth:`summary` into ``/metrics``.
         self.layer_info = layer_info or []
-        #: Whether dead-filter elimination removed anything.  A pruned plan
-        #: contains cross-layer constant folds, so stale weights require a
-        #: full recompile instead of a per-binding array patch.
+        #: Whether dead-filter elimination removed anything.
         self.pruned = pruned
         #: Traced programs per input shape (lazy; see :meth:`execute`) and
         #: shapes that failed to trace (memoized so they don't retry per
-        #: batch).  Dropped wholesale by :meth:`invalidate_traced`.
+        #: batch).
         self._traced: dict[tuple, Any] = {}
         self._trace_failed: set[tuple] = set()
         #: Integer-only twin program (:mod:`repro.infer.intq`), attached by
@@ -787,18 +776,6 @@ class ExecutionPlan:
                 self._traced[shape] = program
         return program
 
-    def invalidate_traced(self) -> None:
-        """Drop every traced program (weight arrays changed).
-
-        Called by :meth:`refresh` after patching op arrays — the same
-        ``WeightBinding`` version/fingerprint machinery that detects stale
-        weights therefore also recompiles the traced programs atomically.
-        Structural rebuilds (pruning drift) construct a whole new plan, so
-        their invalidation is implicit.
-        """
-        self._traced = {}
-        self._trace_failed = set()
-
     def stale_bindings(self, fingerprint: bool = True) -> list[WeightBinding]:
         """Bindings whose source tensors changed since the plan was built.
 
@@ -814,80 +791,6 @@ class ExecutionPlan:
             elif fingerprint and b.current_fp() != b.built_fp:
                 stale.append(b)
         return stale
-
-    def structure_changed(self, bindings: list[WeightBinding] | None = None) -> bool:
-        """Whether any binding's dead-filter structure drifted since build.
-
-        When true, an in-place :meth:`refresh` would re-quantize into a
-        channel layout derived from the *old* k histogram; the plan must be
-        rebuilt from scratch (``InferenceEngine`` does this automatically).
-        """
-        if bindings is None:
-            bindings = self.bindings
-        return any(b.current_dead() != b.built_dead for b in bindings)
-
-    def refresh(self, bindings: list[WeightBinding] | None = None) -> int:
-        """Re-derive op arrays for ``bindings`` (default: the stale ones).
-
-        Returns the number of ops rebuilt.  Layers whose version counters
-        moved re-quantize through the layer cache; raw-mutation layers have
-        their cache dropped first so the re-quantization sees fresh data.
-
-        Raises:
-            StalePlanError: If the plan was pruned.  Pruned plans contain
-                cross-layer constant folds (removed channels folded into
-                downstream biases), so per-binding patching would
-                re-quantize into a channel layout derived from the old k
-                histogram.  Rebuild via :func:`compile_network` instead
-                (the engine's refresh path does this transparently).
-        """
-        if bindings is None:
-            bindings = self.stale_bindings()
-        if bindings and self.pruned:
-            raise StalePlanError(
-                "the plan was compiled with dead-filter pruning; its cross-layer "
-                "constant folds cannot be patched per binding — recompile via "
-                "compile_network (InferenceEngine.refresh does this automatically)"
-            )
-        for b in bindings:
-            if hasattr(b.layer, "invalidate_weight_cache"):
-                b.layer.invalidate_weight_cache()
-            op = self.ops[b.op_index]
-            if isinstance(op, ConvOp):
-                weight2d, bias = _conv_arrays(b.layer, b.bn, self.dtype)
-                op.weight2d, op.bias = weight2d, bias
-            elif isinstance(op, LinearOp):
-                weight_t, bias = _linear_arrays(b.layer, self.dtype)
-                op.weight_t, op.bias = weight_t, bias
-            if op.shift is not None:
-                from repro.infer.shift_plane import build_shift_planes
-
-                op.shift = build_shift_planes(
-                    b.layer,
-                    b.bn,
-                    self.dtype,
-                    live_rows=op.live_rows,
-                    col_index=op.in_live_cols,
-                    linear=isinstance(op, LinearOp),
-                )
-            b.built_key = b.current_key()
-            b.built_fp = b.current_fp()
-            b.built_dead = b.current_dead()
-        if bindings:
-            if self.intq is not None:
-                # The integer program's packed weights and requant constants
-                # derive from the arrays just patched; rebuild it against the
-                # same calibration batch it was built with.
-                from repro.infer.intq import build_intq_program
-
-                self.intq = build_intq_program(
-                    self, calibration_images=self.intq.calibration_images
-                )
-            # Traced programs hold bind-time references to the op arrays
-            # (and int ops) just replaced; recompile them against the fresh
-            # ones.  After the int rebuild, so no trace sees the old program.
-            self.invalidate_traced()
-        return len(bindings)
 
 
 # -- compilation --------------------------------------------------------------
@@ -1057,7 +960,6 @@ class _Compiler:
         binding = WeightBinding(op_index, layer, bn)
         binding.built_key = binding.current_key()
         binding.built_fp = binding.current_fp()
-        binding.built_dead = binding.current_dead()
         self.bindings.append(binding)
 
     def mark_inplace(self) -> None:

@@ -94,8 +94,7 @@ class IRNode:
 
     ``kind`` is one of ``conv | linear | eltwise | maxpool | avgpool | gap |
     add | flatten | fallback``.  ``op`` is the originating plan op (arrays
-    and geometry are read from it at bind time, so a weight refresh that
-    rebuilds the traced program automatically picks up fresh arrays).
+    and geometry are read from it at bind time).
     ``head`` (eltwise only) is the node's own elementwise step; ``epilogue``
     holds steps fused in behind the base computation by the optimizer.
 

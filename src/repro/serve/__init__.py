@@ -2,8 +2,8 @@
 
 Turns :class:`~repro.infer.engine.InferenceEngine` into a concurrent model
 server: a dynamic micro-batcher with a bounded, backpressured request queue
-(:mod:`repro.serve.batcher`), a multi-model registry with quiesced hot
-weight refreshes (:mod:`repro.serve.registry`), a stdlib-only HTTP front
+(:mod:`repro.serve.batcher`), a multi-model registry with hot weight
+refreshes (:mod:`repro.serve.registry`), a stdlib-only HTTP front
 end with drain-then-stop shutdown (:mod:`repro.serve.http`), a serving
 metrics core with latency percentiles (:mod:`repro.serve.metrics`), and a
 supervised multi-process cluster tier — crash-isolated workers over

@@ -162,8 +162,10 @@ class MicroBatcher:
         logger.debug("batcher %r stopped (drain=%s)", self.name, drain)
 
     def pause(self) -> None:
-        """Hold dequeuing; queued requests wait.  Used to quiesce execution
-        around hot weight refreshes (see ``ModelRegistry.refresh``)."""
+        """Hold dequeuing; queued requests wait until :meth:`resume`.
+
+        A hot weight refresh does not need it: plans are immutable, so an
+        in-flight batch finishes on the plan it started with."""
         with self._cond:
             self._paused = True
             self._cond.notify_all()
@@ -175,20 +177,9 @@ class MicroBatcher:
 
     def join_idle(self, timeout: "float | None" = None) -> bool:
         """Block until the queue is empty and no batch is executing."""
-        return self._join(lambda: self._queue or self._inflight, timeout)
-
-    def join_inflight(self, timeout: "float | None" = None) -> bool:
-        """Block until no batch is executing (queued requests may remain).
-
-        This is the quiesce point for hot weight refreshes on a *paused*
-        batcher, where the queue intentionally stays populated.
-        """
-        return self._join(lambda: self._inflight, timeout)
-
-    def _join(self, busy, timeout: "float | None") -> bool:
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
-            while busy():
+            while self._queue or self._inflight:
                 remaining = None if deadline is None else deadline - time.monotonic()
                 if remaining is not None and remaining <= 0:
                     return False

@@ -142,7 +142,7 @@ class ClusterRouter:
             self._dispatcher.join(timeout=5.0)
             self._dispatcher = None
 
-    # -- quiesce (hot refresh) -------------------------------------------------
+    # -- pause (hot refresh) ---------------------------------------------------
 
     def pause(self) -> None:
         """Hold dispatch; queued requests wait, in-flight ones complete."""
@@ -153,17 +153,6 @@ class ClusterRouter:
         with self._cond:
             self._paused = False
             self._cond.notify_all()
-
-    def join_inflight(self, timeout_s: "float | None" = None) -> bool:
-        """Wait until no request is outstanding on any worker."""
-        deadline = None if timeout_s is None else self._clock() + timeout_s
-        with self._cond:
-            while self.supervisor.total_inflight() > 0:
-                remaining = None if deadline is None else deadline - self._clock()
-                if remaining is not None and remaining <= 0:
-                    return False
-                self._cond.wait(0.05 if remaining is None else min(0.05, remaining))
-            return True
 
     def join_idle(self, timeout_s: "float | None" = None) -> bool:
         """Wait until queues are empty *and* nothing is in flight (drain)."""

@@ -249,30 +249,31 @@ class ClusterService:
             self._stop_entry(entry, drain=drain, deadline=deadline)
 
     def refresh(self, name: "str | None" = None, timeout: "float | None" = 10.0) -> int:
-        """Quiesced hot weight update across the whole pool; returns the
-        number of plan ops rebuilt.
+        """Hot weight update across the whole pool; returns the number of
+        stale layers, summed over the variants' engines.
 
-        Pauses dispatch (queued requests wait, none are dropped), drains
-        in-flight work, refreshes every variant's engine, publishes the new
-        generation, and reloads every worker before resuming — so no worker
-        ever serves a mix of old and new weights.
+        Pauses dispatch (queued requests wait, none are dropped), recompiles
+        every variant's engine, publishes the new generation, and reloads
+        every worker before resuming — so requests never reach a pool whose
+        workers serve different generations.  A request already on a worker
+        runs before that worker's reload message (its pipe is served in
+        order), so it finishes on the plan it started with.
         """
         entry = self.get(name)
         entry.router.pause()
         try:
-            entry.router.join_inflight(timeout)
-            rebuilt = sum(engine.refresh() for engine in entry.engines.values())
+            stale = sum(engine.refresh() for engine in entry.engines.values())
             payloads = {variant: eng.plan.payload() for variant, eng in entry.engines.items()}
             generation = entry.supervisor.refresh(payloads, timeout_s=timeout)
         finally:
             entry.router.resume()
         _log.info(
-            "model %r: refreshed %d plan op(s), generation %d live on all workers",
+            "model %r: %d stale layer(s), generation %d live on all workers",
             entry.name,
-            rebuilt,
+            stale,
             generation,
         )
-        return rebuilt
+        return stale
 
     def metrics_snapshot(self) -> dict:
         """``{model name: metrics snapshot}``, each carrying the cluster

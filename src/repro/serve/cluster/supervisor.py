@@ -364,9 +364,9 @@ class WorkerSupervisor:
     def refresh(self, payloads: "dict[str, dict]", timeout_s: "float | None" = None) -> int:
         """Publish a new plan generation and reload every alive worker.
 
-        Call with the router quiesced (paused + drained) for an atomic
-        switch: the new generation is published *before* any reload is
-        sent, so a worker restarting mid-refresh also comes up on it.
+        Call with the router paused for an atomic switch: the new
+        generation is published *before* any reload is sent, so a worker
+        restarting mid-refresh also comes up on it.
         Returns the new generation number once every alive worker acked.
 
         Raises:

@@ -13,10 +13,11 @@ machinery two ways:
 * *transparent*: each served batch runs the engine's cheap version-counter
   stale check, so ordinary weight mutations (an optimizer step, a
   checkpoint load) are picked up automatically on the next batch;
-* *quiesced*: :meth:`ModelRegistry.refresh` pauses the model's batcher,
-  waits for in-flight batches to finish, refreshes every stale op under the
-  engine's lock, and resumes — guaranteeing no batch ever mixes old and new
-  weights.
+* *explicit*: :meth:`ModelRegistry.refresh` runs the full fingerprint
+  check and recompiles the plan under the engine's lock.  Plans are
+  immutable, so no batch ever mixes old and new weights: a batch already
+  running finishes on the plan it started with, and the next one runs the
+  new plan.  Nothing is paused or drained.
 """
 
 from __future__ import annotations
@@ -171,26 +172,18 @@ class ModelRegistry:
             remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
             entry.batcher.stop(drain=drain, timeout=remaining)
 
-    def refresh(self, name: "str | None" = None, timeout: "float | None" = 10.0) -> int:
-        """Quiesced hot weight update; returns the number of plan ops rebuilt.
+    def refresh(self, name: "str | None" = None) -> int:
+        """Hot weight update; returns the number of stale layers (0 if none).
 
-        Pauses the batcher (queued requests wait, none are dropped), lets
-        in-flight batches finish, refreshes every stale op, and resumes.
+        Recompiles the plan when any layer's weights changed, including raw
+        ``.data`` edits the per-batch version check cannot see.  Queued and
+        in-flight requests are untouched: each batch runs one whole plan.
         """
         entry = self.get(name)
-        entry.batcher.pause()
-        try:
-            entry.batcher.join_inflight(timeout)
-            rebuilt = entry.engine.refresh()
-        finally:
-            entry.batcher.resume()
-        if rebuilt:
-            logger.info(
-                "model %r: refreshed %d plan op(s); traced programs recompile on next batch",
-                entry.name,
-                rebuilt,
-            )
-        return rebuilt
+        stale = entry.engine.refresh()
+        if stale:
+            logger.info("model %r: %d stale layer(s), plan recompiled", entry.name, stale)
+        return stale
 
     def metrics_snapshot(self) -> dict:
         """``{model name: metrics snapshot}`` for every registered model.
@@ -200,8 +193,8 @@ class ModelRegistry:
         the traced-program block (fused-op counts, buffers eliminated,
         peak intermediate bytes, kernel/autotune cache hit counters) — so
         ``/metrics`` exposes both the sparsity state and the compilation
-        state the model serves with (and reflects structural rebuilds and
-        traced-program recompiles after a hot weight refresh).
+        state the model serves with (and reflects the recompiled plan after
+        a hot weight refresh).
         """
         with self._lock:
             entries = list(self._models.items())

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, StalePlanError
-from repro.infer import InferenceEngine
+from repro.infer import InferenceEngine, PlanConfig
+from repro.quant.sparsify import sparsify_model
 
 from tests.infer.conftest import build_small_network, eager_logits, sample_images
 
@@ -64,14 +65,75 @@ def test_refresh_policy_requantizes_transparently(mutate):
     np.testing.assert_allclose(after, eager_logits(model, images), atol=1e-10)
 
 
-def test_refresh_rebuilds_only_changed_layers():
+def test_refresh_counts_stale_layers():
     model = build_small_network(1)
     engine = InferenceEngine(model)
     engine.predict_logits(sample_images(2))
     assert engine.refresh() == 0  # nothing stale after a clean build
     _mutate_versioned(model)
-    assert engine.refresh() == 1  # exactly the touched conv, not the plan
+    assert engine.refresh() == 1  # exactly the touched conv, not the plan's ops
     assert engine.refresh() == 0  # and refreshing is idempotent
+
+
+def test_refresh_leaves_the_old_plan_intact():
+    """Plans are immutable: a refresh compiles a new one, and the plan it
+    replaced still serves the weights it was built from, byte for byte."""
+    model = build_small_network(4)
+    engine = InferenceEngine(model)
+    images = sample_images(5, seed=3)
+    old_plan = engine.plan
+    assert not old_plan.pruned and old_plan.intq is None
+    before = old_plan.execute(images, engine.make_context()).copy()
+    _mutate_versioned(model)
+    assert engine.refresh() == 1
+    assert engine.plan is not old_plan
+    assert old_plan.execute(images, engine.make_context()).tobytes() == before.tobytes()
+
+
+def test_one_predict_call_runs_one_plan(monkeypatch):
+    """A refresh that lands while a predict_logits call runs does not split
+    the call across weight versions: every shard runs the plan it started
+    with, including the shard that triggered the refresh."""
+    model = build_small_network(4)
+    engine = InferenceEngine(model, batch_size=2)
+    images = sample_images(6, seed=4)
+    expected = engine.predict_logits(images)
+    old_plan = engine.plan
+    execute = old_plan.execute
+    shards = []
+
+    def refresh_then_execute(x, ctx):
+        if not shards:
+            _mutate_versioned(model)
+            engine.refresh()
+        shards.append(len(x))
+        return execute(x, ctx)
+
+    monkeypatch.setattr(old_plan, "execute", refresh_then_execute)
+    got = engine.predict_logits(images)
+    assert shards == [2, 2, 2]
+    assert engine.plan is not old_plan
+    assert got.tobytes() == expected.tobytes()
+    assert engine.predict_logits(images).tobytes() != expected.tobytes()
+
+
+@pytest.mark.parametrize("case", ["float64", "sparse0.3", "int8"])
+def test_refreshed_engine_matches_a_fresh_one(case):
+    """After a refresh the engine's logits are byte-equal to an engine
+    built from scratch on the mutated model."""
+    model = build_small_network(4)
+    if case == "sparse0.3":
+        sparsify_model(model, 0.3)
+    config = PlanConfig(dtype="int8") if case == "int8" else None
+    engine = InferenceEngine(model, config=config)
+    images = sample_images(7, seed=5)
+    before = engine.predict_logits(images)  # traces and binds the old plan
+    _mutate_versioned(model)
+    assert engine.refresh() == 1
+    after = engine.predict_logits(images)
+    assert after.tobytes() != before.tobytes()
+    fresh = InferenceEngine(model, config=config).predict_logits(images)
+    assert after.tobytes() == fresh.tobytes()
 
 
 def test_ignore_policy_serves_cached_weights():

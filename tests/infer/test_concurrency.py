@@ -1,12 +1,13 @@
 """Engine thread-safety: the contracts the serving layer builds on.
 
-Covers the PR's engine-hardening satellite: serialized stale-check/refresh,
-re-entrant ``predict_logits``, and the one-``ExecutionContext``-per-worker
-rule for ``forward_batch``.
+Covers serialized stale-check/refresh, re-entrant ``predict_logits``, one
+weight version per call while refreshes swap plans, and the
+one-``ExecutionContext``-per-worker rule for ``forward_batch``.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -78,8 +79,8 @@ def test_forward_batch_with_private_contexts():
 
 
 def test_concurrent_stale_check_refreshes_once():
-    """Racing stale checks must rebuild each stale op exactly once overall
-    (the refresh lock serializes check-and-rebuild)."""
+    """Racing stale checks must recompile exactly once overall (the refresh
+    lock serializes check-and-recompile)."""
     model = build_small_network(4)
     engine = InferenceEngine(model)
     engine.predict_logits(sample_images(2))  # warm
@@ -100,7 +101,63 @@ def test_concurrent_stale_check_refreshes_once():
         t.start()
     for t in threads:
         t.join(30)
-    # One thread wins the race and rebuilds; everyone else sees fresh ops.
-    assert sum(rebuilt_counts) >= 1
-    assert sum(1 for c in rebuilt_counts if c > 0) == 1
+    # One thread wins the race and recompiles for the one stale layer;
+    # everyone else sees a fresh plan.
+    assert sorted(rebuilt_counts) == [0] * 7 + [1]
     assert engine.plan.stale_bindings() == []
+
+
+def test_refresh_never_splits_a_call_across_weight_versions():
+    """Threads predicting while another thread swaps weights and refreshes:
+    every call returns the logits of exactly one weight version."""
+    model = build_small_network(4)
+    layer = next(m for m in model.modules() if isinstance(m, QConv2d))
+    versions = [layer.weight.data.copy(), layer.weight.data * 2.0]
+    images = sample_images(6, seed=52)
+    refs = []
+    for weight in versions:
+        layer.weight.data[...] = weight
+        layer.weight.bump_version()
+        refs.append(InferenceEngine(model).predict_logits(images).tobytes())
+    assert refs[0] != refs[1]
+    # Only the refresher writes weights or compiles: "ignore" keeps the
+    # predicting threads off the stale check, so no compile reads a
+    # half-written weight.
+    engine = InferenceEngine(model, on_stale="ignore", batch_size=2)
+    outputs: "list[bytes]" = []
+    errors: "list[Exception]" = []
+    stop = threading.Event()
+
+    def refresh_loop():
+        i = 0
+        while not stop.is_set():
+            layer.weight.data[...] = versions[i % 2]
+            layer.weight.bump_version()
+            engine.refresh()
+            i += 1
+
+    def predict_loop():
+        try:
+            for _ in range(20):
+                outputs.append(engine.predict_logits(images).tobytes())
+        except Exception as exc:  # pragma: no cover - failure diagnostics
+            errors.append(exc)
+
+    refresher = threading.Thread(target=refresh_loop)
+    predictors = [threading.Thread(target=predict_loop) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        refresher.start()
+        for t in predictors:
+            t.start()
+        for t in predictors:
+            t.join(60)
+    finally:
+        stop.set()
+        refresher.join(60)
+        sys.setswitchinterval(interval)
+    assert not refresher.is_alive() and not any(t.is_alive() for t in predictors)
+    assert not errors, errors
+    assert len(outputs) == 80
+    assert set(outputs) <= set(refs)

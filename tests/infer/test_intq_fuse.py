@@ -24,7 +24,7 @@ from repro.infer.intq.kernels import STEP_ARGS, step_struct
 from repro.infer.intq.requant import quantize_multiplier
 from repro.infer.native import binding
 from repro.infer.native.codegen import int_epilogue
-from repro.infer.plan import AddOp, ConvOp, ExecutionContext, LeakyReluOp
+from repro.infer.plan import AddOp, ConvOp, ExecutionContext, ExecutionPlan, LeakyReluOp
 
 from tests.infer.conftest import build_small_network, sample_images, traced_int_chain
 
@@ -229,9 +229,10 @@ class TestFusedPrograms:
         assert first.epilogue == [] and first.op.dst == conv.dst
         assert any(n.head and n.head[0] in STEP_ARGS and n.srcs == (first.dst,) for n in nodes)
         got = plan.execute(images, ExecutionContext()).copy()
-        plan.invalidate_traced()
         monkeypatch.setattr(fuse, "_fuse_epilogues", lambda ir: 0)
-        assert _bitwise_equal(got, plan.execute(images, ExecutionContext()))
+        unfused = ExecutionPlan(plan.ops, plan.out_slot, plan.bindings, plan.dtype, plan.config)
+        unfused.intq = plan.intq
+        assert _bitwise_equal(got, unfused.execute(images, ExecutionContext()))
 
     def test_fused_steps_reported_and_keyed(self):
         """The plan summary names each layer's fused steps."""

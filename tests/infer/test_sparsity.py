@@ -239,12 +239,12 @@ class TestStructuralRefresh:
 
         sparsify_model(model, 0.6)  # different k histogram / channel layout
         got = engine.predict_logits(images)
-        assert engine.plan is not old_plan  # structural rebuild, not a patch
+        assert engine.plan is not old_plan  # a new, re-pruned plan
         assert engine.plan_summary()["pruned_filters_total"] > old_pruned
         assert np.max(np.abs(got - eager_logits(model, images))) <= PARITY_ATOL
 
-    def test_value_only_mutation_refreshes_in_place(self):
-        """Unpruned plans keep the cheap in-place refresh path."""
+    def test_value_only_mutation_recompiles(self):
+        """A value-only change to an unpruned plan recompiles it too."""
         model = build_small_network(4)
         engine = InferenceEngine(model, on_stale="refresh")
         images = sample_images(5, seed=59)
@@ -258,7 +258,8 @@ class TestStructuralRefresh:
         layer.weight.data[...] *= 2.0
         layer.weight.bump_version()
         after = engine.predict_logits(images)
-        assert engine.plan is plan  # same structure: patched, not rebuilt
+        assert engine.plan is not plan  # plans are immutable: a new one
+        assert not engine.plan.pruned
         assert not np.array_equal(before, after)
         assert np.max(np.abs(after - eager_logits(model, images))) <= PARITY_ATOL
 

@@ -1,7 +1,7 @@
 """Hot weight refresh across a *structural* change (the ISSUE's regression).
 
 A served model whose thresholds change under it must not be re-quantized
-into the old pruned channel layout: the registry's quiesced refresh has to
+into the old pruned channel layout: the registry's refresh has to
 rebuild the plan's pruning / shift-plane state and keep serving exact
 logits.  The plan summary exposed through ``metrics_snapshot`` must reflect
 the new sparsity state.
