@@ -572,6 +572,8 @@ def _native_row(network_id: int, reps: int, batches: tuple[int, ...] = NATIVE_BA
             "int8_native_s": med["int8_native"],
             "int8_speedup": med["int8_numpy"] / med["int8_native"],
             "int8_native_vs_float_numpy": med["numpy"] / med["int8_native"],
+            # against the engine's default float64 backend (native C)
+            "int8_native_vs_float_native": med["native"] / med["int8_native"],
         }
     shape = (batches[-1], 3, IMAGE_SIZE, IMAGE_SIZE)
     prog = engines["native"].plan.traced_program(shape)
@@ -585,6 +587,8 @@ def _native_row(network_id: int, reps: int, batches: tuple[int, ...] = NATIVE_BA
             "type": layer["type"],
             "impl": layer["impl"],
             "backend": layer.get("backend"),
+            "acc_bound_bits": layer.get("acc_bound_bits"),
+            "gemm": layer.get("gemm"),
         }
         for layer in intq.get("layers", [])
     ]
@@ -627,7 +631,8 @@ def _print_native(rows: list[dict], summary: dict) -> None:
         for batch, spec in row["batches"].items():
             parts.append(
                 f"b{batch} {spec['numpy_s'] * 1e3:.2f}->{spec['native_s'] * 1e3:.2f}ms "
-                f"({spec['speedup']:.2f}x, int8 {spec['int8_speedup']:.2f}x)"
+                f"({spec['speedup']:.2f}x, int8 {spec['int8_speedup']:.2f}x, "
+                f"int8 vs native f64 {spec['int8_native_vs_float_native']:.2f}x)"
             )
         native_nodes = sum(1 for l in row["float64_layers"] if l.get("backend") == "native")
         print(

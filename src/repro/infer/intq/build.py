@@ -49,7 +49,7 @@ from repro.infer.fold import bn_eval_affine
 from repro.infer.intq.kernels import step_struct
 from repro.infer.intq.pack import pack_weights
 from repro.infer.intq.requant import quantize_multiplier, quantize_multiplier_array
-from repro.infer.native.binding import bound_backend
+from repro.infer.native.binding import bound_backend, int_gemm
 from repro.infer.plan import (
     ActQuantOp,
     AddOp,
@@ -226,7 +226,13 @@ class IntAffineOp:
 
 @dataclass
 class IntConvOp:
-    """Integer convolution: im2col + integer GEMM + requant epilogue."""
+    """Integer convolution: im2col + integer GEMM + requant epilogue.
+
+    ``acc_bound`` is the static bound on ``|accumulator|`` (the largest
+    row of ``|W|`` sums times the input grid's code bound); it picks
+    ``acc_dtype`` and the native kernel's GEMM
+    (:func:`repro.infer.native.binding.int_gemm`).
+    """
 
     impl = "intq_gemm"  # the kernel tag in phase names and backend records
 
@@ -238,6 +244,7 @@ class IntConvOp:
     padding: int
     filters: int
     acc_dtype: str
+    acc_bound: int
     out_dtype: str
     flags: tuple
     consts: dict = field(repr=False)
@@ -250,7 +257,8 @@ class IntConvOp:
 
 @dataclass
 class IntLinearOp:
-    """Integer affine map: integer GEMM + requant epilogue."""
+    """Integer affine map: integer GEMM + requant epilogue (``acc_bound``
+    as on :class:`IntConvOp`)."""
 
     impl = "intq_gemm"
 
@@ -259,6 +267,7 @@ class IntLinearOp:
     dst: int
     filters: int
     acc_dtype: str
+    acc_bound: int
     out_dtype: str
     flags: tuple
     consts: dict = field(repr=False)
@@ -291,8 +300,9 @@ class IntQProgram:
         self.ops = ops
         self.out_slot = out_slot
         self.input_chw = input_chw
-        #: Per weighted layer: impl, accumulator dtype, measured shift/add/
-        #: multiply counts per image, in/out scales (see ``summary_block``).
+        #: Per weighted layer: impl, accumulator dtype and bound bits, the
+        #: native GEMM, measured shift/add/multiply counts per image, in/out
+        #: scales (see ``summary_block``).
         self.layers = layers
         self.calibration = calibration
 
@@ -601,13 +611,14 @@ class _IntQBuilder:
         index = self._next_index()
         if linear:
             int_op = IntLinearOp(
-                index, op.src, op.dst, f, str(acc_dt), str(out_spec.dtype), flags, consts
+                index, op.src, op.dst, f, str(acc_dt), bound_acc, str(out_spec.dtype), flags,
+                consts,
             )
             out_positions = 1
         else:
             int_op = IntConvOp(
                 index, op.src, op.dst, op.kernel, op.stride, op.padding, f, str(acc_dt),
-                str(out_spec.dtype), flags, consts,
+                bound_acc, str(out_spec.dtype), flags, consts,
             )
             out_positions = int(out_shape[2] * out_shape[3])
         self.ops.append(int_op)
@@ -618,6 +629,9 @@ class _IntQBuilder:
             "type": "linear" if linear else "conv",
             "impl": "intq_gemm",
             "accum_dtype": str(acc_dt),
+            "acc_bound_bits": bound_acc.bit_length(),
+            # The GEMM the native kernel runs ("numpy": np.matmul on the codes).
+            "gemm": int_gemm(bound_acc) if self.backend == "native" else "numpy",
             "planes": packed.k_max,
             "nonzero_terms": nnz,
             "out_positions": out_positions,

@@ -49,6 +49,7 @@ __all__ = [
     "make_pool",
     "make_gap",
     "make_add",
+    "int_gemm",
     "make_int_producer",
     "make_int_maxpool",
     "make_int_quantize",
@@ -110,7 +111,9 @@ def status() -> dict:
         pass
     try:
         b = blas.blas_info()
-        info["blas"] = {"path": b["path"], "ilp64": b["ilp64"]}
+        info["blas"] = {
+            "path": b["path"], "ilp64": b["ilp64"], "sgemm": b["sgemm_addr"] is not None,
+        }
     except blas.BlasUnavailable as err:
         info["blas"] = {"error": str(err)}
     with _lock:
@@ -496,14 +499,34 @@ def _int_codes(*arrays) -> bool:
     return all(a.dtype in (np.int32, np.int64) and a.flags.c_contiguous for a in arrays)
 
 
+def int_gemm(acc_bound: int) -> str:
+    """The GEMM the native int conv/linear runs for a layer whose static
+    accumulator bound is ``acc_bound``: ``"sgemm"`` below 2**24 when the
+    BLAS has a verified sgemm, ``"dgemm"`` below 2**31, else ``"loops"``
+    (the C MAC loops, also the answer without a verifiable BLAS).
+
+    Below each limit every code, weight, product and partial sum is an
+    integer the float type holds exactly (float32 holds all integers up
+    to 2**24); 2**31 is where the int32 accumulator bracket ends.
+    """
+    try:
+        info = blas.blas_info()
+    except blas.BlasUnavailable:
+        return "loops"
+    if acc_bound < 2**24 and info.get("sgemm_addr"):
+        return "sgemm"
+    return "dgemm" if acc_bound < 2**31 else "loops"
+
+
 def _int_consts(op, variant: str) -> dict:
     """``op``'s constants in the layout the C kernel reads, cached on the op
-    (every context and batch size binds the same arrays; converting W to
-    float64 for dgemm is the one real copy)."""
+    (every context and batch size binds the same arrays; W in the
+    variant's element type — float32 for sgemm, float64 for dgemm, the
+    accumulator dtype for the loops — is the one real copy)."""
     cached = op.native_consts.get(variant)
     if cached is None:
         consts = op.consts
-        w_dt = np.float64 if variant == "blas" else np.dtype(op.acc_dtype)
+        w_dt = {"sgemm": np.float32, "dgemm": np.float64}.get(variant, np.dtype(op.acc_dtype))
         cached = {
             "W": _const(consts["W"], w_dt),
             "M0": _const(consts["M0"], np.int64),
@@ -522,9 +545,10 @@ def make_int_producer(kind, op, x, out, steps, numpy_thunk, record, verdicts):
     ``x`` is the conv's NCHW codes (padded and unrolled in C, one sample at
     a time, into scratch private to this thunk) or the linear's codes
     already in the accumulator dtype; ``steps`` are the epilogue steps the
-    IR folded in.  The int32-accumulator bracket runs dgemm when a
-    verifiable BLAS is present (exact: every product and partial sum is an
-    integer below 2**31), else plain C MAC loops.  Checked once per
+    IR folded in.  :func:`int_gemm` picks the GEMM from ``op.acc_bound``:
+    sgemm on float32 below 2**24, dgemm on float64 below 2**31 (exact:
+    every product and partial sum is an integer the type holds), else
+    plain C MAC loops; ``record["gemm"]`` notes the pick.  Checked once per
     (context, op) through ``verdicts``.
     """
     from repro.infer.intq.kernels import step_struct
@@ -536,14 +560,16 @@ def make_int_producer(kind, op, x, out, steps, numpy_thunk, record, verdicts):
     acc_dt = np.dtype(op.acc_dtype)
     if not _int_codes(x, out) or (kind == "linear" and x.dtype != acc_dt):
         return _decline(key, "input/output not contiguous codes in a kernel dtype")
-    bslots = _blas_slots()
-    variant = "blas" if acc_dt == np.int32 and bslots is not None else "loops"
+    variant = int_gemm(op.acc_bound)
     consts = _int_consts(op, variant)
     flags = tuple(sorted(op.flags)) + (("out32",) if out.dtype == np.int32 else ())
     fused = step_struct(steps)
     ctype = "int32_t" if acc_dt == np.int32 else "int64_t"
     xtype = "int32_t" if x.dtype == np.int32 else "int64_t"
-    ilp64 = blas.blas_info()["ilp64"] if variant == "blas" else True
+    gemm, ilp64 = [], True
+    if variant != "loops":
+        info = blas.blas_info()
+        gemm, ilp64 = [info["sgemm_addr" if variant == "sgemm" else "gemm_addr"]], info["ilp64"]
     spec = KernelSpec(
         kind=f"int{kind}", impl=variant, shape=(), dtype=str(acc_dt), flags=flags,
         epilogue=(("rq", *fused),), extra=(xtype,),
@@ -557,6 +583,9 @@ def make_int_producer(kind, op, x, out, steps, numpy_thunk, record, verdicts):
     except toolchain.NativeUnavailable as err:
         return _decline(("int" + kind, "compile"), str(err))
     f = op.filters
+    # Element type of pad/cols/xf and of the accumulator scratch.
+    et = consts["W"].dtype
+    acc = et if gemm else np.int64
     tail = [consts["M0"], consts["RND"], consts["SH"], consts["DMAP"], consts["GB"], out]
     if kind == "conv":
         nb, c, h, w = x.shape
@@ -564,25 +593,18 @@ def make_int_producer(kind, op, x, out, steps, numpy_thunk, record, verdicts):
         oh, ow = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
         ckk, length = c * k * k, oh * ow
         dims = [nb, c, h, w, k, s, p, f, ckk, length, oh, ow]
-        ct = np.float64 if variant == "blas" else acc_dt
-        pad = np.zeros((c, h + 2 * p, w + 2 * p), ct)
-        cols = np.empty((ckk, length), ct)
-        if variant == "blas":
-            accf = np.empty((f, length), np.float64)
-            arrays = [*bslots, x, consts["W"], pad, cols, accf, *tail]
-        else:
-            acc = np.empty((f, length), np.int64)
-            arrays = [x, consts["W"], pad, cols, acc, *tail]
+        pad = np.zeros((c, h + 2 * p, w + 2 * p), et)
+        cols = np.empty((ckk, length), et)
+        arrays = [x, consts["W"], pad, cols, np.empty((f, length), acc), *tail, *gemm]
     else:
         nb, in_f = x.shape
         dims = [nb, in_f, f]
-        if variant == "blas":
-            xf = np.empty((nb, in_f), np.float64)
-            accf = np.empty((nb, f), np.float64)
-            arrays = [*bslots, x, consts["W"], xf, accf, *tail]
-        else:
-            arrays = [x, consts["W"], np.empty(f, np.int64), *tail]
+        xf = np.empty((nb, in_f), et) if gemm else None
+        accs = np.empty((nb, f) if gemm else f, acc)
+        arrays = [x, consts["W"], xf, accs, *tail, *gemm]
     dims += [int(v) for step in steps for v in step[1:]]
+    if record is not None:
+        record["gemm"] = variant
     call = _pack_call(fn, arrays, dims, [])
     return _checked(call, numpy_thunk, out, [x], record, f"int{kind}", (verdicts, op))
 

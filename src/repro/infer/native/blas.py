@@ -21,6 +21,12 @@ candidate name sets and record whether the build uses 64-bit (ILP64) or
 typedef.  The raw function addresses are handed to the generated kernels
 through the pointer array — no linking involved.  The dlopen handle is
 kept alive module-globally for the process lifetime.
+
+``sgemm`` is probed next to the float64 entry points for the integer
+kernels only: they sum exact integers, so no matmul dispatch needs
+replicating, just a gemm that is exact on integer-valued float32.  A
+missing or failing sgemm records ``sgemm_addr = None`` and removes only
+that variant (the integer kernels fall back to dgemm).
 """
 
 from __future__ import annotations
@@ -86,14 +92,32 @@ def _probe(path: str):
             dot = getattr(lib, f"{prefix}ddot{suffix}")
         except AttributeError:
             continue
+        sgemm = getattr(lib, f"{prefix}sgemm{suffix}", None)
         return lib, {
             "path": path,
             "ilp64": ilp64,
             "gemm_addr": ctypes.cast(gemm, ctypes.c_void_p).value,
             "gemv_addr": ctypes.cast(gemv, ctypes.c_void_p).value,
             "dot_addr": ctypes.cast(dot, ctypes.c_void_p).value,
+            "sgemm_addr": None if sgemm is None else ctypes.cast(sgemm, ctypes.c_void_p).value,
         }
     return None, None
+
+
+def _gemm(addr: int, ilp64: bool, real, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` through the row-major cblas ``?gemm`` at ``addr``."""
+    (m, k), n = a.shape, b.shape[1]
+    got = np.zeros((m, n), a.dtype)
+    blasint = ctypes.c_longlong if ilp64 else ctypes.c_int
+    ptr = ctypes.c_void_p
+    # CBLAS order/transpose enums stay 32-bit ints even under ILP64.
+    fn = ctypes.CFUNCTYPE(
+        None, ctypes.c_int, ctypes.c_int, ctypes.c_int, blasint, blasint, blasint,
+        real, ptr, blasint, ptr, blasint, real, ptr, blasint,
+    )(addr)
+    # 101 CblasRowMajor, 111 CblasNoTrans
+    fn(101, 111, 111, m, n, k, 1.0, a.ctypes.data, k, b.ctypes.data, n, 0.0, got.ctypes.data, n)
+    return got
 
 
 def _verify(info: dict) -> bool:
@@ -101,51 +125,30 @@ def _verify(info: dict) -> bool:
     rng = np.random.default_rng(12345)
     a = rng.standard_normal((7, 5))
     b = rng.standard_normal((5, 6))
-    want = a @ b
-    got = np.zeros_like(want)
-    blasint = ctypes.c_longlong if info["ilp64"] else ctypes.c_int
-    gemm = ctypes.CFUNCTYPE(
-        None,
-        ctypes.c_int,  # CBLAS enums stay 32-bit even under ILP64
-        ctypes.c_int,
-        ctypes.c_int,
-        blasint,
-        blasint,
-        blasint,
-        ctypes.c_double,
-        ctypes.c_void_p,
-        blasint,
-        ctypes.c_void_p,
-        blasint,
-        ctypes.c_double,
-        ctypes.c_void_p,
-        blasint,
-    )(info["gemm_addr"])
-    gemm(
-        101,  # CblasRowMajor
-        111,  # CblasNoTrans
-        111,
-        7,
-        6,
-        5,
-        1.0,
-        a.ctypes.data,
-        5,
-        b.ctypes.data,
-        6,
-        0.0,
-        got.ctypes.data,
-        6,
-    )
-    return np.array_equal(want.view(np.uint8), got.view(np.uint8))
+    got = _gemm(info["gemm_addr"], info["ilp64"], ctypes.c_double, a, b)
+    return np.array_equal((a @ b).view(np.uint8), got.view(np.uint8))
+
+
+def _verify_sgemm(info: dict) -> bool:
+    """sgemm on integer-valued float32 equals the exact integer product
+    (sums up to ~2**22, a shape past the kernel's register tile)."""
+    rng = np.random.default_rng(54321)
+    a = rng.integers(-128, 128, (9, 75))
+    b = rng.integers(-512, 512, (75, 37))
+    a[0], b[:, 0] = 127, 511
+    got = _gemm(info["sgemm_addr"], info["ilp64"], ctypes.c_float,
+                a.astype(np.float32), b.astype(np.float32))
+    return np.array_equal(got, (a @ b).astype(np.float32))
 
 
 def blas_info() -> dict:
-    """Resolve {gemm_addr, gemv_addr, dot_addr, ilp64, path}; memoized.
+    """Resolve {gemm_addr, gemv_addr, dot_addr, sgemm_addr, ilp64, path};
+    memoized.
 
     Raises :class:`BlasUnavailable` when no verifiable OpenBLAS is found;
     float64 producer kernels then stay on numpy (int kernels using pure C
-    loops still work).
+    loops still work).  ``sgemm_addr`` is ``None`` when the library has
+    no sgemm or it fails its integer probe.
     """
     global _info, _handle
     with _lock:
@@ -171,6 +174,13 @@ def blas_info() -> dict:
             if not ok:
                 last = f"{path}: gemm result not bitwise-equal to np.matmul"
                 continue
+            if info["sgemm_addr"] is not None:
+                try:
+                    ok = _verify_sgemm(info)
+                except Exception:  # pragma: no cover - defensive
+                    ok = False
+                if not ok:
+                    info["sgemm_addr"] = None
             _handle = lib
             _info = info
             return _info

@@ -28,11 +28,13 @@ before this backend was committed):
 * compiled with ``-ffp-contract=off`` (see toolchain) so no FMA
   contraction reorders the epilogue arithmetic.
 * integer kernels are bitwise by integer exactness: every accumulator
-  value is an exact integer below the static overflow bound, so any
-  summation order — including routing int32-bracket layers through
-  ``dgemm`` on float64 (products and partial sums stay below 2^53) —
-  reproduces the numpy result digit for digit, and ``>>`` on gcc/clang
-  is the same arithmetic shift as ``np.right_shift``.
+  value is an exact integer below the layer's static bound, so any
+  summation order reproduces the numpy result digit for digit.  That
+  includes a float GEMM chosen by the bound: ``sgemm`` on float32 below
+  2^24, ``dgemm`` on float64 below 2^31 (every product and partial sum
+  is then an integer the float type holds exactly), C integer loops
+  above.  ``>>`` on gcc/clang is the same arithmetic shift as
+  ``np.right_shift``.
 """
 
 from __future__ import annotations
@@ -645,6 +647,45 @@ def int_epilogue(flags: tuple, fused: tuple, dead_at: str) -> list[str]:
     return lines
 
 
+#: The float element type each BLAS variant of the integer conv/linear
+#: computes in; the ``"loops"`` variant computes in the accumulator's own
+#: integer type.  :func:`repro.infer.native.binding.int_gemm` picks the
+#: variant from the layer's static accumulator bound.
+INT_GEMM_TYPES = {"sgemm": "float", "dgemm": "double"}
+
+
+def _int_gemm(variant: str, ilp64: bool) -> list[str]:
+    """The integer kernels' one BLAS entry point: a row-major, untransposed
+    ``C = A @ B`` through ``variant`` (``sgemm``/``dgemm``) for every
+    shape.  No gemv/dot dispatch as in :func:`_prelude`'s ``mm``: that
+    replicates np.matmul's float rounding, and the result here is an exact
+    integer whichever kernel sums it."""
+    ft = INT_GEMM_TYPES[variant]
+    return [
+        f"typedef {'long long' if ilp64 else 'int'} blasint;",
+        # CBLAS order/transpose enums stay 32-bit ints even under ILP64.
+        f"typedef void (*{variant}_t)(int,int,int,blasint,blasint,blasint,{ft},"
+        f"const {ft}*,blasint,const {ft}*,blasint,{ft},{ft}*,blasint);",
+        f"static void gemm(void *fn, i64 m, i64 k, i64 n, const {ft} *A, const {ft} *B,",
+        f"                 {ft} *C) {{",
+        f"    (({variant}_t)fn)(101, 111, 111, (blasint)m, (blasint)n, (blasint)k,",
+        "                  1, A, (blasint)k, B, (blasint)n, 0, C, (blasint)n);",
+        "}",
+    ]
+
+
+def _int_source(variant: str, ilp64: bool, body: list[str]) -> str:
+    head = _int_gemm(variant, ilp64) if variant in INT_GEMM_TYPES else []
+    return _prelude(blas=False) + "".join(ln + "\n" for ln in head) + _fn(body)
+
+
+def _int_tail_ptrs(base: int) -> list[str]:
+    """The requant constants and the output, from ``ptrs[base]`` on."""
+    names = ("M0", "RND", "SH", "DMAP", "GB")
+    lines = [f"const i64 *{n} = (const i64 *)ptrs[{base + i}];" for i, n in enumerate(names)]
+    return lines + [f"void *outv = ptrs[{base + len(names)}];"]
+
+
 #: Runtime geometry of the integer conv, ``dims[0:12]``; the fused steps'
 #: constants follow from ``dims[12]``.
 INT_CONV_DIMS = ("nb", "C", "H", "W", "K", "S", "P", "F", "CKK", "L", "OH", "OW")
@@ -665,53 +706,33 @@ def int_conv_source(
     GEMM's element type and unrolled into ``cols`` by the float conv's
     row-copy loops (:func:`_conv_im2col`); both buffers hold one sample.
     Geometry rides in ``dims`` at runtime, so every conv of a plan with
-    the same accumulator, flags and fused steps shares one compiled
-    source.
+    the same variant, flags and fused steps shares one compiled source.
 
-    ``variant="blas"`` (int32 accumulator bracket only): the element type
-    is float64 and the GEMM is dgemm — exact because the static MAC bound
-    keeps every product and partial sum an integer below 2^31 ≪ 2^53 —
-    truncated back to int64 (the truncation is of an exact integer).
+    ``variant`` ``"sgemm"``/``"dgemm"``: W, ``pad``, ``cols`` and the
+    accumulator are ``float``/``double`` (:data:`INT_GEMM_TYPES`) and one
+    BLAS gemm per sample sums them.  That is exact when the layer's static
+    accumulator bound is below 2^24 (float) or 2^31 (double): every code,
+    weight, product and partial sum is then an integer the type holds
+    exactly, so the truncation back to int64 is of an exact integer.
     ``variant="loops"``: the element type is the accumulator's ``ctype``;
     plain C MAC loops accumulate in int64 with a zero-weight skip (the
     decoded shift weights are sparse).
 
-    blas ptrs: 0 gemm 1 gemv 2 dot 3 x 4 w64 5 pad 6 cols 7 accf
-               8 M0 9 RND 10 SH 11 DMAP 12 GB 13 out
-    loops ptrs: 0 x 1 W(CT) 2 pad 3 cols 4 acc(i64, F*L scratch)
-               5 M0 6 RND 7 SH 8 DMAP 9 GB 10 out
-    dims (both): :data:`INT_CONV_DIMS`, then the fused steps' constants
-    (see :func:`int_step_decls`); ``flags`` and ``fused`` are baked by
+    ptrs: 0 x 1 W 2 pad 3 cols 4 acc (F*L scratch; int64 for loops)
+          5 M0 6 RND 7 SH 8 DMAP 9 GB 10 out, 11 the gemm (BLAS variants)
+    dims: :data:`INT_CONV_DIMS`, then the fused steps' constants (see
+    :func:`int_step_decls`); ``flags`` and ``fused`` are baked by
     :func:`int_epilogue`
     """
-    blas = variant == "blas"
-    ct = "double" if blas else ctype
-    if blas:
-        body = [
-            "void *gemm = ptrs[0], *gemv = ptrs[1], *dot = ptrs[2];",
-            f"const {xtype} *x = (const {xtype} *)ptrs[3];",
-            "const double *w64 = (const double *)ptrs[4];",
-            "double *pad = (double *)ptrs[5];",
-            "double *cols = (double *)ptrs[6];",
-            "double *accf = (double *)ptrs[7];",
-        ]
-        base = 8
-    else:
-        body = [
-            f"const {xtype} *x = (const {xtype} *)ptrs[0];",
-            f"const {ctype} *Wm = (const {ctype} *)ptrs[1];",
-            f"{ctype} *pad = ({ctype} *)ptrs[2];",
-            f"{ctype} *cols = ({ctype} *)ptrs[3];",
-            "i64 *acc = (i64 *)ptrs[4];",
-        ]
-        base = 5
-    body += [
-        f"const i64 *M0 = (const i64 *)ptrs[{base}];",
-        f"const i64 *RND = (const i64 *)ptrs[{base + 1}];",
-        f"const i64 *SH = (const i64 *)ptrs[{base + 2}];",
-        f"const i64 *DMAP = (const i64 *)ptrs[{base + 3}];",
-        f"const i64 *GB = (const i64 *)ptrs[{base + 4}];",
-        f"void *outv = ptrs[{base + 5}];",
+    ft = INT_GEMM_TYPES.get(variant)
+    ct, at = ft or ctype, ft or "i64"
+    body = [
+        f"const {xtype} *x = (const {xtype} *)ptrs[0];",
+        f"const {ct} *Wm = (const {ct} *)ptrs[1];",
+        f"{ct} *pad = ({ct} *)ptrs[2];",
+        f"{ct} *cols = ({ct} *)ptrs[3];",
+        f"{at} *acc = ({at} *)ptrs[4];",
+        *_int_tail_ptrs(5),
         *_dims_decl([(name, i) for i, name in enumerate(INT_CONV_DIMS)], {}),
         "i64 HP = H + 2 * P, WP = W + 2 * P;",
         *int_step_decls(fused, len(INT_CONV_DIMS)),
@@ -719,9 +740,9 @@ def int_conv_source(
         f"    const {xtype} *xs = x + n * C * H * W;",
     ]
     body += ["    " + ln for ln in _conv_im2col(True, False, xtype, ct, per_sample=True)]
-    if blas:
-        body += ["    mm(gemm, gemv, dot, F, CKK, L, w64, src, accf);"]
-        acc_at = "(i64)accf[f * L + l]"
+    if ft:
+        body += ["    gemm(ptrs[11], F, CKK, L, Wm, src, acc);"]
+        acc_at = "(i64)acc[f * L + l]"
     else:
         body += [
             "    memset(acc, 0, (size_t)(F * L) * sizeof(i64));",
@@ -744,7 +765,7 @@ def int_conv_source(
     ]
     body += ["            " + ln for ln in int_epilogue(flags, fused, "f * L + l")]
     body += ["        }", "    }", "}"]
-    return _prelude(blas=blas, ilp64=ilp64) + _fn(body)
+    return _int_source(variant, ilp64, body)
 
 
 def int_linear_source(
@@ -754,63 +775,51 @@ def int_linear_source(
     flags: tuple = (),
     fused: tuple = (),
 ) -> str:
-    """Integer linear (``x @ W`` orientation, W pre-transposed ``(IN, F)``).
+    """Integer linear (``x @ W`` orientation, W pre-transposed ``(IN, F)``)
+    on codes ``x`` in the accumulator's ``ctype``.
 
-    blas ptrs: 0 gemm 1 gemv 2 dot 3 x(i32) 4 w64 5 xf 6 accf
-               7 M0 8 RND 9 SH 10 DMAP 11 GB 12 out
-    loops ptrs: 0 x(CT) 1 W(CT) 2 row(i64, F scratch)
-               3 M0 4 RND 5 SH 6 DMAP 7 GB 8 out
-    dims (both): 0 nb 1 IN 2 F, then the fused steps' constants from 3
+    The BLAS variants cast the codes into ``xf`` and run one whole-batch
+    gemm in :data:`INT_GEMM_TYPES` ``[variant]`` (exact under the same
+    bound rule as :func:`int_conv_source`); ``"loops"`` accumulates each
+    sample's row in int64 and leaves ``xf`` unused.
+
+    ptrs: 0 x 1 W 2 xf (nb*IN scratch) 3 acc (nb*F scratch; F int64 for
+          loops) 4 M0 5 RND 6 SH 7 DMAP 8 GB 9 out, 10 the gemm (BLAS)
+    dims: 0 nb 1 IN 2 F, then the fused steps' constants from 3
     """
-    if variant == "blas":
-        body = [
-            "void *gemm = ptrs[0], *gemv = ptrs[1], *dot = ptrs[2];",
-            "const int32_t *x = (const int32_t *)ptrs[3];",
-            "const double *w64 = (const double *)ptrs[4];",
-            "double *xf = (double *)ptrs[5];",
-            "double *accf = (double *)ptrs[6];",
-            "const i64 *M0 = (const i64 *)ptrs[7];",
-            "const i64 *RND = (const i64 *)ptrs[8];",
-            "const i64 *SH = (const i64 *)ptrs[9];",
-            "const i64 *DMAP = (const i64 *)ptrs[10];",
-            "const i64 *GB = (const i64 *)ptrs[11];",
-            "void *outv = ptrs[12];",
-            "i64 nb = dims[0], IN = dims[1], F = dims[2];",
-            *int_step_decls(fused, 3),
-            "for (i64 e = 0; e < nb * IN; e++) xf[e] = (double)x[e];",
-            "mm(gemm, gemv, dot, nb, IN, F, xf, w64, accf);",
-            "for (i64 n = 0; n < nb; n++) {",
-            "    for (i64 f = 0; f < F; f++) {",
-            "        i64 a = (i64)accf[n * F + f];",
-            "        i64 ooff = n * F + f;",
-        ]
-        body += ["        " + ln for ln in int_epilogue(flags, fused, "f")]
-        body += ["    }", "}"]
-        return _prelude(blas=True, ilp64=ilp64) + _fn(body)
+    ft = INT_GEMM_TYPES.get(variant)
+    ct, at = ft or ctype, ft or "i64"
     body = [
         f"const {ctype} *x = (const {ctype} *)ptrs[0];",
-        f"const {ctype} *Wm = (const {ctype} *)ptrs[1];",
-        "i64 *row = (i64 *)ptrs[2];",
-        "const i64 *M0 = (const i64 *)ptrs[3];",
-        "const i64 *RND = (const i64 *)ptrs[4];",
-        "const i64 *SH = (const i64 *)ptrs[5];",
-        "const i64 *DMAP = (const i64 *)ptrs[6];",
-        "const i64 *GB = (const i64 *)ptrs[7];",
-        "void *outv = ptrs[8];",
+        f"const {ct} *Wm = (const {ct} *)ptrs[1];",
+        f"{ct} *xf = ({ct} *)ptrs[2]; (void)xf;",
+        f"{at} *acc = ({at} *)ptrs[3];",
+        *_int_tail_ptrs(4),
         "i64 nb = dims[0], IN = dims[1], F = dims[2];",
         *int_step_decls(fused, 3),
-        "for (i64 n = 0; n < nb; n++) {",
-        "    memset(row, 0, (size_t)F * sizeof(i64));",
-        "    for (i64 k = 0; k < IN; k++) {",
-        "        i64 xv = (i64)x[n * IN + k];",
-        "        if (!xv) continue;",
-        f"        const {ctype} *wrow = Wm + k * F;",
-        "        for (i64 f = 0; f < F; f++) row[f] += xv * (i64)wrow[f];",
-        "    }",
-        "    for (i64 f = 0; f < F; f++) {",
-        "        i64 a = row[f];",
-        "        i64 ooff = n * F + f;",
     ]
+    if ft:
+        body += [
+            f"for (i64 e = 0; e < nb * IN; e++) xf[e] = ({ft})x[e];",
+            "gemm(ptrs[10], nb, IN, F, xf, Wm, acc);",
+            "for (i64 n = 0; n < nb; n++) {",
+            "    for (i64 f = 0; f < F; f++) {",
+            "        i64 a = (i64)acc[n * F + f];",
+        ]
+    else:
+        body += [
+            "for (i64 n = 0; n < nb; n++) {",
+            "    memset(acc, 0, (size_t)F * sizeof(i64));",
+            "    for (i64 k = 0; k < IN; k++) {",
+            "        i64 xv = (i64)x[n * IN + k];",
+            "        if (!xv) continue;",
+            f"        const {ctype} *wrow = Wm + k * F;",
+            "        for (i64 f = 0; f < F; f++) acc[f] += xv * (i64)wrow[f];",
+            "    }",
+            "    for (i64 f = 0; f < F; f++) {",
+            "        i64 a = acc[f];",
+        ]
+    body.append("        i64 ooff = n * F + f;")
     body += ["        " + ln for ln in int_epilogue(flags, fused, "f")]
     body += ["    }", "}"]
-    return _prelude(blas=False) + _fn(body)
+    return _int_source(variant, ilp64, body)

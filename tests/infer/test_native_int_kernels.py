@@ -11,6 +11,12 @@ match the ``backend="numpy"`` program exactly.  Without a toolchain both
 sides run numpy; the "native actually ran" assertions (read from
 ``program.node_backends``) are gated on :func:`binding.available`.
 
+The conv and linear run in whichever GEMM their static accumulator bound
+selects (sgemm below 2**24, dgemm below 2**31, C loops above), and each
+variant is covered; the selection itself is tested at its edges, and on
+nets 1–8 the observed accumulators are checked against the bound the
+float GEMMs' exactness rests on.
+
 The float kernels' C sources share those emitters, so a digest of the
 sources for a fixed set of specs pins them: a change there would recompile
 every float ``.so`` and could move float outputs.
@@ -28,9 +34,9 @@ import pytest
 
 from repro.infer import InferenceEngine, PlanConfig
 from repro.infer.intq import kernels as int_kernels
-from repro.infer.intq.build import IntConvOp, IntMaxPoolOp, IntQuantizeOp
+from repro.infer.intq.build import IntConvOp, IntLinearOp, IntMaxPoolOp, IntQuantizeOp
 from repro.infer.intq.requant import quantize_multiplier_array
-from repro.infer.native import binding, codegen
+from repro.infer.native import binding, blas, codegen
 from repro.infer.plan import ExecutionContext
 
 from tests.infer.conftest import build_small_network, sample_images, traced_int_chain
@@ -59,8 +65,31 @@ C_IN, FILTERS, H, W = 5, 7, 7, 9
 #: (accumulator, input codes): the int64 cases exceed int32 sums.
 ACC_CASES = [("int32", "int32"), ("int64", "int32"), ("int64", "int64")]
 
+#: Input code bound per (accumulator, codes) case; ``"sgemm"`` is the
+#: int32 accumulator on codes small enough that every sum stays below
+#: 2**24.  The ±2**20 int32 cases bind dgemm but for the 1x1 kernels,
+#: whose few taps keep them under 2**24 too.
+CODE_BOUNDS = {
+    ("int32", "int32"): 2**20,
+    ("int64", "int32"): 2**30,
+    ("int64", "int64"): 2**33,
+    "sgemm": 2**13,
+}
 
-def _conv(k: int, s: int, p: int, acc: str, batch: int) -> tuple:
+_BLAS = binding.status()["blas"] or {}
+HAVE_BLAS, HAVE_SGEMM = "path" in _BLAS, bool(_BLAS.get("sgemm"))
+
+
+def _expected_gemm(acc_bound: int) -> str:
+    """The bound rule, restated: the GEMM a layer binds on this host."""
+    if acc_bound < 2**24 and HAVE_SGEMM:
+        return "sgemm"
+    return "dgemm" if acc_bound < 2**31 and HAVE_BLAS else "loops"
+
+
+def _conv(k: int, s: int, p: int, acc: str, batch: int, bound: int = 2**20) -> tuple:
+    """A conv node over codes in ``[-bound, bound]``, with its honest
+    accumulator bound."""
     rng = np.random.default_rng(k * 100 + s * 10 + p)
     ckk = C_IN * k * k
     oh, ow = (H + 2 * p - k) // s + 1, (W + 2 * p - k) // s + 1
@@ -76,7 +105,10 @@ def _conv(k: int, s: int, p: int, acc: str, batch: int) -> tuple:
         "GB": rng.integers(-50, 50, FILTERS)[:, None],
         "DMAP": rng.integers(-50, 50, (FILTERS, oh * ow)),
     }
-    op = IntConvOp(7, 0, 1, k, s, p, FILTERS, acc, "int64", ("dead", "gb"), consts)
+    acc_bound = int(np.abs(weights).sum(axis=1).max()) * bound
+    op = IntConvOp(
+        7, 0, 1, k, s, p, FILTERS, acc, acc_bound, "int64", ("dead", "gb"), consts
+    )
     return op, "conv", None, (batch, FILTERS, oh, ow), "int64"
 
 
@@ -87,18 +119,32 @@ def _codes(shape: tuple, dtype: str, bound: int, seed: int) -> np.ndarray:
     return x.astype(dtype)
 
 
+GEOMETRIES = list(itertools.product((1, 3, 5), (1, 2), (0, 1, 2)))
+
+
 class TestIntConv:
-    @pytest.mark.parametrize("batch", [1, 3, 64])
-    @pytest.mark.parametrize("acc,xdt", ACC_CASES)
-    @pytest.mark.parametrize("k,s,p", list(itertools.product((1, 3, 5), (1, 2), (0, 1, 2))))
-    def test_matches_numpy(self, k, s, p, acc, xdt, batch):
-        bound = {"int32": 2**20, "int64": 2**30}[acc] if xdt == "int32" else 2**33
+    @staticmethod
+    def _check(k, s, p, acc, xdt, batch, case):
+        bound = CODE_BOUNDS[case]
         x = _codes((batch, C_IN, H, W), xdt, bound, seed=batch + k)
-        want, _ = _run(x, _conv(k, s, p, acc, batch), "numpy")
-        got, record = _run(x, _conv(k, s, p, acc, batch), "auto", calls=2)
+        node = _conv(k, s, p, acc, batch, bound)
+        want, _ = _run(x, node, "numpy")
+        got, record = _run(x, _conv(k, s, p, acc, batch, bound), "auto", calls=2)
         assert _bitwise_equal(got, want)
         if NATIVE_OK:
             assert record["backend"] == "native", record
+            assert record["gemm"] == _expected_gemm(node[0].acc_bound), record
+
+    @pytest.mark.parametrize("batch", [1, 3, 64])
+    @pytest.mark.parametrize("acc,xdt", ACC_CASES)
+    @pytest.mark.parametrize("k,s,p", GEOMETRIES)
+    def test_matches_numpy(self, k, s, p, acc, xdt, batch):
+        self._check(k, s, p, acc, xdt, batch, (acc, xdt))
+
+    @pytest.mark.parametrize("batch", [1, 3, 64])
+    @pytest.mark.parametrize("k,s,p", GEOMETRIES)
+    def test_sgemm_matches_numpy(self, k, s, p, batch):
+        self._check(k, s, p, "int32", "int32", batch, "sgemm")
 
     def test_second_batch_size_skips_the_reference(self, monkeypatch):
         """The native conv is byte-checked against its numpy reference once
@@ -132,6 +178,136 @@ class TestIntConv:
             assert calls["conv"] == 1 + 3
             _run(x, node, "auto")
             assert calls["conv"] == 1 + 3 + 1
+
+
+# -- linear ----------------------------------------------------------------------
+
+IN_F, OUT_F = 37, 11
+
+
+def _linear(acc: str, batch: int, bound: int) -> tuple:
+    """A linear node (W pre-transposed ``(IN, F)``) over codes in
+    ``[-bound, bound]``, with its honest accumulator bound."""
+    rng = np.random.default_rng(bound % 97)
+    weights = rng.integers(-8, 9, (IN_F, OUT_F))
+    weights[rng.random(weights.shape) < 0.3] = 0
+    m0, sh, rnd = quantize_multiplier_array(
+        rng.uniform(1e-4, 0.05, OUT_F), 24 if acc == "int32" else 12
+    )
+    consts = {"W": weights.astype(acc), "M0": m0, "RND": rnd, "SH": sh,
+              "GB": rng.integers(-50, 50, OUT_F)}
+    acc_bound = int(np.abs(weights).sum(axis=0).max()) * bound
+    op = IntLinearOp(5, 0, 1, OUT_F, acc, acc_bound, "int64", ("gb",), consts)
+    return op, "linear", None, (batch, OUT_F), "int64"
+
+
+class TestIntLinear:
+    @pytest.mark.parametrize("batch", [1, 3, 64])
+    @pytest.mark.parametrize(
+        "acc,xdt,bound", [("int32", "int32", CODE_BOUNDS["sgemm"])]
+        + [(*case, CODE_BOUNDS[case]) for case in ACC_CASES]
+    )
+    def test_matches_numpy(self, acc, xdt, bound, batch):
+        x = _codes((batch, IN_F), xdt, bound, seed=batch)
+        node = _linear(acc, batch, bound)
+        want, _ = _run(x, node, "numpy")
+        got, record = _run(x, _linear(acc, batch, bound), "auto", calls=2)
+        assert _bitwise_equal(got, want)
+        if NATIVE_OK:
+            assert record["backend"] == "native", record
+            assert record["gemm"] == _expected_gemm(node[0].acc_bound), record
+
+
+# -- GEMM selection ------------------------------------------------------------------
+
+
+@pytest.mark.skipif(not (NATIVE_OK and HAVE_BLAS), reason="no C toolchain or BLAS")
+class TestGemmSelection:
+    """The native int conv's GEMM follows its static accumulator bound:
+    sgemm below 2**24, dgemm below 2**31, C loops above."""
+
+    @pytest.mark.parametrize(
+        "acc_bound,gemm", [(2**24 - 1, "sgemm"), (2**24, "dgemm"), (2**31, "loops")]
+    )
+    def test_bound_picks_the_gemm(self, acc_bound, gemm):
+        acc = "int32" if acc_bound < 2**31 else "int64"
+        x = _codes((3, C_IN, H, W), "int32", 2**10, seed=1)
+        want, _ = _run(x, _conv(3, 1, 1, acc, 3, 2**10), "numpy")
+        node = _conv(3, 1, 1, acc, 3, 2**10)
+        node[0].acc_bound = acc_bound  # a looser bound is still a bound
+        if gemm == "sgemm" and not HAVE_SGEMM:
+            gemm = "dgemm"
+        assert binding.int_gemm(acc_bound) == gemm
+        got, record = _run(x, node, "auto", calls=2)
+        assert _bitwise_equal(got, want)
+        assert (record["backend"], record["gemm"]) == ("native", gemm)
+
+    def test_without_sgemm_binds_dgemm(self, monkeypatch):
+        real = blas.blas_info
+        monkeypatch.setattr(blas, "blas_info", lambda: {**real(), "sgemm_addr": None})
+        x = _codes((3, C_IN, H, W), "int32", 2**10, seed=2)
+        want, _ = _run(x, _conv(3, 1, 1, "int32", 3, 2**10), "numpy")
+        got, record = _run(x, _conv(3, 1, 1, "int32", 3, 2**10), "auto", calls=2)
+        assert binding.int_gemm(2**10) == "dgemm"
+        assert _bitwise_equal(got, want)
+        assert (record["backend"], record["gemm"]) == ("native", "dgemm")
+        # The float producers keep their BLAS.
+        assert binding._blas_slots() is not None
+
+    def test_status_reports_sgemm(self):
+        assert isinstance(binding.status()["blas"].get("sgemm"), bool)
+
+
+# -- accumulator bounds ----------------------------------------------------------------
+
+
+def _exact_accumulator(op, x: np.ndarray) -> np.ndarray:
+    """``op``'s MAC sums on codes ``x`` in int64, by an independent im2col."""
+    w = op.consts["W"].astype(np.int64)
+    x = x.astype(np.int64)
+    if isinstance(op, IntLinearOp):
+        return x @ w
+    k, s, p = op.kernel, op.stride, op.padding
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+    n, c, oh, ow = win.shape[:4]
+    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, oh * ow)
+    return w @ cols
+
+
+@pytest.mark.parametrize("network_id", range(1, 9))
+def test_accumulators_stay_inside_the_static_bound(network_id, monkeypatch):
+    """Every int conv/linear's observed |accumulator| is at most its
+    ``acc_bound``, on random images and on images that saturate every
+    input code at its grid's edge: the exactness of the float GEMMs
+    rests on this bound."""
+    observed: dict = {}
+    real = int_kernels._bind_matmul
+
+    def spying(kind, op, x, *args):
+        thunk = real(kind, op, x, *args)
+
+        def run() -> None:
+            peak = int(np.abs(_exact_accumulator(op, x)).max(initial=0))
+            observed[op.index] = max(observed.get(op.index, 0), peak)
+            thunk()
+
+        return run
+
+    monkeypatch.setattr(int_kernels, "_bind_matmul", spying)
+    engine = InferenceEngine(
+        build_small_network(network_id), config=PlanConfig(dtype="int8", backend="numpy")
+    )
+    rng = np.random.default_rng(network_id)
+    signs = rng.choice([-1.0, 1.0], (6, 3, 16, 16))
+    for images in (sample_images(6, seed=network_id), 1e6 * signs, -1e6 * signs):
+        engine.plan.execute(images, ExecutionContext())
+    matmuls = [op for op in engine.plan.intq.ops if isinstance(op, (IntConvOp, IntLinearOp))]
+    assert matmuls and set(observed) == {op.index for op in matmuls}
+    layers = engine.plan_summary()["intq"]["layers"]
+    for op, layer in zip(matmuls, layers):
+        assert 0 < observed[op.index] <= op.acc_bound, (op.index, observed[op.index])
+        assert layer["acc_bound_bits"] == op.acc_bound.bit_length()
 
 
 # -- max-pool ----------------------------------------------------------------------
