@@ -70,6 +70,7 @@ import numpy as np  # noqa: E402
 
 from repro.data.dataset import ArrayDataset
 from repro.infer import InferenceEngine, PlanConfig, plan_dtype
+from repro.infer.intq.build import IntConvOp, IntLinearOp
 from repro.utils.cpu import effective_cpus
 from repro.models.registry import build_network
 from repro.nn.layers.norm import BatchNorm2d
@@ -580,17 +581,23 @@ def _native_row(network_id: int, reps: int, batches: tuple[int, ...] = NATIVE_BA
     row["float64_layers"] = (
         [{"node": i, **rec} for i, rec in sorted(prog.node_backends.items())] if prog else []
     )
-    intq = engines["int8_native"].plan_summary().get("intq") or {}
+    # Each int conv/linear's backend and GEMM as bound, from the int8
+    # program's node records (layers and conv/linear ops share one order).
+    iplan = engines["int8_native"].plan
+    iprog = iplan.traced_program(shape)
+    bound = {n.node.op.index: iprog.node_backends.get(n.node.index, {}) for n in iprog.node_plans}
+    matmuls = [op for op in iplan.intq.ops if isinstance(op, (IntConvOp, IntLinearOp))]
+    layers = (iplan.summary().get("intq") or {}).get("layers", [])
     row["int8_layers"] = [
         {
             "op_index": layer["op_index"],
             "type": layer["type"],
             "impl": layer["impl"],
-            "backend": layer.get("backend"),
-            "acc_bound_bits": layer.get("acc_bound_bits"),
-            "gemm": layer.get("gemm"),
+            "backend": bound.get(op.index, {}).get("backend"),
+            "acc_bound_bits": layer["acc_bound_bits"],
+            "gemm": bound.get(op.index, {}).get("gemm"),
         }
-        for layer in intq.get("layers", [])
+        for layer, op in zip(layers, matmuls)
     ]
     row["bitwise_equal"] = bitwise
     return row

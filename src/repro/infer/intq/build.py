@@ -49,7 +49,7 @@ from repro.infer.fold import bn_eval_affine
 from repro.infer.intq.kernels import step_struct
 from repro.infer.intq.pack import pack_weights
 from repro.infer.intq.requant import quantize_multiplier, quantize_multiplier_array
-from repro.infer.native.binding import bound_backend, int_gemm
+from repro.infer.native.binding import bound_backend
 from repro.infer.plan import (
     ActQuantOp,
     AddOp,
@@ -82,6 +82,11 @@ _INT32_LIMIT = 2**31
 _INT64_GUARD = 2**62
 
 
+def _int_dtype(bound: int) -> np.dtype:
+    """Narrowest integer dtype holding every value in ``[-bound, bound]``."""
+    return np.dtype(np.int32 if bound < _INT32_LIMIT else np.int64)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Static description of one integer slot: a symmetric fixed-point grid.
@@ -96,7 +101,7 @@ class GridSpec:
     @property
     def dtype(self) -> np.dtype:
         """Narrowest storage dtype the static bound permits."""
-        return np.dtype(np.int32 if self.bound < _INT32_LIMIT else np.int64)
+        return _int_dtype(self.bound)
 
 
 def _is_pow2(x: float) -> bool:
@@ -224,14 +229,20 @@ class IntAffineOp:
     out_dtype: str
 
 
+def _acc_dtype(op) -> str:
+    """The conv/linear accumulator dtype: int32 while ``op.acc_bound``
+    fits, else int64."""
+    return str(_int_dtype(op.acc_bound))
+
+
 @dataclass
 class IntConvOp:
     """Integer convolution: im2col + integer GEMM + requant epilogue.
 
     ``acc_bound`` is the static bound on ``|accumulator|`` (the largest
-    row of ``|W|`` sums times the input grid's code bound); it picks
-    ``acc_dtype`` and the native kernel's GEMM
-    (:func:`repro.infer.native.binding.int_gemm`).
+    row of ``|W|`` sums times the input grid's code bound); the
+    accumulator dtype (:func:`_acc_dtype`) and the native kernel's GEMM
+    (:func:`repro.infer.native.binding.int_gemm`) follow from it.
     """
 
     impl = "intq_gemm"  # the kernel tag in phase names and backend records
@@ -243,7 +254,6 @@ class IntConvOp:
     stride: int
     padding: int
     filters: int
-    acc_dtype: str
     acc_bound: int
     out_dtype: str
     flags: tuple
@@ -253,6 +263,8 @@ class IntConvOp:
     #: shared by every context and batch size; a benign race like
     #: ``ConvOp.dead_maps``.
     native_consts: dict = field(default_factory=dict, repr=False)
+
+    acc_dtype = property(_acc_dtype)
 
 
 @dataclass
@@ -266,12 +278,13 @@ class IntLinearOp:
     src: int
     dst: int
     filters: int
-    acc_dtype: str
     acc_bound: int
     out_dtype: str
     flags: tuple
     consts: dict = field(repr=False)
     native_consts: dict = field(default_factory=dict, repr=False)
+
+    acc_dtype = property(_acc_dtype)
 
 
 # -- the program ---------------------------------------------------------------
@@ -300,9 +313,9 @@ class IntQProgram:
         self.ops = ops
         self.out_slot = out_slot
         self.input_chw = input_chw
-        #: Per weighted layer: impl, accumulator dtype and bound bits, the
-        #: native GEMM, measured shift/add/multiply counts per image, in/out
-        #: scales (see ``summary_block``).
+        #: Per weighted layer: impl, accumulator dtype and bound bits,
+        #: measured shift/add/multiply counts per image, in/out scales (see
+        #: ``summary_block``).
         self.layers = layers
         self.calibration = calibration
 
@@ -578,7 +591,7 @@ class _IntQBuilder:
                 f"op {op.index}: requantization product exceeds the int64 guard"
             )
 
-        acc_dt = np.dtype(np.int32 if bound_acc < _INT32_LIMIT else np.int64)
+        acc_dt = _int_dtype(bound_acc)
         m_abs_max = float(np.abs(m).max(initial=0.0))
         bound_out = int(math.ceil(bound_acc * m_abs_max)) + int(np.abs(gb).max(initial=0)) + 1
         if dmap is not None:
@@ -611,14 +624,13 @@ class _IntQBuilder:
         index = self._next_index()
         if linear:
             int_op = IntLinearOp(
-                index, op.src, op.dst, f, str(acc_dt), bound_acc, str(out_spec.dtype), flags,
-                consts,
+                index, op.src, op.dst, f, bound_acc, str(out_spec.dtype), flags, consts
             )
             out_positions = 1
         else:
             int_op = IntConvOp(
-                index, op.src, op.dst, op.kernel, op.stride, op.padding, f, str(acc_dt),
-                bound_acc, str(out_spec.dtype), flags, consts,
+                index, op.src, op.dst, op.kernel, op.stride, op.padding, f, bound_acc,
+                str(out_spec.dtype), flags, consts,
             )
             out_positions = int(out_shape[2] * out_shape[3])
         self.ops.append(int_op)
@@ -630,8 +642,6 @@ class _IntQBuilder:
             "impl": "intq_gemm",
             "accum_dtype": str(acc_dt),
             "acc_bound_bits": bound_acc.bit_length(),
-            # The GEMM the native kernel runs ("numpy": np.matmul on the codes).
-            "gemm": int_gemm(bound_acc) if self.backend == "native" else "numpy",
             "planes": packed.k_max,
             "nonzero_terms": nnz,
             "out_positions": out_positions,

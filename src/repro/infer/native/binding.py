@@ -502,31 +502,28 @@ def _int_codes(*arrays) -> bool:
 def int_gemm(acc_bound: int) -> str:
     """The GEMM the native int conv/linear runs for a layer whose static
     accumulator bound is ``acc_bound``: ``"sgemm"`` below 2**24 when the
-    BLAS has a verified sgemm, ``"dgemm"`` below 2**31, else ``"loops"``
-    (the C MAC loops, also the answer without a verifiable BLAS).
+    BLAS has a verified sgemm, else ``"loops"`` (the C MAC loops).
 
-    Below each limit every code, weight, product and partial sum is an
-    integer the float type holds exactly (float32 holds all integers up
-    to 2**24); 2**31 is where the int32 accumulator bracket ends.
+    Below 2**24 every code, weight, product and partial sum is an integer
+    float32 holds exactly, so any summation order gives the exact sum.
     """
+    if acc_bound >= 2**24:
+        return "loops"
     try:
-        info = blas.blas_info()
+        return "sgemm" if blas.blas_info()["sgemm_addr"] else "loops"
     except blas.BlasUnavailable:
         return "loops"
-    if acc_bound < 2**24 and info.get("sgemm_addr"):
-        return "sgemm"
-    return "dgemm" if acc_bound < 2**31 else "loops"
 
 
 def _int_consts(op, variant: str) -> dict:
     """``op``'s constants in the layout the C kernel reads, cached on the op
     (every context and batch size binds the same arrays; W in the
-    variant's element type — float32 for sgemm, float64 for dgemm, the
-    accumulator dtype for the loops — is the one real copy)."""
+    variant's element type — float32 for sgemm, the accumulator dtype for
+    the loops — is the one real copy)."""
     cached = op.native_consts.get(variant)
     if cached is None:
         consts = op.consts
-        w_dt = {"sgemm": np.float32, "dgemm": np.float64}.get(variant, np.dtype(op.acc_dtype))
+        w_dt = np.float32 if variant == "sgemm" else np.dtype(op.acc_dtype)
         cached = {
             "W": _const(consts["W"], w_dt),
             "M0": _const(consts["M0"], np.int64),
@@ -546,10 +543,9 @@ def make_int_producer(kind, op, x, out, steps, numpy_thunk, record, verdicts):
     a time, into scratch private to this thunk) or the linear's codes
     already in the accumulator dtype; ``steps`` are the epilogue steps the
     IR folded in.  :func:`int_gemm` picks the GEMM from ``op.acc_bound``:
-    sgemm on float32 below 2**24, dgemm on float64 below 2**31 (exact:
-    every product and partial sum is an integer the type holds), else
-    plain C MAC loops; ``record["gemm"]`` notes the pick.  Checked once per
-    (context, op) through ``verdicts``.
+    sgemm on float32 below 2**24 (exact: every product and partial sum is
+    an integer float32 holds), else plain C MAC loops; ``record["gemm"]``
+    notes the pick.  Checked once per (context, op) through ``verdicts``.
     """
     from repro.infer.intq.kernels import step_struct
     from repro.infer.kernels import KernelSpec
@@ -567,9 +563,9 @@ def make_int_producer(kind, op, x, out, steps, numpy_thunk, record, verdicts):
     ctype = "int32_t" if acc_dt == np.int32 else "int64_t"
     xtype = "int32_t" if x.dtype == np.int32 else "int64_t"
     gemm, ilp64 = [], True
-    if variant != "loops":
+    if variant == "sgemm":
         info = blas.blas_info()
-        gemm, ilp64 = [info["sgemm_addr" if variant == "sgemm" else "gemm_addr"]], info["ilp64"]
+        gemm, ilp64 = [info["sgemm_addr"]], info["ilp64"]
     spec = KernelSpec(
         kind=f"int{kind}", impl=variant, shape=(), dtype=str(acc_dt), flags=flags,
         epilogue=(("rq", *fused),), extra=(xtype,),

@@ -25,8 +25,8 @@ kept alive module-globally for the process lifetime.
 ``sgemm`` is probed next to the float64 entry points for the integer
 kernels only: they sum exact integers, so no matmul dispatch needs
 replicating, just a gemm that is exact on integer-valued float32.  A
-missing or failing sgemm records ``sgemm_addr = None`` and removes only
-that variant (the integer kernels fall back to dgemm).
+missing or failing sgemm records ``sgemm_addr = None``: the integer
+kernels then run their C loops, and the float64 kernels keep their BLAS.
 """
 
 from __future__ import annotations

@@ -30,11 +30,10 @@ before this backend was committed):
 * integer kernels are bitwise by integer exactness: every accumulator
   value is an exact integer below the layer's static bound, so any
   summation order reproduces the numpy result digit for digit.  That
-  includes a float GEMM chosen by the bound: ``sgemm`` on float32 below
-  2^24, ``dgemm`` on float64 below 2^31 (every product and partial sum
-  is then an integer the float type holds exactly), C integer loops
-  above.  ``>>`` on gcc/clang is the same arithmetic shift as
-  ``np.right_shift``.
+  includes the float32 ``sgemm`` chosen for layers whose bound is below
+  2^24 (every product and partial sum is then an integer float32 holds
+  exactly); C integer loops run above it.  ``>>`` on gcc/clang is the
+  same arithmetic shift as ``np.right_shift``.
 """
 
 from __future__ import annotations
@@ -647,35 +646,27 @@ def int_epilogue(flags: tuple, fused: tuple, dead_at: str) -> list[str]:
     return lines
 
 
-#: The float element type each BLAS variant of the integer conv/linear
-#: computes in; the ``"loops"`` variant computes in the accumulator's own
-#: integer type.  :func:`repro.infer.native.binding.int_gemm` picks the
-#: variant from the layer's static accumulator bound.
-INT_GEMM_TYPES = {"sgemm": "float", "dgemm": "double"}
-
-
-def _int_gemm(variant: str, ilp64: bool) -> list[str]:
+def _int_sgemm(ilp64: bool) -> list[str]:
     """The integer kernels' one BLAS entry point: a row-major, untransposed
-    ``C = A @ B`` through ``variant`` (``sgemm``/``dgemm``) for every
-    shape.  No gemv/dot dispatch as in :func:`_prelude`'s ``mm``: that
-    replicates np.matmul's float rounding, and the result here is an exact
-    integer whichever kernel sums it."""
-    ft = INT_GEMM_TYPES[variant]
+    float32 ``C = A @ B`` through ``sgemm`` for every shape.  No gemv/dot
+    dispatch as in :func:`_prelude`'s ``mm``: that replicates np.matmul's
+    float rounding, and the result here is an exact integer whichever
+    kernel sums it."""
     return [
         f"typedef {'long long' if ilp64 else 'int'} blasint;",
         # CBLAS order/transpose enums stay 32-bit ints even under ILP64.
-        f"typedef void (*{variant}_t)(int,int,int,blasint,blasint,blasint,{ft},"
-        f"const {ft}*,blasint,const {ft}*,blasint,{ft},{ft}*,blasint);",
-        f"static void gemm(void *fn, i64 m, i64 k, i64 n, const {ft} *A, const {ft} *B,",
-        f"                 {ft} *C) {{",
-        f"    (({variant}_t)fn)(101, 111, 111, (blasint)m, (blasint)n, (blasint)k,",
+        "typedef void (*sgemm_t)(int,int,int,blasint,blasint,blasint,float,",
+        "                        const float*,blasint,const float*,blasint,float,float*,blasint);",
+        "static void gemm(void *fn, i64 m, i64 k, i64 n, const float *A, const float *B,",
+        "                 float *C) {",
+        "    ((sgemm_t)fn)(101, 111, 111, (blasint)m, (blasint)n, (blasint)k,",
         "                  1, A, (blasint)k, B, (blasint)n, 0, C, (blasint)n);",
         "}",
     ]
 
 
 def _int_source(variant: str, ilp64: bool, body: list[str]) -> str:
-    head = _int_gemm(variant, ilp64) if variant in INT_GEMM_TYPES else []
+    head = _int_sgemm(ilp64) if variant == "sgemm" else []
     return _prelude(blas=False) + "".join(ln + "\n" for ln in head) + _fn(body)
 
 
@@ -708,24 +699,23 @@ def int_conv_source(
     Geometry rides in ``dims`` at runtime, so every conv of a plan with
     the same variant, flags and fused steps shares one compiled source.
 
-    ``variant`` ``"sgemm"``/``"dgemm"``: W, ``pad``, ``cols`` and the
-    accumulator are ``float``/``double`` (:data:`INT_GEMM_TYPES`) and one
-    BLAS gemm per sample sums them.  That is exact when the layer's static
-    accumulator bound is below 2^24 (float) or 2^31 (double): every code,
-    weight, product and partial sum is then an integer the type holds
+    ``variant="sgemm"``: W, ``pad``, ``cols`` and the accumulator are
+    ``float`` and one BLAS sgemm per sample sums them.  That is exact when
+    the layer's static accumulator bound is below 2^24: every code,
+    weight, product and partial sum is then an integer float32 holds
     exactly, so the truncation back to int64 is of an exact integer.
     ``variant="loops"``: the element type is the accumulator's ``ctype``;
     plain C MAC loops accumulate in int64 with a zero-weight skip (the
     decoded shift weights are sparse).
 
     ptrs: 0 x 1 W 2 pad 3 cols 4 acc (F*L scratch; int64 for loops)
-          5 M0 6 RND 7 SH 8 DMAP 9 GB 10 out, 11 the gemm (BLAS variants)
+          5 M0 6 RND 7 SH 8 DMAP 9 GB 10 out, 11 sgemm (sgemm variant)
     dims: :data:`INT_CONV_DIMS`, then the fused steps' constants (see
     :func:`int_step_decls`); ``flags`` and ``fused`` are baked by
     :func:`int_epilogue`
     """
-    ft = INT_GEMM_TYPES.get(variant)
-    ct, at = ft or ctype, ft or "i64"
+    sgemm = variant == "sgemm"
+    ct, at = ("float", "float") if sgemm else (ctype, "i64")
     body = [
         f"const {xtype} *x = (const {xtype} *)ptrs[0];",
         f"const {ct} *Wm = (const {ct} *)ptrs[1];",
@@ -740,7 +730,7 @@ def int_conv_source(
         f"    const {xtype} *xs = x + n * C * H * W;",
     ]
     body += ["    " + ln for ln in _conv_im2col(True, False, xtype, ct, per_sample=True)]
-    if ft:
+    if sgemm:
         body += ["    gemm(ptrs[11], F, CKK, L, Wm, src, acc);"]
         acc_at = "(i64)acc[f * L + l]"
     else:
@@ -778,17 +768,17 @@ def int_linear_source(
     """Integer linear (``x @ W`` orientation, W pre-transposed ``(IN, F)``)
     on codes ``x`` in the accumulator's ``ctype``.
 
-    The BLAS variants cast the codes into ``xf`` and run one whole-batch
-    gemm in :data:`INT_GEMM_TYPES` ``[variant]`` (exact under the same
-    bound rule as :func:`int_conv_source`); ``"loops"`` accumulates each
-    sample's row in int64 and leaves ``xf`` unused.
+    ``"sgemm"`` casts the codes into float ``xf`` and runs one
+    whole-batch sgemm (exact under the same bound as
+    :func:`int_conv_source`); ``"loops"`` accumulates each sample's row in
+    int64 and leaves ``xf`` unused.
 
     ptrs: 0 x 1 W 2 xf (nb*IN scratch) 3 acc (nb*F scratch; F int64 for
-          loops) 4 M0 5 RND 6 SH 7 DMAP 8 GB 9 out, 10 the gemm (BLAS)
+          loops) 4 M0 5 RND 6 SH 7 DMAP 8 GB 9 out, 10 sgemm (sgemm variant)
     dims: 0 nb 1 IN 2 F, then the fused steps' constants from 3
     """
-    ft = INT_GEMM_TYPES.get(variant)
-    ct, at = ft or ctype, ft or "i64"
+    sgemm = variant == "sgemm"
+    ct, at = ("float", "float") if sgemm else (ctype, "i64")
     body = [
         f"const {ctype} *x = (const {ctype} *)ptrs[0];",
         f"const {ct} *Wm = (const {ct} *)ptrs[1];",
@@ -798,9 +788,9 @@ def int_linear_source(
         "i64 nb = dims[0], IN = dims[1], F = dims[2];",
         *int_step_decls(fused, 3),
     ]
-    if ft:
+    if sgemm:
         body += [
-            f"for (i64 e = 0; e < nb * IN; e++) xf[e] = ({ft})x[e];",
+            "for (i64 e = 0; e < nb * IN; e++) xf[e] = (float)x[e];",
             "gemm(ptrs[10], nb, IN, F, xf, Wm, acc);",
             "for (i64 n = 0; n < nb; n++) {",
             "    for (i64 f = 0; f < F; f++) {",

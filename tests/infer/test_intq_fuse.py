@@ -82,19 +82,16 @@ def _identity_chain(kind: str, acc_dtype: str, steps: tuple) -> tuple:
     rng = np.random.default_rng(9)
     gb = rng.integers(-50, 50, f)
     eye = np.eye(f, dtype=acc_dtype)
-    # An honest bound for both dtypes; the int64 one keeps the native
-    # kernel on its C loops (see binding.int_gemm).
+    # An honest bound that selects ``acc_dtype`` (IntConvOp.acc_dtype).
     acc_bound = BOUND if acc_dtype == "int32" else 2**31
     if kind == "conv":
         consts = {"W": eye, "M0": one[:, None], "RND": zero[:, None], "SH": zero[:, None],
                   "GB": gb[:, None], "DMAP": rng.integers(-50, 50, (f, 12))}
-        op = IntConvOp(
-            0, 0, 1, 1, 1, 0, f, acc_dtype, acc_bound, "int64", ("dead", "gb"), consts
-        )
+        op = IntConvOp(0, 0, 1, 1, 1, 0, f, acc_bound, "int64", ("dead", "gb"), consts)
         x = _accumulators((4, f, 3, 4), acc_dtype)
     else:
         consts = {"W": eye, "M0": one, "RND": zero, "SH": zero, "GB": gb}
-        op = IntLinearOp(0, 0, 1, f, acc_dtype, acc_bound, "int64", ("gb",), consts)
+        op = IntLinearOp(0, 0, 1, f, acc_bound, "int64", ("gb",), consts)
         x = _accumulators((5, f), acc_dtype)
     chain = [(op, kind, None, x.shape, "int64")]
     dtype = "int64"

@@ -12,10 +12,9 @@ sides run numpy; the "native actually ran" assertions (read from
 ``program.node_backends``) are gated on :func:`binding.available`.
 
 The conv and linear run in whichever GEMM their static accumulator bound
-selects (sgemm below 2**24, dgemm below 2**31, C loops above), and each
-variant is covered; the selection itself is tested at its edges, and on
-nets 1–8 the observed accumulators are checked against the bound the
-float GEMMs' exactness rests on.
+selects (sgemm below 2**24, C loops above), and both are covered; the
+selection itself is tested at its edge, and on nets 1–8 the observed
+accumulators are checked against the bound sgemm's exactness rests on.
 
 The float kernels' C sources share those emitters, so a digest of the
 sources for a fixed set of specs pins them: a change there would recompile
@@ -67,8 +66,8 @@ ACC_CASES = [("int32", "int32"), ("int64", "int32"), ("int64", "int64")]
 
 #: Input code bound per (accumulator, codes) case; ``"sgemm"`` is the
 #: int32 accumulator on codes small enough that every sum stays below
-#: 2**24.  The ±2**20 int32 cases bind dgemm but for the 1x1 kernels,
-#: whose few taps keep them under 2**24 too.
+#: 2**24.  The ±2**20 int32 cases run the C loops but for the 1x1
+#: kernels, whose few taps keep them under 2**24 too.
 CODE_BOUNDS = {
     ("int32", "int32"): 2**20,
     ("int64", "int32"): 2**30,
@@ -82,32 +81,30 @@ HAVE_BLAS, HAVE_SGEMM = "path" in _BLAS, bool(_BLAS.get("sgemm"))
 
 def _expected_gemm(acc_bound: int) -> str:
     """The bound rule, restated: the GEMM a layer binds on this host."""
-    if acc_bound < 2**24 and HAVE_SGEMM:
-        return "sgemm"
-    return "dgemm" if acc_bound < 2**31 and HAVE_BLAS else "loops"
+    return "sgemm" if acc_bound < 2**24 and HAVE_SGEMM else "loops"
 
 
-def _conv(k: int, s: int, p: int, acc: str, batch: int, bound: int = 2**20) -> tuple:
-    """A conv node over codes in ``[-bound, bound]``, with its honest
-    accumulator bound."""
+def _conv(k: int, s: int, p: int, batch: int, bound: int = 2**20, acc_bound=None) -> tuple:
+    """A conv node over codes in ``[-bound, bound]``.  Its accumulator
+    bound, and with it the accumulator dtype, is the honest one unless
+    ``acc_bound`` loosens it (a looser bound is still a bound)."""
     rng = np.random.default_rng(k * 100 + s * 10 + p)
     ckk = C_IN * k * k
     oh, ow = (H + 2 * p - k) // s + 1, (W + 2 * p - k) // s + 1
     weights = rng.integers(-8, 9, (FILTERS, ckk))
     weights[rng.random(weights.shape) < 0.3] = 0
+    if acc_bound is None:
+        acc_bound = int(np.abs(weights).sum(axis=1).max()) * bound
+    op = IntConvOp(7, 0, 1, k, s, p, FILTERS, acc_bound, "int64", ("dead", "gb"), {})
     # Keep accumulator * M0 inside int64, as the builder's guard does.
     m0, sh, rnd = quantize_multiplier_array(
-        rng.uniform(1e-4, 0.05, FILTERS), 24 if acc == "int32" else 12
+        rng.uniform(1e-4, 0.05, FILTERS), 24 if op.acc_dtype == "int32" else 12
     )
-    consts = {
-        "W": weights.astype(acc),
-        "M0": m0[:, None], "RND": rnd[:, None], "SH": sh[:, None],
-        "GB": rng.integers(-50, 50, FILTERS)[:, None],
-        "DMAP": rng.integers(-50, 50, (FILTERS, oh * ow)),
-    }
-    acc_bound = int(np.abs(weights).sum(axis=1).max()) * bound
-    op = IntConvOp(
-        7, 0, 1, k, s, p, FILTERS, acc, acc_bound, "int64", ("dead", "gb"), consts
+    op.consts.update(
+        W=weights.astype(op.acc_dtype),
+        M0=m0[:, None], RND=rnd[:, None], SH=sh[:, None],
+        GB=rng.integers(-50, 50, FILTERS)[:, None],
+        DMAP=rng.integers(-50, 50, (FILTERS, oh * ow)),
     )
     return op, "conv", None, (batch, FILTERS, oh, ow), "int64"
 
@@ -127,9 +124,10 @@ class TestIntConv:
     def _check(k, s, p, acc, xdt, batch, case):
         bound = CODE_BOUNDS[case]
         x = _codes((batch, C_IN, H, W), xdt, bound, seed=batch + k)
-        node = _conv(k, s, p, acc, batch, bound)
+        node = _conv(k, s, p, batch, bound)
+        assert node[0].acc_dtype == acc
         want, _ = _run(x, node, "numpy")
-        got, record = _run(x, _conv(k, s, p, acc, batch, bound), "auto", calls=2)
+        got, record = _run(x, _conv(k, s, p, batch, bound), "auto", calls=2)
         assert _bitwise_equal(got, want)
         if NATIVE_OK:
             assert record["backend"] == "native", record
@@ -163,11 +161,11 @@ class TestIntConv:
             return counted
 
         monkeypatch.setattr(int_kernels, "_thunk", counting)
-        op = _conv(3, 1, 1, "int32", 4)[0]
+        op = _conv(3, 1, 1, 4)[0]
         ctx = ExecutionContext()
         for batch in (4, 3, 4):
             x = _codes((batch, C_IN, H, W), "int32", 2**20, seed=batch)
-            node = _conv(3, 1, 1, "int32", batch)
+            node = _conv(3, 1, 1, batch)
             want, _ = _run(x, node, "numpy")
             node = (op,) + node[1:]
             got, record = _run(x, node, "auto", ctx=ctx)
@@ -185,19 +183,19 @@ class TestIntConv:
 IN_F, OUT_F = 37, 11
 
 
-def _linear(acc: str, batch: int, bound: int) -> tuple:
+def _linear(batch: int, bound: int) -> tuple:
     """A linear node (W pre-transposed ``(IN, F)``) over codes in
     ``[-bound, bound]``, with its honest accumulator bound."""
     rng = np.random.default_rng(bound % 97)
     weights = rng.integers(-8, 9, (IN_F, OUT_F))
     weights[rng.random(weights.shape) < 0.3] = 0
-    m0, sh, rnd = quantize_multiplier_array(
-        rng.uniform(1e-4, 0.05, OUT_F), 24 if acc == "int32" else 12
-    )
-    consts = {"W": weights.astype(acc), "M0": m0, "RND": rnd, "SH": sh,
-              "GB": rng.integers(-50, 50, OUT_F)}
     acc_bound = int(np.abs(weights).sum(axis=0).max()) * bound
-    op = IntLinearOp(5, 0, 1, OUT_F, acc, acc_bound, "int64", ("gb",), consts)
+    op = IntLinearOp(5, 0, 1, OUT_F, acc_bound, "int64", ("gb",), {})
+    m0, sh, rnd = quantize_multiplier_array(
+        rng.uniform(1e-4, 0.05, OUT_F), 24 if op.acc_dtype == "int32" else 12
+    )
+    op.consts.update(W=weights.astype(op.acc_dtype), M0=m0, RND=rnd, SH=sh,
+                     GB=rng.integers(-50, 50, OUT_F))
     return op, "linear", None, (batch, OUT_F), "int64"
 
 
@@ -209,9 +207,10 @@ class TestIntLinear:
     )
     def test_matches_numpy(self, acc, xdt, bound, batch):
         x = _codes((batch, IN_F), xdt, bound, seed=batch)
-        node = _linear(acc, batch, bound)
+        node = _linear(batch, bound)
+        assert node[0].acc_dtype == acc
         want, _ = _run(x, node, "numpy")
-        got, record = _run(x, _linear(acc, batch, bound), "auto", calls=2)
+        got, record = _run(x, _linear(batch, bound), "auto", calls=2)
         assert _bitwise_equal(got, want)
         if NATIVE_OK:
             assert record["backend"] == "native", record
@@ -224,33 +223,30 @@ class TestIntLinear:
 @pytest.mark.skipif(not (NATIVE_OK and HAVE_BLAS), reason="no C toolchain or BLAS")
 class TestGemmSelection:
     """The native int conv's GEMM follows its static accumulator bound:
-    sgemm below 2**24, dgemm below 2**31, C loops above."""
+    sgemm below 2**24, C loops from there (int32 and int64 accumulators)."""
 
     @pytest.mark.parametrize(
-        "acc_bound,gemm", [(2**24 - 1, "sgemm"), (2**24, "dgemm"), (2**31, "loops")]
+        "acc_bound,gemm", [(2**24 - 1, "sgemm"), (2**24, "loops"), (2**31, "loops")]
     )
     def test_bound_picks_the_gemm(self, acc_bound, gemm):
-        acc = "int32" if acc_bound < 2**31 else "int64"
         x = _codes((3, C_IN, H, W), "int32", 2**10, seed=1)
-        want, _ = _run(x, _conv(3, 1, 1, acc, 3, 2**10), "numpy")
-        node = _conv(3, 1, 1, acc, 3, 2**10)
-        node[0].acc_bound = acc_bound  # a looser bound is still a bound
-        if gemm == "sgemm" and not HAVE_SGEMM:
-            gemm = "dgemm"
+        want, _ = _run(x, _conv(3, 1, 1, 3, 2**10, acc_bound=acc_bound), "numpy")
+        if not HAVE_SGEMM:
+            gemm = "loops"
         assert binding.int_gemm(acc_bound) == gemm
-        got, record = _run(x, node, "auto", calls=2)
+        got, record = _run(x, _conv(3, 1, 1, 3, 2**10, acc_bound=acc_bound), "auto", calls=2)
         assert _bitwise_equal(got, want)
         assert (record["backend"], record["gemm"]) == ("native", gemm)
 
-    def test_without_sgemm_binds_dgemm(self, monkeypatch):
+    def test_without_sgemm_binds_loops(self, monkeypatch):
         real = blas.blas_info
         monkeypatch.setattr(blas, "blas_info", lambda: {**real(), "sgemm_addr": None})
         x = _codes((3, C_IN, H, W), "int32", 2**10, seed=2)
-        want, _ = _run(x, _conv(3, 1, 1, "int32", 3, 2**10), "numpy")
-        got, record = _run(x, _conv(3, 1, 1, "int32", 3, 2**10), "auto", calls=2)
-        assert binding.int_gemm(2**10) == "dgemm"
+        want, _ = _run(x, _conv(3, 1, 1, 3, 2**10), "numpy")
+        got, record = _run(x, _conv(3, 1, 1, 3, 2**10), "auto", calls=2)
+        assert binding.int_gemm(2**10) == "loops"
         assert _bitwise_equal(got, want)
-        assert (record["backend"], record["gemm"]) == ("native", "dgemm")
+        assert (record["backend"], record["gemm"]) == ("native", "loops")
         # The float producers keep their BLAS.
         assert binding._blas_slots() is not None
 
