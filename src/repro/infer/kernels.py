@@ -97,7 +97,7 @@ class _KernelCache:
     The per-spec map is a bounded LRU: long-lived cluster workers seeing
     many distinct input shapes would otherwise grow it without limit.
     Evicting an entry never orphans running code — bound thunks hold their
-    factory (or native function pointer) directly, and the inner
+    factory (or native kernel entry) directly, and the inner
     ``_sources`` dedupe map stays unbounded because the number of distinct
     source texts is structurally small (it is what makes re-insertion after
     an eviction cheap).
@@ -135,23 +135,27 @@ class _KernelCache:
             self._insert(spec, factory)
             return factory
 
-    def get_native(self, spec: KernelSpec, source: str, build):
-        """Like :meth:`get` for native kernels: ``build(source)`` compiles/
-        loads the C entry point on a source miss (it may raise
-        ``NativeUnavailable`` — nothing is cached then)."""
+    def get_native(self, spec: KernelSpec, source: str, start):
+        """Like :meth:`get` for native kernels: on a source miss,
+        ``start(source)`` begins building the C entry point and returns an
+        entry that waits for it when first used; one entry is kept per
+        source.  ``start`` runs outside the lock, so other threads' lookups
+        never wait behind a compile.  It may raise ``NativeUnavailable`` —
+        nothing is cached then."""
         with self._lock:
-            fn = self._factories.get(spec)
-            if fn is not None:
+            entry = self._factories.get(spec)
+            if entry is not None:
                 self.hits += 1
                 self._factories.move_to_end(spec)
-                return fn
+                return entry
             self.misses += 1
-            fn = self._sources.get(source)
-            if fn is None:
-                fn = build(source)
-                self._sources[source] = fn
-            self._insert(spec, fn)
-            return fn
+            entry = self._sources.get(source)
+        if entry is None:
+            entry = start(source)
+        with self._lock:
+            entry = self._sources.setdefault(source, entry)
+            self._insert(spec, entry)
+        return entry
 
     def stats(self) -> dict:
         with self._lock:

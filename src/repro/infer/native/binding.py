@@ -11,17 +11,25 @@ fused node touches, and returns a callable drop-in replacement — or
 verifiable BLAS, an epilogue step with no C lowering, a non-contiguous
 view, a dtype with no C kernel).
 
+Binding only *starts* a kernel's compile (:func:`.toolchain.start_compile`);
+the compiler runs while the rest of the program binds, so a traced
+program's kernels compile concurrently, at most twice the effective CPUs
+at once.  Each kernel waits for its own compile at its first call.
+
 Fallback ladder (cheapest exit first):
 
-1. *decline at bind* — any precondition above fails; the caller keeps the
-   numpy thunk it already built.  Logged once per reason.
-2. *first-call parity check* — the returned thunk's first invocation runs
-   the C kernel, snapshots the output, re-runs the numpy kernel and
-   compares **bytes**.  On mismatch it pins itself to numpy permanently
-   (the numpy result, being last, is what downstream nodes consumed) and
-   logs once.  On match it pins itself to the C kernel.
+1. *decline at bind* — any precondition above fails (or no compile can
+   start); the caller keeps the numpy thunk it already built.  Logged once
+   per reason.
+2. *first-call parity check* — the returned thunk's first invocation waits
+   for the compile, runs the C kernel, snapshots the output, re-runs the
+   numpy kernel and compares **bytes**.  On mismatch it pins itself to
+   numpy permanently (the numpy result, being last, is what downstream
+   nodes consumed) and logs once.  On match it pins itself to the C kernel.
 3. *never crash* — compile/load errors surface as
-   :class:`~.toolchain.NativeUnavailable` and turn into a decline.
+   :class:`~.toolchain.NativeUnavailable`: at bind they are a decline; a
+   compile that fails after starting is found at that first call, which
+   runs and pins the numpy thunk and counts a decline too.
 
 The parity check costs one extra kernel execution and one output copy per
 bound float thunk, and per (context, op) for an int8 kernel (see
@@ -60,6 +68,7 @@ logger = logging.getLogger("repro.infer.native")
 _lock = threading.Lock()
 _logged: set = set()
 _counters = {"bound": 0, "declined": 0, "check_failures": 0}
+_reasons: dict[str, int] = {}  # decline count per "kind/reason"
 
 
 def _log_once(key, msg: str, *args) -> None:
@@ -116,16 +125,20 @@ def status() -> dict:
         }
     except blas.BlasUnavailable as err:
         info["blas"] = {"error": str(err)}
+    info.update(toolchain.compile_stats())
     with _lock:
         info.update(_counters)
+        info["decline_reasons"] = dict(_reasons)
     return info
 
 
 def reset() -> None:
-    """Forget memoized toolchain state and log-once keys (test helper)."""
+    """Forget memoized toolchain state, log-once keys and counters (test
+    helper)."""
     toolchain.reset()
     with _lock:
         _logged.clear()
+        _reasons.clear()
         for k in _counters:
             _counters[k] = 0
 
@@ -148,11 +161,13 @@ def _addresses(arrays: list) -> tuple[list[int], list]:
     return addrs, keep
 
 
-def _pack_call(fn, arrays: list, dims: list, scalars: list):
-    """A zero-argument callable invoking ``fn`` with prebuilt C argument
-    blocks (addresses resolved once at bind time — array *identities* must
-    therefore be stable across calls, which the bound-once register model
-    guarantees)."""
+def _pack_call(entry, arrays: list, dims: list, scalars: list):
+    """Build the C argument blocks now (addresses resolved once at bind
+    time — array *identities* must therefore be stable across calls, which
+    the bound-once register model guarantees); returns ``link``, which
+    waits for ``entry``'s compile and returns the zero-argument callable
+    invoking its entry point over those blocks.  ``link`` raises
+    :class:`~.toolchain.NativeUnavailable` if the compile or load failed."""
     addrs, keep = _addresses(arrays)
     scal = [float(s) for s in scalars] or [0.0]
     idims = [int(d) for d in dims]
@@ -168,23 +183,42 @@ def _pack_call(fn, arrays: list, dims: list, scalars: list):
         cdims = (ctypes.c_longlong * len(idims))(*idims)
         cscal = (ctypes.c_double * len(scal))(*scal)
 
-    def call() -> None:
-        fn(cptrs, cdims, cscal)
+    def link():
+        fn = entry.resolve()
 
-    call._keep = (keep, cptrs, cdims, cscal)  # pin the argument blocks
-    return call
+        def call() -> None:
+            fn(cptrs, cdims, cscal)
+
+        call._keep = (keep, cptrs, cdims, cscal)  # pin the argument blocks
+        return call
+
+    link.entry = entry
+    return link
 
 
-def _native_fn(spec, source: str):
-    """Fetch (compiling on first use) the C entry point for ``spec``."""
+class _Entry:
+    """A kernel's C entry point, compiling from bind until :meth:`resolve`
+    first waits for it (one per source, shared by every binding)."""
+
+    __slots__ = ("source", "job", "fn")
+
+    def __init__(self, source: str) -> None:
+        self.source = source
+        self.job = toolchain.start_compile(source)
+        self.fn = None
+
+    def resolve(self):
+        if self.fn is None:
+            self.fn = toolchain.load_library(self.job.result(), self.source)
+        return self.fn
+
+
+def _native_fn(spec, source: str) -> _Entry:
+    """The (possibly still compiling) C kernel entry for ``spec``."""
     from repro.infer.kernels import KERNEL_CACHE
 
     nspec = dataclasses.replace(spec, impl="native:" + spec.impl)
-    return KERNEL_CACHE.get_native(
-        nspec,
-        source,
-        lambda src: toolchain.load_library(toolchain.compile_source(src), src),
-    )
+    return KERNEL_CACHE.get_native(nspec, source, _Entry)
 
 
 # -- the first-call parity check ----------------------------------------------
@@ -197,8 +231,13 @@ def _note(record, passed: bool) -> None:
             record["native_check_failed"] = True
 
 
-def _checked(native_call, numpy_thunk, out: np.ndarray, inputs: list, record, key, memo=None):
-    """Wrap ``native_call`` so its first invocation self-verifies bitwise.
+def _checked(link, numpy_thunk, out: np.ndarray, inputs: list, record, key, memo=None):
+    """A thunk that links the kernel (``link``, from :func:`_pack_call`) and
+    self-verifies it bitwise on its first invocation.
+
+    The first call waits for the kernel's compile.  A compile or load
+    failure found there pins the numpy thunk and counts as a decline under
+    ``(kind, "compile")``, ``kind`` being ``key`` up to its first ``/``.
 
     ``inputs`` are the arrays the numpy thunk *reads*; any that share
     memory with ``out`` (the in-place elementwise case, or register
@@ -216,15 +255,26 @@ def _checked(native_call, numpy_thunk, out: np.ndarray, inputs: list, record, ke
     if memo is not None:
         verdicts, op = memo
         seen = verdicts.get(op.index)
-        if seen is not None and seen[0] is op:
+        # A passing verdict pins at once when its kernel is loaded (always,
+        # unless the kernel cache was cleared since; then it re-checks).
+        if seen is not None and seen[0] is op and (not seen[1] or link.entry.fn is not None):
             _note(record, seen[1])
-            return native_call if seen[1] else numpy_thunk
+            return link() if seen[1] else numpy_thunk
     if record is not None:
         record["backend"] = "native"
     aliased = [a for a in inputs if np.shares_memory(a, out)]
     state: list = [None]  # None = unchecked, else the pinned callable
 
     def first() -> None:
+        try:
+            native_call = link()
+        except toolchain.NativeUnavailable as err:
+            state[0] = numpy_thunk
+            if record is not None:
+                record["backend"] = "numpy"
+            _decline((key.partition("/")[0], "compile"), str(err))
+            numpy_thunk()
+            return
         saved = [a.copy() for a in aliased]
         native_call()
         snap = out.copy()
@@ -271,7 +321,11 @@ def _const(a, dtype=np.float64):
 
 
 def _decline(key, why: str):
-    _count("declined")
+    """Count and log (once per ``key = (kind, reason)``) a decline."""
+    reason = "/".join(key)
+    with _lock:
+        _counters["declined"] += 1
+        _reasons[reason] = _reasons.get(reason, 0) + 1
     _log_once(("decline", key), "native backend declined %s: %s", key, why)
     return None
 
@@ -388,11 +442,11 @@ def make_producer(kind, op, x, out, scratch, impl, sig, spec, numpy_thunk, recor
                 hb=bias is not None,
                 consts=consts,
             )
-        fn = _native_fn(spec, source)
+        entry = _native_fn(spec, source)
     except toolchain.NativeUnavailable as err:
         return _decline((kind, "compile"), str(err))
-    call = _pack_call(fn, arrays, dims, scalars)
-    return _checked(call, numpy_thunk, out, [x], record, f"{kind}/{impl}")
+    link = _pack_call(entry, arrays, dims, scalars)
+    return _checked(link, numpy_thunk, out, [x], record, f"{kind}/{impl}")
 
 
 # -- float64 pools / add / eltwise --------------------------------------------
@@ -415,14 +469,14 @@ def make_pool(pool_kind, kernel, stride, x, out, sig, spec, numpy_thunk, record)
     scalars = [1.0 / (kernel * kernel)] + codegen.epilogue_scalars(sig)
     dims = [nb, c, h, w, kernel, stride, oh, ow, int(pool_kind == "avgpool")]
     try:
-        fn = _native_fn(
+        entry = _native_fn(
             spec,
             codegen.pool_source(epi, kernel, pool_kind == "avgpool", consts=consts),
         )
     except toolchain.NativeUnavailable as err:
         return _decline((pool_kind, "compile"), str(err))
-    call = _pack_call(fn, [x, out], dims, scalars)
-    return _checked(call, numpy_thunk, out, [x], record, pool_kind)
+    link = _pack_call(entry, [x, out], dims, scalars)
+    return _checked(link, numpy_thunk, out, [x], record, pool_kind)
 
 
 def make_gap(x, out, sig, spec, numpy_thunk, record):
@@ -439,11 +493,11 @@ def make_gap(x, out, sig, spec, numpy_thunk, record):
     consts = {"C": c, "HW": h * w}
     scalars = codegen.epilogue_scalars(sig)
     try:
-        fn = _native_fn(spec, codegen.gap_source(epi, consts=consts))
+        entry = _native_fn(spec, codegen.gap_source(epi, consts=consts))
     except toolchain.NativeUnavailable as err:
         return _decline(("gap", "compile"), str(err))
-    call = _pack_call(fn, [x, out], [nb, c, h * w], scalars)
-    return _checked(call, numpy_thunk, out, [x], record, "gap")
+    link = _pack_call(entry, [x, out], [nb, c, h * w], scalars)
+    return _checked(link, numpy_thunk, out, [x], record, "gap")
 
 
 def make_add(a, b, out, sig, spec, numpy_thunk, record):
@@ -458,11 +512,11 @@ def make_add(a, b, out, sig, spec, numpy_thunk, record):
         return _decline(("add", "layout"), "non-contiguous input/output view")
     scalars = codegen.epilogue_scalars(sig)
     try:
-        fn = _native_fn(spec, codegen.add_source(epi))
+        entry = _native_fn(spec, codegen.add_source(epi))
     except toolchain.NativeUnavailable as err:
         return _decline(("add", "compile"), str(err))
-    call = _pack_call(fn, [a, b, out], [a.size], scalars)
-    return _checked(call, numpy_thunk, out, [a, b], record, "add")
+    link = _pack_call(entry, [a, b, out], [a.size], scalars)
+    return _checked(link, numpy_thunk, out, [a, b], record, "add")
 
 
 def make_eltwise(chain_sig, x, out, spec, numpy_thunk, record):
@@ -479,11 +533,11 @@ def make_eltwise(chain_sig, x, out, spec, numpy_thunk, record):
         return _decline(("eltwise", "layout"), "non-contiguous input/output view")
     scalars = codegen.epilogue_scalars(chain_sig)
     try:
-        fn = _native_fn(spec, codegen.eltwise_source(struct))
+        entry = _native_fn(spec, codegen.eltwise_source(struct))
     except toolchain.NativeUnavailable as err:
         return _decline(("eltwise", "compile"), str(err))
-    call = _pack_call(fn, [x, out], [x.size], scalars)
-    return _checked(call, numpy_thunk, out, [x], record, "eltwise")
+    link = _pack_call(entry, [x, out], [x.size], scalars)
+    return _checked(link, numpy_thunk, out, [x], record, "eltwise")
 
 
 # -- integer ops (intq) -------------------------------------------------------
@@ -575,7 +629,7 @@ def make_int_producer(kind, op, x, out, steps, numpy_thunk, record, verdicts):
             source = codegen.int_conv_source(variant, ilp64, ctype, flags, fused, xtype)
         else:
             source = codegen.int_linear_source(variant, ilp64, ctype, flags, fused)
-        fn = _native_fn(spec, source)
+        entry = _native_fn(spec, source)
     except toolchain.NativeUnavailable as err:
         return _decline(("int" + kind, "compile"), str(err))
     f = op.filters
@@ -601,8 +655,8 @@ def make_int_producer(kind, op, x, out, steps, numpy_thunk, record, verdicts):
     dims += [int(v) for step in steps for v in step[1:]]
     if record is not None:
         record["gemm"] = variant
-    call = _pack_call(fn, arrays, dims, [])
-    return _checked(call, numpy_thunk, out, [x], record, f"int{kind}", (verdicts, op))
+    link = _pack_call(entry, arrays, dims, [])
+    return _checked(link, numpy_thunk, out, [x], record, f"int{kind}", (verdicts, op))
 
 
 def make_int_maxpool(op, x, out, numpy_thunk, record, verdicts):
@@ -617,14 +671,14 @@ def make_int_maxpool(op, x, out, numpy_thunk, record, verdicts):
     ct = "int32_t" if x.dtype == np.int32 else "int64_t"
     spec = KernelSpec("intmaxpool", "", (), str(x.dtype), (), (), (op.kernel,))
     try:
-        fn = _native_fn(spec, codegen.pool_source((), op.kernel, ct=ct))
+        entry = _native_fn(spec, codegen.pool_source((), op.kernel, ct=ct))
     except toolchain.NativeUnavailable as err:
         return _decline(("intmaxpool", "compile"), str(err))
     nb, c, h, w = x.shape
     k, s = op.kernel, op.stride
     dims = [nb, c, h, w, k, s, (h - k) // s + 1, (w - k) // s + 1, 0]
-    call = _pack_call(fn, [x, out], dims, [])
-    return _checked(call, numpy_thunk, out, [x], record, "intmaxpool", (verdicts, op))
+    link = _pack_call(entry, [x, out], dims, [])
+    return _checked(link, numpy_thunk, out, [x], record, "intmaxpool", (verdicts, op))
 
 
 def make_int_quantize(op, x, out, numpy_thunk, record, verdicts):
@@ -640,10 +694,10 @@ def make_int_quantize(op, x, out, numpy_thunk, record, verdicts):
 
     spec = KernelSpec("intquantize", "", (), "float64", (), ())
     try:
-        fn = _native_fn(spec, codegen.eltwise_source(("aq",), "int32_t"))
+        entry = _native_fn(spec, codegen.eltwise_source(("aq",), "int32_t"))
     except toolchain.NativeUnavailable as err:
         return _decline(("intquantize", "compile"), str(err))
-    call = _pack_call(
-        fn, [x, out], [x.size, _nan_code(np.int32)], [op.inv_step, op.lo, op.hi, 1.0]
+    link = _pack_call(
+        entry, [x, out], [x.size, _nan_code(np.int32)], [op.inv_step, op.lo, op.hi, 1.0]
     )
-    return _checked(call, numpy_thunk, out, [x], record, "intquantize", (verdicts, op))
+    return _checked(link, numpy_thunk, out, [x], record, "intquantize", (verdicts, op))

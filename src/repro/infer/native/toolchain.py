@@ -20,6 +20,13 @@ skips the toolchain entirely.  A cached ``.so`` that fails to ``dlopen``
 (torn write, wrong arch after a cache-dir copy) is deleted and recompiled
 once.
 
+Compiles run concurrently: :func:`start_compile` spawns the compiler and
+returns at once, and :meth:`CompileJob.result` waits for it.  At most
+twice :func:`~repro.utils.cpu.effective_cpus` compilers run at once;
+starting one more waits for whichever finishes first.  There is no thread
+pool: a waiting caller polls its own process's compilers, and a process
+forked while compiles run never waits on its parent's.
+
 Compiler choice honors ``$CC`` *strictly* when set — pointing it at a
 non-executable path (CI's ``CC=/nonexistent`` leg, the forced-fallback
 tests) disables the backend rather than silently picking up ``cc``.
@@ -33,6 +40,9 @@ import shutil
 import subprocess
 import tempfile
 import threading
+import time
+
+from repro.utils.cpu import effective_cpus
 
 __all__ = [
     "NativeUnavailable",
@@ -40,7 +50,9 @@ __all__ = [
     "native_cache_dir",
     "find_compiler",
     "compile_flags",
+    "start_compile",
     "compile_source",
+    "compile_stats",
     "load_library",
     "loader_kind",
     "toolchain_fingerprint",
@@ -162,46 +174,186 @@ def _cache_key(source: str, cc: str, flags: tuple) -> str:
     return hashlib.sha256(blob).hexdigest()[:24]
 
 
-def compile_source(source: str) -> str:
-    """Compile ``source`` (or reuse the disk cache); returns the ``.so`` path.
+def _max_in_flight() -> int:
+    """How many compilers run at once: twice the CPUs this process may
+    use.  On a 2-CPU host bounds of 2, 4 and 8 gave the float bench
+    engine about the same first call (0.8-1.0 s); the bound only caps the
+    compiler processes (and their memory) alive at once."""
+    return 2 * effective_cpus()
 
-    The write is atomic (temp file + ``os.replace``), so concurrent
-    processes racing on the same key both end up with a whole binary.
-    The flags join the cache key, so a flag change never reuses a stale
-    binary.
+
+class CompileJob:
+    """One kernel compile, started by :func:`start_compile`.
+
+    :meth:`result` waits for the compiler (if one still runs) and returns
+    the cached binary's path, or raises :class:`NativeUnavailable`.  Any
+    number of threads may wait on one job.  A process forked while the job
+    runs never waits on its parent's compiler: there, :meth:`result`
+    compiles the source afresh (or finds the parent's binary on disk).
+    """
+
+    def __init__(self, so_path: str, source: str, finished: bool) -> None:
+        self.so_path = so_path
+        self.source = source
+        self.owner = os.getpid()
+        self.finished = finished  # a cached binary has nothing to run
+        self.error: NativeUnavailable | None = None
+        self.proc = None  # the compiler, once spawned
+        self.started = 0.0
+        self._tmp_c = self._tmp_so = self._stderr = None
+
+    def _spawn(self, cc: str, flags: tuple, cdir: str, key: str) -> None:
+        """Write the source, wait for a compiler slot and start the
+        compiler; an error here finishes the job as failed."""
+        try:
+            fd, self._tmp_c = tempfile.mkstemp(suffix=".c", prefix=f"k{key}-", dir=cdir)
+            self._tmp_so = self._tmp_c[:-2] + ".so"
+            with os.fdopen(fd, "w") as fh:
+                fh.write(self.source)
+            # A file, not a pipe: nobody drains stderr while gcc runs.
+            self._stderr = tempfile.TemporaryFile()
+            _take_slot(self)
+            self.started = time.perf_counter()
+            self.proc = subprocess.Popen(
+                [cc, *flags, "-o", self._tmp_so, self._tmp_c, "-lm"],
+                stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=self._stderr,
+            )
+        except (OSError, subprocess.SubprocessError) as err:
+            with _jobs_lock:
+                if self in _running:
+                    _running.remove(self)
+                self.error = NativeUnavailable(f"cannot start the kernel compile: {err}")
+                self._finish_locked()
+
+    def result(self) -> str:
+        if self.owner != os.getpid():
+            return compile_source(self.source)
+        while True:
+            with _jobs_lock:
+                _reap_locked()
+                if self.finished:
+                    break
+            time.sleep(_POLL_S)
+        if self.error is not None:
+            raise self.error
+        return self.so_path
+
+    def _finish_locked(self) -> None:
+        """Account for the exited compiler and move its binary into place."""
+        self.finished = True
+        _jobs.pop(self.so_path, None)
+        if self.proc is not None:
+            _stats["compiles"] += 1
+            _stats["compile_s"] += time.perf_counter() - self.started
+            if self.proc.returncode != 0:
+                self._stderr.seek(0)
+                err = self._stderr.read().decode(errors="replace").strip()
+                self.error = NativeUnavailable(f"native kernel compile failed: {err[:300]}")
+            else:
+                try:
+                    os.replace(self._tmp_so, self.so_path)
+                    os.replace(self._tmp_c, self.so_path[:-3] + ".c")
+                except OSError as err:
+                    self.error = NativeUnavailable(f"cannot store the compiled kernel: {err}")
+        if self._stderr is not None:
+            self._stderr.close()
+        for leftover in (self._tmp_c, self._tmp_so):
+            if leftover:
+                try:
+                    os.unlink(leftover)
+                except OSError:
+                    pass
+
+
+#: Compiles this process started and has not finished, by ``.so`` path, and
+#: the ones whose compiler still runs (or holds a reserved slot).
+_jobs: dict[str, CompileJob] = {}
+_running: list[CompileJob] = []
+_jobs_lock = threading.Lock()
+_stats = {"compiles": 0, "compile_s": 0.0, "max_in_flight": 0}
+#: Seconds between looks at the running compilers while a caller waits.
+_POLL_S = 0.002
+
+
+def _reap_locked() -> None:
+    """Finish every job whose compiler has exited and free its slot."""
+    alive = []
+    for job in _running:
+        if job.proc is None or job.proc.poll() is None:
+            alive.append(job)
+        else:
+            job._finish_locked()
+    _running[:] = alive
+
+
+def _take_slot(job: CompileJob) -> None:
+    """Wait until fewer than :func:`_max_in_flight` compilers run (for
+    whichever finishes first), then reserve a slot for ``job``."""
+    bound = _max_in_flight()
+    while True:
+        with _jobs_lock:
+            _reap_locked()
+            if len(_running) < bound:
+                _running.append(job)
+                _stats["max_in_flight"] = max(_stats["max_in_flight"], len(_running))
+                return
+        time.sleep(_POLL_S)
+
+
+def _forget_parent_jobs() -> None:
+    # A forked child must not poll its parent's compilers: waitpid on a
+    # pid that is not its child reads as a clean exit, which would move a
+    # half-written binary into the cache.
+    global _jobs_lock
+    _jobs_lock = threading.Lock()
+    _jobs.clear()
+    _running.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_parent_jobs)
+
+
+def start_compile(source: str) -> CompileJob:
+    """Start compiling ``source`` unless its binary is cached; returns the
+    job without waiting for the compiler.
+
+    A source already compiling in this process shares that job.  The flags
+    join the cache key, so a flag change never reuses a stale binary.
+    Starting waits only when :func:`_max_in_flight` compilers already run.
     """
     cc = find_compiler()
     flags = compile_flags()
     cdir = native_cache_dir()
     key = _cache_key(source, cc, flags)
     so_path = os.path.join(cdir, f"k{key}.so")
-    if os.path.exists(so_path):
-        return so_path
-    fd, tmp_c = tempfile.mkstemp(suffix=".c", prefix=f"k{key}-", dir=cdir)
-    tmp_so = tmp_c[:-2] + ".so"
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(source)
-        proc = subprocess.run(
-            [cc, *flags, "-o", tmp_so, tmp_c, "-lm"], capture_output=True, text=True
-        )
-        if proc.returncode != 0:
-            raise NativeUnavailable(
-                f"native kernel compile failed: {proc.stderr.strip()[:300]}"
-            )
-        os.replace(tmp_so, so_path)
-        c_path = os.path.join(cdir, f"k{key}.c")
-        try:
-            os.replace(tmp_c, c_path)
-        except OSError:
-            pass
-    finally:
-        for leftover in (tmp_c, tmp_so):
-            try:
-                os.unlink(leftover)
-            except OSError:
-                pass
-    return so_path
+    with _jobs_lock:
+        job = _jobs.get(so_path)
+        if job is not None:
+            return job
+        if os.path.exists(so_path):
+            return CompileJob(so_path, source, finished=True)
+        job = _jobs[so_path] = CompileJob(so_path, source, finished=False)
+    job._spawn(cc, flags, cdir, key)
+    return job
+
+
+def compile_source(source: str) -> str:
+    """Compile ``source`` (or reuse the disk cache); returns the ``.so`` path.
+
+    The write is atomic (temp file + ``os.replace``), so concurrent
+    processes racing on the same key both end up with a whole binary.
+    """
+    return start_compile(source).result()
+
+
+def compile_stats() -> dict:
+    """Compiler processes run, their summed wall time and the most that ran
+    at once, since the last :func:`reset`.  A compiler's wall time ends
+    when a waiter or a new compile sees it exit, within ``_POLL_S`` while
+    anyone waits."""
+    with _jobs_lock:
+        return dict(_stats)
 
 
 def loader_kind() -> str:
@@ -282,3 +434,5 @@ def reset() -> None:
         _compiler = None
         _flags = None
         _libs.clear()
+    with _jobs_lock:
+        _stats.update(compiles=0, compile_s=0.0, max_in_flight=0)
