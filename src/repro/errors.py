@@ -109,8 +109,3 @@ class CircuitOpenError(ClusterError):
     """A model's circuit breaker is open: its worker pool exhausted the
     restart budget and requests are rejected until a half-open probe
     succeeds."""
-
-
-class QuotaExceededError(ClusterError):
-    """A tenant's token-bucket quota is empty; the request was rejected at
-    admission (HTTP 429)."""

@@ -9,7 +9,10 @@ will actually run*: the generated, shape-specialized kernels from
 :mod:`repro.infer.kernels` (``bind_standalone_producer``) on the backend
 the traced program binds — native C whenever a toolchain is present and
 the config does not ask for numpy — over the calibration activations with
-warm private buffers, best-of-three wall time per variant.
+warm private buffers, best-of-three wall time per variant.  Every
+uncached candidate's variants are bound in one interpreter pass before any
+is timed, so their native compiles run concurrently instead of one after
+another.
 
 Decisions persist in :data:`repro.infer.kernels.AUTOTUNE_CACHE`, keyed by
 the full shape signature of the timing problem — op kind, input shape,
@@ -43,16 +46,12 @@ _REPS = 3
 _IMPLS = ("dense", "shift_plane")
 
 
-def _time_variant(op, x: np.ndarray, impl: str, dtype: np.dtype, backend: str):
-    """(best-of-``_REPS`` wall time, bound backend) of one variant.
+def _best_time(thunk, record: dict) -> tuple[float, str]:
+    """(best-of-``_REPS`` wall time, bound backend) of one warmed variant.
 
-    The warm-up call pays any native compile and the first-call parity
-    check; a native kernel that declines or fails that check is timed as
-    the numpy kernel it falls back to, and reported as such.
+    A native kernel that declined or failed its first-call parity check is
+    timed as the numpy kernel it falls back to, and reported as such.
     """
-    record: dict = {}
-    thunk, _ = bind_standalone_producer(op, x, impl, dtype, backend, record)
-    thunk()
     best = float("inf")
     for _ in range(_REPS):
         start = time.perf_counter()
@@ -90,25 +89,48 @@ def autotune_ops(
     ctx.slots[0] = np.zeros(input_shape, dtype)
     pending = set(candidates)
     report: dict[int, dict] = {}
+    # Pass 1: one interpreter run that binds both variants of every
+    # uncached candidate over a copy of its input; native binds start their
+    # compiles without waiting.  The variants give identical bytes, so the
+    # activations do not depend on which one each candidate runs here.
+    # Candidates sharing a key share one measurement, as a cache hit would.
+    unmeasured: dict[tuple, tuple[dict, list]] = {}
     for op in ops:
-        if op.index not in pending:
-            op.run(ctx)
-            continue
-        x = ctx.slots[op.src]
-        key = autotune_key(op, x.shape, dtype, backend)
-        entry = AUTOTUNE_CACHE.get(key)
-        if entry is None:
-            timed = {impl: _time_variant(op, x, impl, dtype, backend) for impl in _IMPLS}
-            chosen = "shift_plane" if timed["shift_plane"][0] <= timed["dense"][0] else "dense"
-            entry = {
-                "chosen": chosen,
-                "dense_s": timed["dense"][0],
-                "shift_plane_s": timed["shift_plane"][0],
-                "backend": timed[chosen][1],
-                "cached": False,
-            }
-            AUTOTUNE_CACHE.put(key, {**entry, "cached": True})
-        op.impl = entry["chosen"]
+        if op.index in pending:
+            x = ctx.slots[op.src]
+            key = autotune_key(op, x.shape, dtype, backend)
+            entry = AUTOTUNE_CACHE.get(key)
+            if entry is not None:
+                op.impl = entry["chosen"]
+                report[op.index] = entry
+            elif key in unmeasured:
+                unmeasured[key][1].append(op)
+            else:
+                x = x.copy()
+                bound = {}
+                for impl in _IMPLS:
+                    record: dict = {}
+                    thunk, _ = bind_standalone_producer(op, x, impl, dtype, backend, record)
+                    bound[impl] = (thunk, record)
+                unmeasured[key] = (bound, [op])
         op.run(ctx)
-        report[op.index] = entry
+    # Warm every variant — its first call waits for its compile and pays the
+    # parity check — so no compiler competes with the timing pass.
+    for bound, _ in unmeasured.values():
+        for thunk, _ in bound.values():
+            thunk()
+    for key, (bound, same_key_ops) in unmeasured.items():
+        timed = {impl: _best_time(*bound[impl]) for impl in _IMPLS}
+        chosen = "shift_plane" if timed["shift_plane"][0] <= timed["dense"][0] else "dense"
+        entry = {
+            "chosen": chosen,
+            "dense_s": timed["dense"][0],
+            "shift_plane_s": timed["shift_plane"][0],
+            "backend": timed[chosen][1],
+            "cached": False,
+        }
+        AUTOTUNE_CACHE.put(key, {**entry, "cached": True})
+        for i, op in enumerate(same_key_ops):
+            op.impl = chosen
+            report[op.index] = entry if i == 0 else {**entry, "cached": True}
     return report

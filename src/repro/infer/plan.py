@@ -67,7 +67,6 @@ __all__ = [
 ]
 
 _KERNELS = ("auto", "dense", "shift_plane")
-_ALL_DEAD = ("keep", "error")
 _COMPUTE_DTYPES = ("float", "int8")
 _BACKENDS = ("auto", "numpy")
 
@@ -85,11 +84,8 @@ class PlanConfig:
             rows) at plan time and propagate the channel slimming through
             downstream ops.  Output parity with eager is preserved exactly
             (the dead filters' constant contributions are folded into
-            downstream biases).
-        all_dead: Policy for a layer whose filters are *all* dead:
-            ``"keep"`` leaves the layer in place as a constant producer
-            (passthrough), ``"error"`` raises
-            :class:`~repro.errors.CompileError`.
+            downstream biases).  A layer whose filters are *all* dead stays
+            in place as a constant producer.
         kernel: Per-layer compute kernel: ``"dense"`` forces the plain
             im2col GEMM everywhere, ``"shift_plane"`` forces the
             power-of-two plane decomposition wherever the quantizer
@@ -124,7 +120,6 @@ class PlanConfig:
     """
 
     prune: bool = True
-    all_dead: str = "keep"
     kernel: str = "auto"
     trace: bool = True
     dtype: str = "float"
@@ -140,10 +135,6 @@ class PlanConfig:
         if self.dtype not in _COMPUTE_DTYPES:
             raise ConfigurationError(
                 f"unknown compute dtype {self.dtype!r}; use one of {_COMPUTE_DTYPES}"
-            )
-        if self.all_dead not in _ALL_DEAD:
-            raise ConfigurationError(
-                f"unknown all_dead policy {self.all_dead!r}; use one of {_ALL_DEAD}"
             )
 
 
@@ -693,7 +684,6 @@ class ExecutionPlan:
             "k_hist": k_hist,
             "config": {
                 "prune": self.config.prune,
-                "all_dead": self.config.all_dead,
                 "kernel": self.config.kernel,
                 "trace": self.config.trace,
                 "dtype": self.config.dtype,
@@ -1096,7 +1086,7 @@ def compile_network(
     if cfg.prune:
         from repro.infer.prune import prune_plan
 
-        prune_report = prune_plan(compiler.ops, compiler.bindings, out, compiler.dtype, cfg)
+        prune_report = prune_plan(compiler.ops, compiler.bindings, out, compiler.dtype)
     candidates: list[int] = []
     if cfg.dtype != "int8":
         from repro.infer.shift_plane import attach_shift_planes

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import CompileError
 from repro.infer.fold import dead_filter_rows, slim_filter_rows
 from repro.infer.plan import (
     ActQuantOp,
@@ -143,7 +142,7 @@ def _slim_linear_input(op: LinearOp, channels: int, dead: np.ndarray, keep: np.n
     op.in_live_cols = (keep[:, None] * hw + np.arange(hw)).ravel()
 
 
-def prune_plan(ops: list, bindings: list, out_slot: int, dtype: np.dtype, config) -> dict:
+def prune_plan(ops: list, bindings: list, out_slot: int, dtype: np.dtype) -> dict:
     """Eliminate dead filters from a freshly emitted op list, in place.
 
     Processes producers in emission (topological) order, so a conv both
@@ -180,13 +179,6 @@ def prune_plan(ops: list, bindings: list, out_slot: int, dtype: np.dtype, config
             continue
         channels = int(w.shape[0])
         if dead.size == channels:
-            if config.all_dead == "error":
-                raise CompileError(
-                    f"all {channels} filters of {type(binding.layer).__name__} at op "
-                    f"{binding.op_index} are dead (k_i = 0); the layer outputs a "
-                    "constant — retrain, lower thresholds, or compile with "
-                    "PlanConfig(all_dead='keep')"
-                )
             entry["blocked"] = "all filters dead (kept as constant layer)"
             continue
         bias = producer.bias

@@ -10,10 +10,11 @@ the per-request futures in queue order — request *i* of a batch always
 receives row *i* of that batch's logits.
 
 Overload behaviour is explicit, not emergent: beyond ``queue_depth`` the
-``full_policy`` either sheds the request immediately
-(:class:`~repro.errors.QueueFullError` → HTTP 503) or blocks the submitter
-(backpressure).  Requests carry optional deadlines and are dropped *before*
-compute is spent once expired.
+request is shed immediately (:class:`~repro.errors.QueueFullError` → HTTP
+503).  Requests carry optional deadlines and are dropped *before* compute is
+spent once expired.  The cluster router
+(:class:`~repro.serve.cluster.router.ClusterRouter`) admits with the same
+queue bound, deadlines and image-shape check (:func:`check_image_shape`).
 
 Each worker thread owns a private
 :class:`~repro.infer.plan.ExecutionContext` (see
@@ -43,7 +44,7 @@ from repro.serve.config import BatcherConfig
 from repro.serve.metrics import ServerMetrics
 from repro.utils.logging import get_logger
 
-__all__ = ["MicroBatcher"]
+__all__ = ["MicroBatcher", "check_image_shape"]
 
 logger = get_logger("serve.batcher")
 
@@ -54,6 +55,23 @@ class _Request:
     deadline: "float | None"
     enqueued_at: float
     future: "Future[np.ndarray]" = field(default_factory=Future)
+
+
+def check_image_shape(image: np.ndarray, pinned: "tuple | None") -> tuple:
+    """Validate one request image against a model's pinned CHW shape.
+
+    Returns the shape to pin: ``pinned`` itself, or the image's own shape
+    when nothing is pinned yet.  Callers hold their queue lock, so the first
+    accepted image pins the shape exactly once.
+
+    Raises:
+        ShapeError: Not a single CHW image, or not the pinned shape.
+    """
+    if image.ndim != 3:
+        raise ShapeError(f"expected one CHW image, got shape {image.shape}")
+    if pinned is not None and image.shape != pinned:
+        raise ShapeError(f"image shape {image.shape} does not match this model's {pinned}")
+    return image.shape
 
 
 def _resolve(future: Future, result=None, error: "BaseException | None" = None) -> bool:
@@ -196,57 +214,34 @@ class MicroBatcher:
 
     # -- submission ------------------------------------------------------------
 
-    def submit(
-        self,
-        image,
-        deadline_s: "float | None" = None,
-        priority: str = "interactive",
-        tenant: "str | None" = None,
-    ) -> "Future[np.ndarray]":
+    def submit(self, image, deadline_s: "float | None" = None) -> "Future[np.ndarray]":
         """Enqueue one CHW image; returns a future resolving to its logits.
-
-        ``priority`` and ``tenant`` are accepted for submit-interface parity
-        with :meth:`repro.serve.cluster.router.ClusterRouter.submit` and
-        ignored here — the in-process micro-batcher has a single FIFO class
-        and no tenant quotas.
 
         Raises:
             ShapeError: Not a single CHW image, or inconsistent with the
                 shape this batcher is pinned to.
-            QueueFullError: Queue at its high-water mark under the
-                ``"reject"`` policy.
+            QueueFullError: Queue at its ``queue_depth`` high-water mark.
             ServerClosedError: The batcher is stopping/stopped.
         """
         image = np.asarray(image, dtype=self.engine.plan.dtype)
-        if image.ndim != 3:
-            raise ShapeError(f"expected one CHW image, got shape {image.shape}")
         if deadline_s is None:
             deadline_s = self.config.default_deadline_s
         now = time.monotonic()
         deadline = None if deadline_s is None else now + deadline_s
         req = _Request(image=image, deadline=deadline, enqueued_at=now)
         with self._cond:
-            if self._image_shape is None:
-                self._image_shape = image.shape
-            elif image.shape != self._image_shape:
-                raise ShapeError(
-                    f"image shape {image.shape} does not match this model's {self._image_shape}"
-                )
+            self._image_shape = check_image_shape(image, self._image_shape)
             # Counted only after validation, so offered == accepted + shed
             # stays an exact invariant (malformed requests are neither).
             self.metrics.record_offered()
-            while True:
-                if self._stopping:
-                    self.metrics.record_shed()
-                    raise ServerClosedError("server is shutting down")
-                if len(self._queue) < self.config.queue_depth:
-                    break
-                if self.config.full_policy == "reject":
-                    self.metrics.record_shed()
-                    raise QueueFullError(
-                        f"queue depth {self.config.queue_depth} exceeded; request shed"
-                    )
-                self._cond.wait(0.05)  # block policy: wait for space
+            if self._stopping:
+                self.metrics.record_shed()
+                raise ServerClosedError("server is shutting down")
+            if len(self._queue) >= self.config.queue_depth:
+                self.metrics.record_shed()
+                raise QueueFullError(
+                    f"queue depth {self.config.queue_depth} exceeded; request shed"
+                )
             self._queue.append(req)
             self.metrics.record_accepted()
             self._cond.notify_all()
@@ -293,7 +288,6 @@ class MicroBatcher:
                         break
                     self._cond.wait(remaining)
             self._inflight += len(batch)
-            self._cond.notify_all()  # queue space freed: wake blocked submitters
         return self._drop_expired(batch)
 
     def _drop_expired(self, batch: "list[_Request]") -> "list[_Request]":

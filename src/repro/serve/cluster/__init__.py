@@ -1,14 +1,13 @@
 """Supervised multi-process serving tier.
 
 Crash-isolated worker pools over shared-memory plans, with heartbeat
-supervision, circuit-breaker-guarded restarts, priority admission control,
-and a graceful degradation ladder.  See
+supervision, circuit-breaker-guarded restarts and one bounded FIFO queue
+per model that sheds at ``queue_depth`` as the micro-batcher does.  See
 :class:`~repro.serve.cluster.service.ClusterService` for the front door.
 """
 
-from repro.serve.cluster.admission import AdmissionController, TokenBucket
 from repro.serve.cluster.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
-from repro.serve.cluster.config import PRIORITIES, START_METHODS, ClusterConfig
+from repro.serve.cluster.config import START_METHODS, ClusterConfig
 from repro.serve.cluster.router import ClusterRouter
 from repro.serve.cluster.service import ClusterModel, ClusterService
 from repro.serve.cluster.shm_store import PlanGeneration, ShmPlanStore
@@ -16,14 +15,11 @@ from repro.serve.cluster.supervisor import WorkerHandle, WorkerSupervisor
 from repro.serve.cluster.worker import worker_main
 
 __all__ = [
-    "AdmissionController",
-    "TokenBucket",
     "CircuitBreaker",
     "CLOSED",
     "OPEN",
     "HALF_OPEN",
     "ClusterConfig",
-    "PRIORITIES",
     "START_METHODS",
     "ClusterRouter",
     "ClusterModel",

@@ -6,18 +6,14 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 
-__all__ = ["ClusterConfig", "PRIORITIES", "START_METHODS"]
-
-#: Priority classes in dispatch order: ``interactive`` requests always
-#: dequeue before ``batch`` requests and are shed last under overload.
-PRIORITIES = ("interactive", "batch")
+__all__ = ["ClusterConfig", "START_METHODS"]
 
 START_METHODS = ("fork", "spawn")
 
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Knobs for one model's worker pool, router and admission control.
+    """Knobs for one model's worker pool, router and crash supervision.
 
     Args:
         workers: Worker *processes* in the pool.  Each owns a private
@@ -26,9 +22,10 @@ class ClusterConfig:
             others down.
         start_method: ``"fork"`` (fast, default where available) or
             ``"spawn"`` (slower, maximally isolated) for worker processes.
-        queue_depth: High-water mark of the per-model dispatch queue across
-            both priority classes; arrivals beyond it are shed with
-            :class:`~repro.errors.QueueFullError`.
+        queue_depth: High-water mark of the per-model FIFO dispatch queue;
+            arrivals beyond it are shed with
+            :class:`~repro.errors.QueueFullError` (HTTP 503), exactly as
+            :class:`~repro.serve.config.BatcherConfig` ``queue_depth`` does.
         max_inflight_per_worker: Requests allowed outstanding on one worker
             pipe; the router's least-loaded dispatch picks the alive worker
             with the fewest.
@@ -56,16 +53,6 @@ class ClusterConfig:
             half-open probe.
         breaker_half_open_probes: Successful probe requests required to
             close a half-open breaker.
-        tenant_rate: Per-tenant token-bucket refill rate (requests/second);
-            ``None`` disables tenant quotas.
-        tenant_burst: Token-bucket capacity (burst allowance) per tenant.
-        overload_enter_fraction: Queue-fill fraction at which the overload
-            clock starts.
-        overload_exit_fraction: Queue-fill fraction below which the
-            overload clock resets (hysteresis).
-        overload_dwell_s: Sustained overload required per degradation step:
-            after one dwell the ladder sheds ``batch`` traffic, after two it
-            additionally downshifts to the cheapest registered plan variant.
         service_delay_s: Artificial per-request service time added inside
             each worker, modeling the accelerator-offload latency of a
             deployed FLightNN (host workers orchestrate, the accelerator
@@ -95,11 +82,6 @@ class ClusterConfig:
     restart_budget_window_s: float = 30.0
     breaker_open_s: float = 1.0
     breaker_half_open_probes: int = 1
-    tenant_rate: "float | None" = None
-    tenant_burst: int = 10
-    overload_enter_fraction: float = 0.8
-    overload_exit_fraction: float = 0.4
-    overload_dwell_s: float = 0.25
     service_delay_s: float = 0.0
     shm_min_bytes: int = 1024
     chaos: tuple = field(default=())
@@ -128,7 +110,6 @@ class ClusterConfig:
             "restart_backoff_max_s",
             "restart_budget_window_s",
             "breaker_open_s",
-            "overload_dwell_s",
         ):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
@@ -137,15 +118,6 @@ class ClusterConfig:
         if self.breaker_half_open_probes < 1:
             raise ConfigurationError(
                 f"breaker_half_open_probes must be >= 1, got {self.breaker_half_open_probes}"
-            )
-        if self.tenant_rate is not None and self.tenant_rate <= 0:
-            raise ConfigurationError(f"tenant_rate must be positive, got {self.tenant_rate}")
-        if self.tenant_burst < 1:
-            raise ConfigurationError(f"tenant_burst must be >= 1, got {self.tenant_burst}")
-        if not 0.0 < self.overload_exit_fraction <= self.overload_enter_fraction <= 1.0:
-            raise ConfigurationError(
-                "need 0 < overload_exit_fraction <= overload_enter_fraction <= 1, got "
-                f"{self.overload_exit_fraction} / {self.overload_enter_fraction}"
             )
         if self.service_delay_s < 0:
             raise ConfigurationError(f"service_delay_s must be >= 0, got {self.service_delay_s}")

@@ -1,15 +1,17 @@
 """Front router for one model's worker pool.
 
-Owns the priority queues and the dispatcher thread.  A submit passes the
-circuit breaker, then admission control (quota → queue bound → degradation
-ladder), then lands in its priority-class deque; the dispatcher drains
-``interactive`` before ``batch``, checks deadlines, picks the least-loaded
-ready worker, and ships the request down that worker's pipe.  Completions
-arrive via the supervisor's receiver threads
-(:meth:`ClusterRouter.complete` / :meth:`ClusterRouter.fail`); worker
-deaths re-enter through :meth:`ClusterRouter.requeue`, which puts surviving
-requests back at the *front* of their queue so a crash never reorders a
-request behind later arrivals.
+Owns one bounded FIFO queue and the dispatcher thread.  A submit is
+validated against the model's pinned image shape, passes the circuit
+breaker, and is shed with :class:`~repro.errors.QueueFullError` beyond
+``queue_depth`` — the same admission vocabulary as
+:class:`~repro.serve.batcher.MicroBatcher` (a queue bound, per-request
+deadlines, 503 on shed).  The dispatcher pops in arrival order, checks
+deadlines, picks the least-loaded ready worker, and ships the request down
+that worker's pipe.  Completions arrive via the supervisor's receiver
+threads (:meth:`ClusterRouter.complete` / :meth:`ClusterRouter.fail`);
+worker deaths re-enter through :meth:`ClusterRouter.requeue`, which puts
+surviving requests back at the *front* of the queue so a crash never
+reorders a request behind later arrivals.
 
 Zero-drop invariant: every accepted request's future is resolved exactly
 once — with logits, or with a typed error
@@ -32,12 +34,12 @@ from repro.errors import (
     CircuitOpenError,
     DeadlineExceededError,
     QueueFullError,
-    QuotaExceededError,
     ReproError,
     ServerClosedError,
     WorkerCrashedError,
 )
-from repro.serve.cluster.config import PRIORITIES, ClusterConfig
+from repro.serve.batcher import check_image_shape
+from repro.serve.cluster.config import ClusterConfig
 from repro.utils.logging import get_logger
 
 _log = get_logger("serve.cluster.router")
@@ -48,43 +50,27 @@ __all__ = ["ClusterRouter"]
 class _Request:
     """One accepted request travelling queue → worker → future."""
 
-    __slots__ = (
-        "req_id",
-        "image",
-        "future",
-        "priority",
-        "tenant",
-        "deadline",
-        "submitted_at",
-        "attempts",
-        "variant",
-    )
+    __slots__ = ("req_id", "image", "future", "deadline", "submitted_at", "attempts")
 
-    def __init__(self, req_id, image, priority, tenant, deadline, submitted_at):
+    def __init__(self, req_id, image, deadline, submitted_at):
         self.req_id = req_id
         self.image = image
         self.future: Future = Future()
-        self.priority = priority
-        self.tenant = tenant
         self.deadline = deadline
         self.submitted_at = submitted_at
         self.attempts = 0
-        self.variant = None
 
 
 class ClusterRouter:
-    """Priority dispatch + completion plumbing for one worker pool.
+    """FIFO dispatch + completion plumbing for one worker pool.
 
     Args:
         name: Model name (log labelling).
         config: The pool's :class:`ClusterConfig`.
         supervisor: The pool's
             :class:`~repro.serve.cluster.supervisor.WorkerSupervisor`.
-        admission: The model's
-            :class:`~repro.serve.cluster.admission.AdmissionController`.
         breaker: The model's circuit breaker (gates every submit).
         metrics: The model's :class:`~repro.serve.metrics.ClusterMetrics`.
-        variants: Plan variant names, primary first, cheapest last.
         clock: Monotonic time source (injectable for deterministic tests).
     """
 
@@ -93,22 +79,19 @@ class ClusterRouter:
         name: str,
         config: ClusterConfig,
         supervisor,
-        admission,
         breaker,
         metrics,
-        variants: "tuple[str, ...]",
         clock=time.monotonic,
     ) -> None:
         self.name = name
         self.config = config
         self.supervisor = supervisor
-        self.admission = admission
         self.breaker = breaker
         self.metrics = metrics
-        self.variants = tuple(variants)
         self._clock = clock
         self._cond = threading.Condition()
-        self._queues: "dict[str, deque]" = {p: deque() for p in PRIORITIES}
+        self._queue: "deque[_Request]" = deque()
+        self._image_shape: "tuple | None" = None
         self._ids = itertools.count()
         self._paused = False
         self._stopping = False
@@ -128,9 +111,8 @@ class ClusterRouter:
         """Stop dispatching; cancel everything still queued."""
         with self._cond:
             self._stopping = True
-            cancelled = [r for q in self._queues.values() for r in q]
-            for q in self._queues.values():
-                q.clear()
+            cancelled = list(self._queue)
+            self._queue.clear()
             self._cond.notify_all()
         for request in cancelled:
             self.metrics.record_cancelled()
@@ -169,77 +151,61 @@ class ClusterRouter:
 
     @property
     def queue_depth(self) -> int:
-        return sum(len(q) for q in self._queues.values())
+        return len(self._queue)
 
-    def submit(
-        self,
-        image: np.ndarray,
-        deadline_s: "float | None" = None,
-        priority: str = "interactive",
-        tenant: "str | None" = None,
-    ) -> Future:
-        """Admit one request; returns a future resolving to its logits row.
+    def submit(self, image, deadline_s: "float | None" = None) -> Future:
+        """Admit one CHW image; returns a future resolving to its logits row.
 
         Raises:
-            ServerClosedError: The router is stopping/stopped.
+            ShapeError: Not a single CHW image, or inconsistent with the
+                shape this router is pinned to (the first one it saw).
             CircuitOpenError: The model's breaker is open (carries
                 ``retry_after_s``).
-            QuotaExceededError: The tenant's token bucket is empty.
-            QueueFullError: Shed at the queue bound or by the overload
-                ladder.
+            QueueFullError: Queue at ``queue_depth``; the request is shed.
+            ServerClosedError: The router is stopping/stopped.
         """
-        self.metrics.record_offered()
+        image = np.asarray(image)
         with self._cond:
-            if self._stopping:
-                raise ServerClosedError(f"cluster router for {self.name!r} is stopped")
+            self._image_shape = check_image_shape(image, self._image_shape)
+        # Counted only after validation, as in MicroBatcher.submit, so
+        # offered == accepted + shed stays exact.
+        self.metrics.record_offered()
         if not self.breaker.allow():
             self.metrics.record_shed()
+            retry_after_s = self.breaker.retry_after_s()
             exc = CircuitOpenError(
-                f"model {self.name!r} circuit breaker is open; "
-                f"retry in {self.breaker.retry_after_s():.2f}s"
+                f"model {self.name!r} circuit breaker is open; retry in {retry_after_s:.2f}s"
             )
-            exc.retry_after_s = self.breaker.retry_after_s()
+            exc.retry_after_s = retry_after_s
             raise exc
-        try:
-            self.admission.admit(priority, tenant, self.queue_depth, self.config.queue_depth)
-        except (QuotaExceededError, QueueFullError):
-            self.metrics.record_shed()
-            raise
         now = self._clock()
         request = _Request(
-            req_id=next(self._ids),
-            image=np.asarray(image),
-            priority=priority,
-            tenant=tenant,
-            deadline=None if deadline_s is None else now + deadline_s,
-            submitted_at=now,
+            next(self._ids), image, None if deadline_s is None else now + deadline_s, now
         )
-        self.metrics.record_accepted()
         with self._cond:
             if self._stopping:
+                self.metrics.record_shed()
                 raise ServerClosedError(f"cluster router for {self.name!r} is stopped")
-            self._queues[priority].append(request)
+            if len(self._queue) >= self.config.queue_depth:
+                self.metrics.record_shed()
+                raise QueueFullError(
+                    f"queue depth {self.config.queue_depth} exceeded; request shed"
+                )
+            self._queue.append(request)
+            self.metrics.record_accepted()
             self._cond.notify_all()
         return request.future
 
     # -- dispatch --------------------------------------------------------------
 
-    def _pop_next_locked(self) -> "_Request | None":
-        for priority in PRIORITIES:
-            if self._queues[priority]:
-                return self._queues[priority].popleft()
-        return None
-
     def _dispatch_loop(self) -> None:
         while True:
             with self._cond:
-                while not self._stopping and (self._paused or self.queue_depth == 0):
+                while not self._stopping and (self._paused or not self._queue):
                     self._cond.wait(0.1)
                 if self._stopping:
                     return
-                request = self._pop_next_locked()
-            if request is None:
-                continue
+                request = self._queue.popleft()
             if request.deadline is not None and self._clock() > request.deadline:
                 self.metrics.record_expired()
                 if not request.future.done():
@@ -252,16 +218,14 @@ class ClusterRouter:
                 # No capacity right now: park the request back at the front
                 # and wait for a completion or a respawn to free a slot.
                 with self._cond:
-                    self._queues[request.priority].appendleft(request)
+                    self._queue.appendleft(request)
                     self._cond.wait(self.config.dispatch_wait_s)
                 continue
-            variant = self.admission.choose_variant(self.variants)
-            request.variant = variant
             request.attempts += 1
             with worker.lock:
                 worker.inflight[request.req_id] = request
             try:
-                worker.send(("predict", request.req_id, variant, request.image[None]))
+                worker.send(("predict", request.req_id, request.image[None]))
             except (BrokenPipeError, OSError):
                 with worker.lock:
                     worker.inflight.pop(request.req_id, None)
@@ -272,7 +236,7 @@ class ClusterRouter:
 
     def complete(self, request: _Request, logits) -> None:
         latency = self._clock() - request.submitted_at
-        self.metrics.record_completed(latency, priority=request.priority)
+        self.metrics.record_completed(latency)
         if not request.future.done():
             request.future.set_result(np.asarray(logits)[0])
         with self._cond:
@@ -309,7 +273,7 @@ class ClusterRouter:
                     )
                 else:
                     self.metrics.record_redispatch()
-                    self._queues[request.priority].appendleft(request)
+                    self._queue.appendleft(request)
             self._cond.notify_all()
         for request, exc in exhausted:
             self.metrics.record_failed()

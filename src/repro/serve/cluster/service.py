@@ -11,12 +11,11 @@ a supervised pool of worker *processes* instead of in-process threads:
   attaches the same pages;
 * a :class:`~repro.serve.cluster.supervisor.WorkerSupervisor` heartbeats,
   restarts, and reloads the pool behind a per-model circuit breaker;
-* a :class:`~repro.serve.cluster.router.ClusterRouter` admits (priority
-  classes, tenant quotas, degradation ladder) and dispatches least-loaded.
+* a :class:`~repro.serve.cluster.router.ClusterRouter` admits into one
+  bounded FIFO queue (shed at ``queue_depth`` with 503, per-request
+  deadlines — as the micro-batcher does) and dispatches least-loaded.
 
-A model may register several plan *variants* (e.g. ``{"primary": engine,
-"int8": cheap_engine}``, primary first, cheapest last); the overload ladder
-downshifts to the last variant under sustained pressure.
+One engine per model flows through ``register`` → shared memory → worker.
 
 Use with :class:`~repro.serve.http.ModelServer`::
 
@@ -35,7 +34,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError, UnknownModelError
 from repro.infer.engine import InferenceEngine
-from repro.serve.cluster.admission import AdmissionController
 from repro.serve.cluster.breaker import CircuitBreaker
 from repro.serve.cluster.config import ClusterConfig
 from repro.serve.cluster.router import ClusterRouter
@@ -54,16 +52,15 @@ class ClusterModel:
 
     Duck-types :class:`~repro.serve.registry.ServingModel` where the HTTP
     layer cares: ``name``, ``batcher`` (the router — same ``submit``
-    contract plus ``priority=``/``tenant=``), ``metrics``, ``engine``.
+    contract), ``metrics``, ``engine``.
     """
 
-    def __init__(self, name, engines, config, store, breaker, admission, supervisor, router, metrics):
+    def __init__(self, name, engine, config, store, breaker, supervisor, router, metrics):
         self.name = name
-        self.engines = engines
+        self.engine = engine
         self.config = config
         self.store = store
         self.breaker = breaker
-        self.admission = admission
         self.supervisor = supervisor
         self.router = router
         self.metrics = metrics
@@ -73,20 +70,13 @@ class ClusterModel:
         """The router, under the name the HTTP layer expects."""
         return self.router
 
-    @property
-    def engine(self) -> InferenceEngine:
-        """The primary plan variant's engine."""
-        return next(iter(self.engines.values()))
-
     def cluster_gauge(self) -> dict:
-        """Live supervisor/breaker/admission state for ``/metrics``."""
+        """Live supervisor/breaker state for ``/metrics``."""
         current = self.store.current
         return {
             "generation": 0 if current is None else current.generation,
-            "variants": list(self.engines),
             "supervisor": self.supervisor.snapshot(),
             "breaker": self.breaker.snapshot(),
-            "admission": self.admission.snapshot(),
         }
 
 
@@ -110,24 +100,25 @@ class ClusterService:
         self,
         name: str,
         model=None,
-        engines: "dict[str, InferenceEngine] | InferenceEngine | None" = None,
+        engines: "InferenceEngine | None" = None,
         config: "ClusterConfig | None" = None,
     ) -> ClusterModel:
-        """Register ``name``, publishing its plan(s) into shared memory.
+        """Register ``name``, publishing its plan into shared memory.
 
-        Exactly one of ``model`` (compiled here into a single ``primary``
-        variant) or ``engines`` (a pre-built engine, or an ordered
-        ``{variant: engine}`` dict — primary first, cheapest last) must be
-        given.  If the service is already started the pool spins up now.
+        Exactly one of ``model`` (compiled here) or ``engines`` (one
+        pre-built :class:`InferenceEngine`, e.g. an int8 one) must be given.
+        If the service is already started the pool spins up now.
         """
         if (model is None) == (engines is None):
             raise ConfigurationError("register() needs exactly one of model= or engines=")
         if engines is None:
-            engines = {"primary": InferenceEngine(model, on_stale="refresh")}
+            engine = InferenceEngine(model, on_stale="refresh")
         elif isinstance(engines, InferenceEngine):
-            engines = {"primary": engines}
-        if not engines:
-            raise ConfigurationError("engines must name at least one plan variant")
+            engine = engines
+        else:
+            raise ConfigurationError(
+                f"engines= takes one InferenceEngine, got {type(engines).__name__}"
+            )
         config = config or self.cluster_config
         metrics = ClusterMetrics()
         store = ShmPlanStore(config.shm_min_bytes)
@@ -137,18 +128,13 @@ class ClusterService:
             open_s=config.breaker_open_s,
             half_open_probes=config.breaker_half_open_probes,
         )
-        admission = AdmissionController(config)
         supervisor = WorkerSupervisor(name, config, store, breaker, metrics)
-        router = ClusterRouter(
-            name, config, supervisor, admission, breaker, metrics, tuple(engines)
-        )
+        router = ClusterRouter(name, config, supervisor, breaker, metrics)
         supervisor.bind(router)
-        entry = ClusterModel(
-            name, dict(engines), config, store, breaker, admission, supervisor, router, metrics
-        )
+        entry = ClusterModel(name, engine, config, store, breaker, supervisor, router, metrics)
         metrics.bind_cluster_gauge(entry.cluster_gauge)
         metrics.bind_depth_gauge(lambda: router.queue_depth)
-        store.publish({variant: eng.plan.payload() for variant, eng in engines.items()})
+        store.publish(engine.plan.payload())
         with self._lock:
             if name in self._models:
                 store.close()
@@ -157,12 +143,7 @@ class ClusterService:
             started = self._started
         if started:
             self._start_entry(entry)
-        _log.info(
-            "registered cluster model %r (%d workers, variants %s)",
-            name,
-            config.workers,
-            list(engines),
-        )
+        _log.info("registered cluster model %r (%d workers)", name, config.workers)
         return entry
 
     def unregister(self, name: str, drain: bool = True, timeout: float = 10.0) -> None:
@@ -205,17 +186,10 @@ class ClusterService:
             return len(self._models)
 
     def submit(
-        self,
-        image,
-        model: "str | None" = None,
-        deadline_s: "float | None" = None,
-        priority: str = "interactive",
-        tenant: "str | None" = None,
+        self, image, model: "str | None" = None, deadline_s: "float | None" = None
     ) -> "Future[np.ndarray]":
         """Route one image to ``model``'s pool (see :meth:`ClusterRouter.submit`)."""
-        return self.get(model).router.submit(
-            image, deadline_s=deadline_s, priority=priority, tenant=tenant
-        )
+        return self.get(model).router.submit(image, deadline_s=deadline_s)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -250,21 +224,20 @@ class ClusterService:
 
     def refresh(self, name: "str | None" = None, timeout: "float | None" = 10.0) -> int:
         """Hot weight update across the whole pool; returns the number of
-        stale layers, summed over the variants' engines.
+        stale layers the engine recompiled.
 
         Pauses dispatch (queued requests wait, none are dropped), recompiles
-        every variant's engine, publishes the new generation, and reloads
-        every worker before resuming — so requests never reach a pool whose
-        workers serve different generations.  A request already on a worker
-        runs before that worker's reload message (its pipe is served in
-        order), so it finishes on the plan it started with.
+        the engine, publishes the new generation, and reloads every worker
+        before resuming — so requests never reach a pool whose workers serve
+        different generations.  A request already on a worker runs before
+        that worker's reload message (its pipe is served in order), so it
+        finishes on the plan it started with.
         """
         entry = self.get(name)
         entry.router.pause()
         try:
-            stale = sum(engine.refresh() for engine in entry.engines.values())
-            payloads = {variant: eng.plan.payload() for variant, eng in entry.engines.items()}
-            generation = entry.supervisor.refresh(payloads, timeout_s=timeout)
+            stale = entry.engine.refresh()
+            generation = entry.supervisor.refresh(entry.engine.plan.payload(), timeout_s=timeout)
         finally:
             entry.router.resume()
         _log.info(
@@ -277,8 +250,8 @@ class ClusterService:
 
     def metrics_snapshot(self) -> dict:
         """``{model name: metrics snapshot}``, each carrying the cluster
-        gauge block (workers, breaker, admission, generation) and the
-        primary engine's plan summary."""
+        gauge block (workers, breaker, generation) and the engine's plan
+        summary."""
         with self._lock:
             entries = list(self._models.items())
         return {

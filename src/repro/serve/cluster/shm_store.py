@@ -1,10 +1,10 @@
-"""Generational shared-memory store for one model's compiled plans.
+"""Generational shared-memory store for one model's compiled plan.
 
-The supervisor publishes each plan variant's
+The supervisor publishes the engine's
 :meth:`~repro.infer.plan.ExecutionPlan.payload` exactly once per *generation*
 into shared memory (via :mod:`repro.utils.shm`); every worker process then
 attaches the same pages instead of receiving its own pickled copy.  A hot
-weight refresh publishes a new generation, ships the new handles to the
+weight refresh publishes a new generation, ships the new handle to the
 workers, awaits their acks, and only then retires the old generation — so a
 worker is never left holding views over unlinked pages.
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from multiprocessing.shared_memory import SharedMemory
 
 from repro.errors import ClusterError
 from repro.utils.logging import get_logger
@@ -25,17 +26,23 @@ __all__ = ["PlanGeneration", "ShmPlanStore"]
 
 @dataclass(frozen=True)
 class PlanGeneration:
-    """One immutable published set of plan variants.
+    """One immutable published plan.
 
-    ``handles`` (variant name → :class:`~repro.utils.shm.ShmHandle`) is what
-    travels to workers; ``segments`` are the owning
-    :class:`~multiprocessing.shared_memory.SharedMemory` objects kept alive
-    by the store until :meth:`ShmPlanStore.retire`.
+    ``handle`` (a :class:`~repro.utils.shm.ShmHandle`) is what travels to
+    workers; ``segment`` is the owning
+    :class:`~multiprocessing.shared_memory.SharedMemory`, kept alive by the
+    store until :meth:`ShmPlanStore.retire`.
     """
 
     generation: int
-    handles: dict
-    segments: tuple
+    handle: ShmHandle
+    segment: SharedMemory
+
+    @property
+    def handles(self) -> dict:
+        """``{"plan": handle}`` — the generation's segments by name, for
+        byte accounting (``sum(h.total_bytes for h in handles.values())``)."""
+        return {"plan": self.handle}
 
 
 class ShmPlanStore:
@@ -60,8 +67,8 @@ class ShmPlanStore:
         with self._lock:
             return self._current
 
-    def publish(self, payloads: "dict[str, dict]") -> PlanGeneration:
-        """Publish a new generation from ``{variant: plan.payload()}``.
+    def publish(self, payload: dict) -> PlanGeneration:
+        """Publish a new generation from one ``plan.payload()``.
 
         The previous generation (if any) stays alive — workers may still be
         serving from it — until the caller confirms every worker has acked
@@ -70,29 +77,18 @@ class ShmPlanStore:
         with self._lock:
             if self._closed:
                 raise ClusterError("plan store is closed")
-            if not payloads:
-                raise ClusterError("cannot publish an empty plan generation")
+            if not payload:
+                raise ClusterError("cannot publish an empty plan payload")
             self._generation += 1
-            generation = self._generation
-            handles: "dict[str, ShmHandle]" = {}
-            segments = []
-            for variant, payload in payloads.items():
-                handle, segment = publish_object(
-                    payload, min_bytes=self.min_bytes, name_prefix=f"repro-plan-g{generation}"
-                )
-                handles[variant] = handle
-                segments.append(segment)
-            previous = self._current
-            self._current = PlanGeneration(
-                generation=generation, handles=handles, segments=tuple(segments)
+            handle, segment = publish_object(
+                payload, min_bytes=self.min_bytes, name_prefix=f"repro-plan-g{self._generation}"
             )
+            previous = self._current
+            self._current = PlanGeneration(self._generation, handle, segment)
             if previous is not None:
                 self._retired.append(previous)
             _log.debug(
-                "published plan generation %d (%d variants, %d bytes)",
-                generation,
-                len(handles),
-                sum(h.total_bytes for h in handles.values()),
+                "published plan generation %d (%d bytes)", self._generation, handle.total_bytes
             )
             return self._current
 
@@ -124,12 +120,11 @@ class ShmPlanStore:
 
 
 def _unlink(gen: PlanGeneration) -> None:
-    for segment in gen.segments:
-        try:
-            segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - already unlinked
-            pass
-        try:
-            segment.close()
-        except BufferError:  # pragma: no cover - a live local view pins the buffer
-            pass
+    try:
+        gen.segment.unlink()
+    except FileNotFoundError:  # pragma: no cover - already unlinked
+        pass
+    try:
+        gen.segment.close()
+    except BufferError:  # pragma: no cover - a live local view pins the buffer
+        pass

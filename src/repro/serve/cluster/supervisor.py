@@ -177,7 +177,7 @@ class WorkerSupervisor:
         parent_conn, child_conn = self._mp.Pipe(duplex=True)
         process = self._mp.Process(
             target=worker_main,
-            args=(slot, child_conn, generation.handles, tuple(directives), self.config.service_delay_s),
+            args=(slot, child_conn, generation.handle, tuple(directives), self.config.service_delay_s),
             name=f"repro-worker-{self.name}-{slot}-e{next(self._epoch)}",
             daemon=True,
         )
@@ -236,7 +236,7 @@ class WorkerSupervisor:
                 handle.last_pong = self._clock()
                 handle.served = msg[2]
             elif kind == "ok":
-                _, req_id, variant, logits = msg
+                _, req_id, logits = msg
                 with handle.lock:
                     request = handle.inflight.pop(req_id, None)
                 if request is not None:
@@ -361,7 +361,7 @@ class WorkerSupervisor:
 
     # -- hot refresh -----------------------------------------------------------
 
-    def refresh(self, payloads: "dict[str, dict]", timeout_s: "float | None" = None) -> int:
+    def refresh(self, payload: dict, timeout_s: "float | None" = None) -> int:
         """Publish a new plan generation and reload every alive worker.
 
         Call with the router paused for an atomic switch: the new
@@ -373,13 +373,13 @@ class WorkerSupervisor:
             ClusterError: A worker failed to ack within ``timeout_s``.
         """
         timeout_s = self.config.spawn_timeout_s if timeout_s is None else timeout_s
-        generation = self.store.publish(payloads)
+        generation = self.store.publish(payload)
         targets = self.alive_workers()
         with self._reload_cond:
             self._pending_acks = {h.slot for h in targets}
         for handle in targets:
             try:
-                handle.send(("reload", generation.generation, generation.handles))
+                handle.send(("reload", generation.generation, generation.handle))
             except (BrokenPipeError, OSError):
                 self._note_down(handle, "pipe broken during reload")
         deadline = self._clock() + timeout_s

@@ -1,16 +1,16 @@
 """Worker process entry point for the supervised serving cluster.
 
 Each worker attaches the model's shared-memory plan generation (checksum
-verified), builds a private :class:`~repro.infer.plan.ExecutionContext` per
-plan variant, and then serves a simple serial message loop over its pipe to
-the supervisor:
+verified), builds a private :class:`~repro.infer.plan.ExecutionContext`
+for it, and then serves a simple serial message loop over its pipe to the
+supervisor:
 
 ========================  ============================================
 parent → worker           worker → parent
 ========================  ============================================
-``("predict", id, v, x)``  ``("ok", id, v, logits)`` / ``("error", id, msg)``
+``("predict", id, x)``     ``("ok", id, logits)`` / ``("error", id, msg)``
 ``("ping", token)``        ``("pong", token, served)``
-``("reload", gen, hs)``    ``("reloaded", gen)``
+``("reload", gen, h)``     ``("reloaded", gen)``
 ``("stop",)``              *(exits)*
 ========================  ============================================
 
@@ -39,7 +39,7 @@ __all__ = ["worker_main"]
 
 
 class _Program:
-    """One plan variant bound to this worker's private scratch context.
+    """The published plan bound to this worker's private scratch context.
 
     An int8 plan runs traced, as in the engine (it has no interpreter); a
     float plan runs op by op through :func:`execute_ops`.
@@ -63,13 +63,9 @@ class _Program:
         return execute_ops(self.ops, images, self.ctx, self.out_slot, self.dtype)
 
 
-def _load_programs(handles: dict) -> "tuple[dict, list]":
-    programs, segments = {}, []
-    for variant, handle in handles.items():
-        payload, segment = load_object(handle)
-        programs[variant] = _Program(payload)
-        segments.append(segment)
-    return programs, segments
+def _load_program(handle) -> "tuple[_Program, object]":
+    payload, segment = load_object(handle)
+    return _Program(payload), segment
 
 
 def _exit_fatal(conn, reason: str) -> None:
@@ -84,7 +80,7 @@ def _exit_fatal(conn, reason: str) -> None:
 def worker_main(
     slot: int,
     conn,
-    handles: dict,
+    handle,
     chaos: tuple = (),
     service_delay_s: float = 0.0,
 ) -> None:
@@ -94,7 +90,8 @@ def worker_main(
         slot: Stable pool-slot index (workers are addressed by slot; the
             process behind a slot changes across restarts).
         conn: This worker's end of the supervisor pipe.
-        handles: ``{variant: ShmHandle}`` for the current plan generation.
+        handle: :class:`~repro.utils.shm.ShmHandle` of the current plan
+            generation.
         chaos: Armed chaos directives (dicts) for deterministic fault drills.
         service_delay_s: Artificial per-request service time (accelerator
             offload model; see :class:`~repro.serve.cluster.config.ClusterConfig`).
@@ -103,7 +100,7 @@ def worker_main(
     # workers before the server has drained.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
-        programs, segments = _load_programs(handles)
+        program, segment = _load_program(handle)
     except Exception as exc:
         _exit_fatal(conn, f"{type(exc).__name__}: {exc}")
         return  # pragma: no cover - _exit_fatal does not return
@@ -124,21 +121,20 @@ def worker_main(
         elif kind == "ping":
             conn.send(("pong", msg[1], served))
         elif kind == "reload":
-            _, generation, new_handles = msg
+            _, generation, new_handle = msg
             try:
-                programs, new_segments = _load_programs(new_handles)
+                program, new_segment = _load_program(new_handle)
             except Exception as exc:
                 _exit_fatal(conn, f"{type(exc).__name__}: {exc}")
                 return  # pragma: no cover
-            for segment in segments:
-                try:
-                    segment.close()
-                except BufferError:  # pragma: no cover - stray view pins buffer
-                    pass
-            segments = new_segments
+            try:
+                segment.close()
+            except BufferError:  # pragma: no cover - stray view pins buffer
+                pass
+            segment = new_segment
             conn.send(("reloaded", generation))
         elif kind == "predict":
-            _, req_id, variant, images = msg
+            _, req_id, images = msg
             served += 1
             for directive in directives:
                 if directive.get("_fired") or served < int(directive.get("on_request", 1)):
@@ -149,13 +145,12 @@ def worker_main(
                 elif directive["kind"] == "hang":
                     time.sleep(float(directive.get("hang_s", 3600.0)))
             try:
-                program = programs[variant]
                 if service_delay_s > 0:
                     time.sleep(service_delay_s)
                 out = np.array(program.run(np.asarray(images)), copy=True)
             except Exception as exc:
                 conn.send(("error", req_id, f"{type(exc).__name__}: {exc}"))
             else:
-                conn.send(("ok", req_id, variant, out))
+                conn.send(("ok", req_id, out))
         else:
             conn.send(("error", None, f"unknown message kind {kind!r}"))

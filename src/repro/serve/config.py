@@ -6,9 +6,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
-__all__ = ["BatcherConfig", "ServerConfig", "FULL_POLICIES"]
-
-FULL_POLICIES = ("reject", "block")
+__all__ = ["BatcherConfig", "ServerConfig"]
 
 
 @dataclass(frozen=True)
@@ -26,12 +24,9 @@ class BatcherConfig:
             this long.  ``0`` never waits — it greedily takes whatever is
             already queued.
         queue_depth: High-water mark of the request queue.  Arrivals beyond
-            it are handled per ``full_policy``.
-        full_policy: ``"reject"`` sheds the request immediately with
+            it are shed immediately with
             :class:`~repro.errors.QueueFullError` (the HTTP layer maps this
-            to 503); ``"block"`` makes ``submit`` wait for queue space —
-            backpressure for in-process callers that prefer throttling to
-            load-shedding.
+            to 503).
         default_deadline_s: Deadline applied to requests that do not carry
             their own; ``None`` means no deadline.  Expired requests are
             dropped *before* compute is spent on them and their futures fail
@@ -46,7 +41,6 @@ class BatcherConfig:
     max_batch_size: int = 32
     max_wait_s: float = 0.002
     queue_depth: int = 256
-    full_policy: str = "reject"
     default_deadline_s: "float | None" = None
     workers: int = 1
 
@@ -57,10 +51,6 @@ class BatcherConfig:
             raise ConfigurationError(f"max_wait_s must be >= 0, got {self.max_wait_s}")
         if self.queue_depth < 1:
             raise ConfigurationError(f"queue_depth must be >= 1, got {self.queue_depth}")
-        if self.full_policy not in FULL_POLICIES:
-            raise ConfigurationError(
-                f"unknown full_policy {self.full_policy!r}; use one of {FULL_POLICIES}"
-            )
         if self.default_deadline_s is not None and self.default_deadline_s <= 0:
             raise ConfigurationError(
                 f"default_deadline_s must be positive, got {self.default_deadline_s}"

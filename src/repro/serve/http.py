@@ -1,16 +1,16 @@
 """Stdlib-only HTTP front end for the serving layer.
 
 :class:`ModelServer` wraps a :class:`~repro.serve.registry.ModelRegistry`
-in a :class:`~http.server.ThreadingHTTPServer` (one handler thread per
+(or a :class:`~repro.serve.cluster.service.ClusterService`, which answers
+to the same calls) in a :class:`~http.server.ThreadingHTTPServer` (one handler thread per
 connection, no third-party dependencies) exposing:
 
 * ``POST /v1/predict`` — JSON body with one CHW ``"image"`` (or a list
   under ``"images"``), optional ``"model"`` (required only when several
   models are registered) and ``"deadline_ms"``.  With ``Content-Type:
   application/x-npy`` the body is instead one NumPy ``.npy`` array — CHW
-  for one image, NCHW for a batch — and ``model``, ``deadline_ms``,
-  ``priority`` and ``tenant`` ride in the query string
-  (``/v1/predict?model=net4&deadline_ms=50``).  The body is parsed with
+  for one image, NCHW for a batch — and ``model`` and ``deadline_ms`` ride
+  in the query string (``/v1/predict?model=net4&deadline_ms=50``).  The body is parsed with
   ``allow_pickle=False``, so object or pickled payloads are refused (400).
   Either way the answer is JSON logits and argmax predictions; float64
   logits survive the JSON round-trip exactly (``repr``-based float
@@ -22,9 +22,10 @@ Every accepted socket runs with ``TCP_NODELAY``: a response leaves in two
 writes (headers, then body), and with Nagle's algorithm on the body would
 wait for the client's delayed ACK — about 40 ms per request on Linux.
 
-Error mapping is explicit: malformed requests → 400, unknown model → 404,
-shed by backpressure → **503** (with ``Retry-After``), deadline expired →
-504, engine failure → 500.
+Error mapping is explicit: malformed requests (including an image that is
+not CHW or not the model's shape) → 400, unknown model → 404, shed at the
+queue bound or by an open circuit breaker → **503** (with
+``Retry-After``), deadline expired → 504, engine failure → 500.
 
 Shutdown is drain-then-stop: the listener stops accepting, queued and
 in-flight requests complete through the batchers, handler threads finish
@@ -50,7 +51,6 @@ from repro.errors import (
     ConfigurationError,
     DeadlineExceededError,
     QueueFullError,
-    QuotaExceededError,
     ReproError,
     ServerClosedError,
     ShapeError,
@@ -69,7 +69,7 @@ logger = get_logger("serve.http")
 _MAX_BODY_BYTES = 64 * 1024 * 1024
 _NPY_CONTENT_TYPE = "application/x-npy"
 #: JSON fields that an npy request carries in its query string instead.
-_QUERY_FIELDS = ("model", "deadline_ms", "priority", "tenant")
+_QUERY_FIELDS = ("model", "deadline_ms")
 
 
 class _RequestError(Exception):
@@ -223,8 +223,6 @@ class _Handler(BaseHTTPRequestHandler):
                 {"error": str(exc), "breaker_open": True},
                 headers={"Retry-After": str(retry_after)},
             )
-        except QuotaExceededError as exc:
-            self._send_json(429, {"error": str(exc), "quota": True}, headers={"Retry-After": "1"})
         except QueueFullError as exc:
             self._send_json(503, {"error": str(exc), "shed": True}, headers={"Retry-After": "1"})
         except ServerClosedError as exc:
@@ -256,12 +254,6 @@ class _Handler(BaseHTTPRequestHandler):
         ):
             raise _RequestError(400, '"deadline_ms" must be a positive number')
         deadline_s = None if deadline_ms is None else deadline_ms / 1000.0
-        priority = payload.get("priority", "interactive")
-        if not isinstance(priority, str):
-            raise _RequestError(400, '"priority" must be a string')
-        tenant = payload.get("tenant")
-        if tenant is not None and not isinstance(tenant, str):
-            raise _RequestError(400, '"tenant" must be a string')
 
         raw = [payload["image"]] if single else payload["images"]
         if not isinstance(raw, list) or (not single and not raw):
@@ -273,13 +265,8 @@ class _Handler(BaseHTTPRequestHandler):
             raise _RequestError(400, f"could not parse image array: {exc}") from None
 
         # Submit every image before waiting on any, so one HTTP batch can be
-        # coalesced into one engine batch by the micro-batcher.  Priority
-        # class and tenant flow to the cluster router's admission control;
-        # the in-process micro-batcher accepts and ignores them.
-        futures = [
-            entry.batcher.submit(img, deadline_s=deadline_s, priority=priority, tenant=tenant)
-            for img in images
-        ]
+        # coalesced into one engine batch by the micro-batcher.
+        futures = [entry.batcher.submit(img, deadline_s=deadline_s) for img in images]
         timeout = self.config.request_timeout_s
         logits = []
         try:

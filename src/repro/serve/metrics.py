@@ -155,9 +155,6 @@ class ServerMetrics:
         can be momentarily off by in-flight requests, so the reconciliation
         invariant holds exactly only at quiescence.
         """
-        return self._base_snapshot()
-
-    def _base_snapshot(self) -> dict:
         return {
             "requests": {
                 "offered": self.offered.value,
@@ -185,23 +182,16 @@ class ServerMetrics:
 class ClusterMetrics(ServerMetrics):
     """:class:`ServerMetrics` plus the multi-process cluster's extra axes.
 
-    Adds worker lifecycle counters (deaths, restarts, crash re-dispatches),
-    per-priority-class completion counts and latency reservoirs, and a
-    gauge hook through which the cluster service merges its live
-    supervisor/breaker/admission state into :meth:`snapshot`.
+    Adds worker lifecycle counters (deaths, restarts, crash re-dispatches)
+    and a gauge hook through which the cluster service merges its live
+    supervisor/breaker state into :meth:`snapshot`.
     """
 
-    def __init__(
-        self,
-        reservoir_capacity: int = 1024,
-        priorities: "tuple[str, ...]" = ("interactive", "batch"),
-    ) -> None:
+    def __init__(self, reservoir_capacity: int = 1024) -> None:
         super().__init__(reservoir_capacity)
         self.worker_deaths = Counter()
         self.worker_restarts = Counter()
         self.redispatched = Counter()
-        self.completed_by_priority = {p: Counter() for p in priorities}
-        self.latency_by_priority = {p: LatencyReservoir(reservoir_capacity) for p in priorities}
         self._cluster_gauge: "Callable[[], dict] | None" = None
 
     # -- recording -------------------------------------------------------------
@@ -215,30 +205,14 @@ class ClusterMetrics(ServerMetrics):
     def record_redispatch(self) -> None:
         self.redispatched.increment()
 
-    def record_completed(self, latency_s: float, priority: "str | None" = None) -> None:
-        super().record_completed(latency_s)
-        if priority in self.latency_by_priority:
-            self.completed_by_priority[priority].increment()
-            self.latency_by_priority[priority].record(latency_s)
-
     def bind_cluster_gauge(self, fn: "Callable[[], dict]") -> None:
-        """Register the service's live workers/breaker/admission read."""
+        """Register the service's live workers/breaker read."""
         self._cluster_gauge = fn
 
     # -- reading ---------------------------------------------------------------
 
     def snapshot(self) -> dict:
-        snap = self._base_snapshot()
-        snap["priorities"] = {
-            priority: {
-                "completed": self.completed_by_priority[priority].value,
-                "latency_s": {
-                    "samples": self.latency_by_priority[priority].seen,
-                    **self.latency_by_priority[priority].percentiles(),
-                },
-            }
-            for priority in self.completed_by_priority
-        }
+        snap = super().snapshot()
         snap["workers_lifecycle"] = {
             "deaths": self.worker_deaths.value,
             "restarts": self.worker_restarts.value,

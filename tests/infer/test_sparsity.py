@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import CompileError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.infer import InferenceEngine, PlanConfig, compile_network, supports_shift_planes
 from repro.infer.native import binding
 from repro.infer.plan import ConvOp, LinearOp
@@ -96,20 +96,15 @@ class TestEdgeCases:
         assert set(plan.summary()["kernels"]) == {"dense"}
 
     def test_all_filters_dead_keep_policy(self):
-        """all_dead='keep' leaves fully-dead layers as constant layers,
-        records the block reason, and preserves exact parity."""
+        """Fully-dead layers stay as constant layers, record the block
+        reason, and preserve exact parity."""
         model = sparsified_network(4, dead_fraction=1.0)
-        plan = compile_network(model)  # default all_dead="keep"
+        plan = compile_network(model)
         blocked = [e for e in plan.layer_info if "all filters dead" in e.get("blocked", "")]
         assert blocked
         images = sample_images(5, seed=41)
         got = InferenceEngine(model).predict_logits(images)
         assert np.max(np.abs(got - eager_logits(model, images))) <= PARITY_ATOL
-
-    def test_all_filters_dead_error_policy(self):
-        model = sparsified_network(4, dead_fraction=1.0)
-        with pytest.raises(CompileError, match="dead"):
-            compile_network(model, config=PlanConfig(all_dead="error"))
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_kmax1_binary_scheme(self, kernel):
@@ -148,11 +143,12 @@ class TestEdgeCases:
         with pytest.raises(ConfigurationError):
             PlanConfig(kernel="simd")
         with pytest.raises(ConfigurationError):
-            PlanConfig(all_dead="whatever")
+            PlanConfig(dtype="fp16")
 
     def test_removed_knobs_rejected(self):
         """``backend`` is "auto" or "numpy"; the autotune batch and reps
-        are fixed, not config fields; traced programs always fuse."""
+        are fixed, not config fields; traced programs always fuse; a fully
+        dead layer is always kept as a constant."""
         with pytest.raises(ConfigurationError):
             PlanConfig(backend="native")
         with pytest.raises(TypeError):
@@ -161,6 +157,8 @@ class TestEdgeCases:
             PlanConfig(autotune_reps=3)
         with pytest.raises(TypeError):
             PlanConfig(autotune_batch=16)
+        with pytest.raises(TypeError):
+            PlanConfig(all_dead="keep")
 
 
 class TestShiftPlanes:

@@ -31,7 +31,6 @@ ALL_CONFIGS = list(range(1, 9))
 def _interp(trace_cfg: PlanConfig) -> PlanConfig:
     return PlanConfig(
         prune=trace_cfg.prune,
-        all_dead=trace_cfg.all_dead,
         kernel=trace_cfg.kernel,
         trace=False,
     )

@@ -1,8 +1,7 @@
-"""Micro-batcher: coalescing, ordering, deadlines, backpressure, shutdown."""
+"""Micro-batcher: coalescing, ordering, deadlines, load shedding, shutdown."""
 
 from __future__ import annotations
 
-import threading
 import time
 from concurrent.futures import wait
 
@@ -28,7 +27,7 @@ class TestBatcherConfig:
             {"max_batch_size": 0},
             {"max_wait_s": -0.1},
             {"queue_depth": 0},
-            {"full_policy": "drop-newest"},
+            {"default_deadline_s": -1.0},
             {"default_deadline_s": 0.0},
             {"workers": 0},
         ],
@@ -129,9 +128,7 @@ class TestDeadlines:
 
 class TestBackpressure:
     def test_reject_policy_sheds_beyond_high_water(self, served_engine):
-        b = MicroBatcher(
-            served_engine, BatcherConfig(queue_depth=2, full_policy="reject")
-        ).start()
+        b = MicroBatcher(served_engine, BatcherConfig(queue_depth=2)).start()
         b.pause()  # hold the queue at depth deterministically
         futs = [b.submit(img) for img in sample_images(2, seed=6)]
         with pytest.raises(QueueFullError):
@@ -144,29 +141,6 @@ class TestBackpressure:
             "offered": 3, "accepted": 2, "shed": 1, "completed": 2,
             "expired": 0, "failed": 0, "cancelled": 0,
         }
-
-    def test_block_policy_applies_backpressure(self, served_engine):
-        b = MicroBatcher(
-            served_engine, BatcherConfig(queue_depth=1, full_policy="block")
-        ).start()
-        b.pause()
-        first = b.submit(sample_images(1, seed=8)[0])
-        results = {}
-
-        def blocked_submit():
-            results["future"] = b.submit(sample_images(1, seed=9)[0])
-
-        t = threading.Thread(target=blocked_submit)
-        t.start()
-        time.sleep(0.1)
-        assert t.is_alive(), "submit should block while the queue is full"
-        b.resume()  # batcher drains → space frees → blocked submit proceeds
-        t.join(timeout=10)
-        assert not t.is_alive()
-        assert first.result(timeout=10).shape == (10,)
-        assert results["future"].result(timeout=10).shape == (10,)
-        b.stop()
-        assert b.metrics.shed.value == 0
 
 
 class TestShutdown:

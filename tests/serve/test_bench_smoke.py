@@ -52,7 +52,7 @@ def test_benchmark_smoke(tmp_path):
 @pytest.mark.serve_bench
 def test_cluster_sweep_smoke(tmp_path):
     """The multi-process cluster sweep: scaling rows are clean (no deaths,
-    no sheds), the overload row sheds/downshifts with the accepted p99
+    no sheds), the overload row sheds with the p99 of all accepted traffic
     honoring its queue-derived bound, and everything is JSON-serializable."""
     sweep = bench_serve.run_cluster_sweep(smoke=True)
 
@@ -62,17 +62,14 @@ def test_cluster_sweep_smoke(tmp_path):
         assert row["worker_deaths"] == 0
         assert row["requests_completed"] == row["requests_offered"]  # no sheds
         assert row["throughput_rps"] > 0
-        for block in row["latency_by_priority_s"].values():
-            assert block["completed"] > 0 and 0 < block["p50"] <= block["p99"]
+        assert 0 < row["latency_s"]["p50"] <= row["latency_s"]["p99"]
     # two workers must beat one by a clear margin even at smoke scale
     scaling = sweep["summary"]["scaling_vs_1_worker"]
     assert scaling["workers_2"] > 1.5
 
     overload = sweep["overload_row"]
-    assert sum(overload["shed_by_priority"].values()) > 0
-    assert overload["downshifted"] > 0
-    accepted_p99 = overload["latency_by_priority_s"]["interactive"]["p99"]
-    assert accepted_p99 <= overload["p99_bound_s"]  # shed before collapse
+    assert overload["shed"] > 0
+    assert overload["latency_s"]["p99"] <= overload["p99_bound_s"]  # shed before collapse
 
     out = tmp_path / "BENCH_cluster.json"
     out.write_text(json.dumps(sweep))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, QuotaExceededError, UnknownModelError
+from repro.errors import ConfigurationError, ServerClosedError, UnknownModelError
 from repro.infer import InferenceEngine
 from repro.infer.plan import PlanConfig
 from repro.serve import ClusterConfig, ClusterService, ModelServer, ServerConfig
@@ -47,40 +47,6 @@ class TestClusterRoundTrip:
         got = _resolve([service.submit(img) for img in images])
         np.testing.assert_array_equal(got, expected)
 
-    def test_priority_and_tenant_traffic_share_the_pool(self, cluster):
-        service, entry, _ = cluster
-        images = sample_images(4, seed=12)
-        expected = entry.engine.predict_logits(images)
-        futures = [
-            service.submit(img, priority=("batch" if i % 2 else "interactive"), tenant="alice")
-            for i, img in enumerate(images)
-        ]
-        np.testing.assert_array_equal(_resolve(futures), expected)
-        priorities = service.metrics_snapshot()["net4"]["priorities"]
-        assert priorities["interactive"]["completed"] == 2
-        assert priorities["batch"]["completed"] == 2
-
-    def test_unknown_priority_is_rejected_at_submit(self, cluster):
-        service, _, _ = cluster
-        with pytest.raises(ConfigurationError, match="priority"):
-            service.submit(sample_images(1, seed=0)[0], priority="bulk")
-
-    def test_tenant_quota_enforced_across_the_cluster(self):
-        model = build_small_network(2)
-        service = ClusterService(
-            ClusterConfig(workers=1, tenant_rate=0.001, tenant_burst=2, **FAST)
-        )
-        service.register("net2", model)
-        service.start()
-        try:
-            images = sample_images(3, seed=13)
-            first = [service.submit(img, tenant="greedy") for img in images[:2]]
-            with pytest.raises(QuotaExceededError, match="greedy"):
-                service.submit(images[2], tenant="greedy")
-            _resolve(first)  # quota rejects the third, never the admitted two
-        finally:
-            service.stop()
-
 
 @pytest.mark.timeout(90)
 class TestHotRefresh:
@@ -110,27 +76,6 @@ class TestHotRefresh:
         np.testing.assert_array_equal(got, old)
 
 
-@pytest.mark.timeout(90)
-class TestVariants:
-    def test_multi_variant_registration_serves_primary(self):
-        model = build_small_network(4)
-        engines = {
-            "primary": InferenceEngine(model),
-            "int8": InferenceEngine(model, config=PlanConfig(dtype="int8")),
-        }
-        service = ClusterService(ClusterConfig(workers=1, **FAST))
-        entry = service.register("net4", engines=engines)
-        service.start()
-        try:
-            images = sample_images(3, seed=31)
-            got = _resolve([service.submit(img) for img in images])
-            np.testing.assert_array_equal(got, engines["primary"].predict_logits(images))
-            gauge = service.metrics_snapshot()["net4"]["cluster"]
-            assert gauge["variants"] == ["primary", "int8"]
-        finally:
-            service.stop()
-
-
 class TestRegistrySurface:
     """ClusterService must duck-type ModelRegistry for the HTTP layer."""
 
@@ -145,6 +90,8 @@ class TestRegistrySurface:
             service.register("net2", build_small_network(2))
         with pytest.raises(ConfigurationError, match="exactly one"):
             service.register("net3")
+        with pytest.raises(ConfigurationError, match="one InferenceEngine"):
+            service.register("net3", engines={"primary": service.get("net2").engine})
         service.stop()  # never started: must still shut down cleanly
 
     def test_metrics_snapshot_carries_cluster_gauges(self):
@@ -154,7 +101,6 @@ class TestRegistrySurface:
         cluster = snap["cluster"]
         assert cluster["generation"] == 1
         assert cluster["breaker"]["state"] == "closed"
-        assert cluster["admission"]["level"] == 0
         assert snap["workers_lifecycle"] == {"deaths": 0, "restarts": 0, "redispatched": 0}
         assert "plan" in snap
         service.stop()
@@ -167,9 +113,7 @@ class TestHTTPFrontEnd:
     @pytest.fixture()
     def server(self):
         model = build_small_network(4)
-        service = ClusterService(
-            ClusterConfig(workers=2, tenant_rate=0.001, tenant_burst=1, **FAST)
-        )
+        service = ClusterService(ClusterConfig(workers=2, **FAST))
         service.register("net4", model)
         server = ModelServer(service, ServerConfig(port=0)).start()
         client = PredictClient(f"http://127.0.0.1:{server.port}", timeout_s=30)
@@ -190,27 +134,23 @@ class TestHTTPFrontEnd:
         assert cluster["supervisor"]["alive"] == 2
         assert "drain_timed_out" in metrics["server"]
 
-    def test_priority_rides_the_wire(self, server):
-        _, client, service = server
-        image = sample_images(1, seed=42)[0]
-        out = client._request(
-            "/v1/predict", {"image": image.tolist(), "priority": "batch"}
-        )
-        assert out["prediction"] == int(
-            np.argmax(service.get("net4").engine.predict_logits(image[None])[0])
-        )
-        with pytest.raises(ServeHTTPError) as info:
-            client._request("/v1/predict", {"image": image.tolist(), "priority": 7})
-        assert info.value.status == 400
-
-    def test_tenant_quota_maps_to_429(self, server):
-        _, client, _ = server
-        image = sample_images(1, seed=43)[0].tolist()
-        client._request("/v1/predict", {"image": image, "tenant": "greedy"})
-        with pytest.raises(ServeHTTPError) as info:
-            client._request("/v1/predict", {"image": image, "tenant": "greedy"})
-        assert info.value.status == 429
-        assert info.value.payload["quota"] is True
+    def test_bad_images_are_400_before_any_worker_sees_them(self, server):
+        """A non-CHW image, or one unlike the first shape the router saw,
+        is refused at submit — a 400, not a worker failure — and
+        offered == accepted + shed holds, through stop() as well."""
+        http, client, service = server
+        image = sample_images(1, seed=44)[0]
+        client.predict(image)  # pins the model's CHW shape
+        for bad in (image[0], np.concatenate([image, image[:1]])):  # 2-D; 4 channels
+            with pytest.raises(ServeHTTPError) as info:
+                client._request("/v1/predict", {"image": bad.tolist()})
+            assert info.value.status == 400
+        http.stop()
+        with pytest.raises(ServerClosedError):
+            service.submit(image)
+        requests = service.metrics_snapshot()["net4"]["requests"]
+        assert requests["failed"] == 0
+        assert requests["offered"] == requests["accepted"] + requests["shed"] == 2
 
 
 @pytest.mark.timeout(90)

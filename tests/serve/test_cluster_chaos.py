@@ -1,10 +1,10 @@
 """Chaos drills for the supervised serving cluster (``chaos`` marker).
 
 Every drill injects a deterministic fault (:mod:`repro.testing.faults`) into
-a real multi-process pool and asserts the recovery invariants the ISSUE
-demands: **zero dropped accepted requests**, **bitwise-identical logits
-across worker restarts**, and a circuit breaker that walks
-trip → open → half-open → recover instead of burning restarts forever.
+a real multi-process pool and asserts the recovery invariants: **zero
+dropped accepted requests**, **bitwise-identical logits across worker
+restarts**, and a circuit breaker that walks trip → open → half-open →
+recover instead of burning restarts forever.
 
 Excluded from tier-1 (see ``pytest.ini``); run by the serve-chaos CI job
 with per-test SIGALRM watchdogs so a wedged pool aborts loudly.
@@ -17,9 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import CircuitOpenError, QueueFullError
-from repro.infer import InferenceEngine
-from repro.infer.plan import PlanConfig
+from repro.errors import CircuitOpenError
 from repro.serve import ClusterConfig, ClusterService
 from repro.testing import SharedMemoryCorruptionFault, WorkerCrashFault, WorkerHangFault
 
@@ -30,8 +28,8 @@ pytestmark = pytest.mark.chaos
 FAST = dict(heartbeat_interval_s=0.05, restart_backoff_base_s=0.01, dispatch_wait_s=0.02)
 
 
-def _serve(service, images, **kwargs):
-    futures = [service.submit(img, **kwargs) for img in images]
+def _serve(service, images):
+    futures = [service.submit(img) for img in images]
     return np.stack([f.result(timeout=30) for f in futures])
 
 
@@ -166,7 +164,7 @@ def test_corrupted_shared_memory_is_refused_then_republish_recovers():
         # poison the live generation, then kill the only worker: every
         # respawn attaches the corrupted pages, refuses them, and exits
         fault = SharedMemoryCorruptionFault(flips=16, seed=9)
-        fault.apply(entry.store.current.handles["primary"])
+        fault.apply(entry.store.current.handle)
         entry.supervisor.alive_workers()[0].process.kill()
         _await_state(entry.breaker, "open", timeout=20.0)
         assert service.metrics_snapshot()["net2"]["workers_lifecycle"]["deaths"] >= 2
@@ -180,56 +178,5 @@ def test_corrupted_shared_memory_is_refused_then_republish_recovers():
         )
         _await_state(entry.breaker, "closed")
         assert entry.store.current.generation == 2
-    finally:
-        service.stop()
-
-
-@pytest.mark.timeout(120)
-def test_overload_ladder_sheds_batch_then_downshifts_before_collapse():
-    """Sustained overload walks the degradation ladder: batch traffic is
-    shed with a typed error while every admitted request still completes,
-    and once level 2 is reached new dispatches downshift to the cheapest
-    variant instead of rejecting."""
-    model = build_small_network(2)
-    engines = {
-        "primary": InferenceEngine(model),
-        "int8": InferenceEngine(model, config=PlanConfig(dtype="int8")),
-    }
-    service = ClusterService(
-        ClusterConfig(
-            workers=1,
-            queue_depth=10,
-            service_delay_s=0.08,
-            overload_enter_fraction=0.5,
-            overload_exit_fraction=0.1,
-            overload_dwell_s=0.1,
-            **FAST,
-        )
-    )
-    entry = service.register("net2", engines=engines)
-    service.start()
-    try:
-        images = sample_images(4, seed=55)
-        primary = engines["primary"].predict_logits(images)
-        cheap = engines["int8"].predict_logits(images)
-        admitted, shed = [], 0
-        for i in range(40):
-            img = images[i % len(images)]
-            try:
-                future = service.submit(
-                    img, priority=("batch" if i % 2 else "interactive")
-                )
-                admitted.append((i % len(images), future))
-            except QueueFullError:
-                shed += 1
-        assert shed > 0  # the queue bound held instead of collapsing
-        for index, future in admitted:  # zero drops among admitted work
-            row = future.result(timeout=60)
-            assert np.array_equal(row, primary[index]) or np.array_equal(
-                row, cheap[index]
-            ), "served logits match neither plan variant"
-        snap = entry.admission.snapshot()
-        assert snap["shed_by_priority"]["batch"] > 0
-        assert snap["downshifted"] > 0  # level 2 reached: cheap variant served
     finally:
         service.stop()

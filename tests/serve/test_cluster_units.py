@@ -1,8 +1,8 @@
 """Deterministic unit tests for the cluster's control-plane pieces.
 
 Everything here runs single-process against injected fake clocks: circuit
-breaker lifecycle, token buckets, admission ladder, config validation and
-the generational plan store.  The multi-process integration and chaos
+breaker lifecycle, the router's queue bound, config validation and the
+generational plan store.  The multi-process integration and chaos
 drills live in ``test_cluster.py`` / ``test_cluster_chaos.py``.
 """
 
@@ -15,18 +15,17 @@ from repro.errors import (
     ClusterError,
     ConfigurationError,
     QueueFullError,
-    QuotaExceededError,
 )
 from repro.serve.cluster import (
     CLOSED,
     HALF_OPEN,
     OPEN,
-    AdmissionController,
     CircuitBreaker,
     ClusterConfig,
+    ClusterRouter,
     ShmPlanStore,
-    TokenBucket,
 )
+from repro.serve.metrics import ClusterMetrics
 
 
 class FakeClock:
@@ -112,99 +111,21 @@ class TestCircuitBreaker:
         assert set(snap) >= {"trips", "rejections", "restarts_in_window", "retry_after_s"}
 
 
-class TestTokenBucket:
-    def test_burst_then_deny_then_refill(self):
-        clock = FakeClock()
-        bucket = TokenBucket(rate=2.0, burst=3, clock=clock)
-        assert [bucket.try_take() for _ in range(4)] == [True, True, True, False]
-        clock.advance(0.5)  # 1 token refilled
-        assert bucket.try_take() and not bucket.try_take()
-
-    def test_refill_caps_at_burst(self):
-        clock = FakeClock()
-        bucket = TokenBucket(rate=100.0, burst=2, clock=clock)
-        clock.advance(60.0)
-        assert bucket.tokens == pytest.approx(2.0)
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ConfigurationError):
-            TokenBucket(rate=0.0, burst=1)
-        with pytest.raises(ConfigurationError):
-            TokenBucket(rate=1.0, burst=0)
-
-
-class TestAdmissionController:
-    def _controller(self, clock, **overrides):
-        defaults = dict(
-            queue_depth=10,
-            overload_enter_fraction=0.5,
-            overload_exit_fraction=0.2,
-            overload_dwell_s=1.0,
-        )
-        defaults.update(overrides)
-        return AdmissionController(ClusterConfig(**defaults), clock=clock)
-
-    def test_unknown_priority_rejected(self):
-        admission = self._controller(FakeClock())
-        with pytest.raises(ConfigurationError, match="priority"):
-            admission.admit("bulk", None, queue_depth=0, capacity=10)
-
-    def test_queue_bound_sheds_every_class(self):
-        admission = self._controller(FakeClock())
-        for priority in ("interactive", "batch"):
-            with pytest.raises(QueueFullError):
-                admission.admit(priority, None, queue_depth=10, capacity=10)
-        assert admission.snapshot()["shed_by_priority"] == {"interactive": 1, "batch": 1}
-
-    def test_tenant_quota_is_isolated_per_tenant(self):
-        clock = FakeClock()
-        admission = self._controller(clock, tenant_rate=1.0, tenant_burst=2)
-        admission.admit("interactive", "alice", 0, 10)
-        admission.admit("interactive", "alice", 0, 10)
-        with pytest.raises(QuotaExceededError, match="alice"):
-            admission.admit("interactive", "alice", 0, 10)
-        # bob has his own bucket; anonymous traffic has none at all
-        admission.admit("interactive", "bob", 0, 10)
-        admission.admit("interactive", None, 0, 10)
-        clock.advance(1.0)  # alice refills one token
-        admission.admit("interactive", "alice", 0, 10)
-        assert admission.snapshot()["quota_rejected"] == 1
-
-    def test_ladder_needs_sustained_overload(self):
-        clock = FakeClock()
-        admission = self._controller(clock)
-        assert admission.observe(queue_depth=8, capacity=10) == 0  # burst: no dwell yet
-        clock.advance(0.5)
-        assert admission.observe(8, 10) == 0
-        clock.advance(0.5)
-        assert admission.observe(8, 10) == 1  # one dwell: shed batch
-        with pytest.raises(QueueFullError, match="batch"):
-            admission.admit("batch", None, 8, 10)
-        admission.admit("interactive", None, 8, 10)  # interactive keeps flowing
-        clock.advance(1.0)
-        assert admission.observe(8, 10) == 2  # two dwells: downshift
-
-    def test_ladder_level_two_downshifts_to_cheapest_variant(self):
-        clock = FakeClock()
-        admission = self._controller(clock)
-        variants = ("primary", "sparse", "int8")
-        assert admission.choose_variant(variants) == "primary"
-        admission.observe(9, 10)
-        clock.advance(2.0)
-        admission.observe(9, 10)
-        assert admission.choose_variant(variants) == "int8"
-        assert admission.choose_variant(("only",)) == "only"  # nothing cheaper exists
-        assert admission.snapshot()["downshifted"] == 1
-
-    def test_hysteresis_resets_only_below_exit_fraction(self):
-        clock = FakeClock()
-        admission = self._controller(clock)
-        admission.observe(8, 10)
-        clock.advance(2.0)
-        assert admission.observe(4, 10) == 2  # 0.4 fill: between exit and enter — still hot
-        assert admission.observe(2, 10) == 0  # 0.2 fill: ladder resets
-        clock.advance(5.0)
-        assert admission.observe(8, 10) == 0  # overload clock restarted from zero
+class TestClusterRouter:
+    def test_queue_bound_sheds_in_fifo_order(self):
+        """The router is never started, so nothing dispatches and the queue
+        holds exactly what it admitted."""
+        config = ClusterConfig(queue_depth=2)
+        breaker = CircuitBreaker(clock=FakeClock())
+        router = ClusterRouter("m", config, None, breaker, ClusterMetrics(), clock=FakeClock())
+        images = [np.full((3, 4, 4), float(i)) for i in range(3)]
+        router.submit(images[0])
+        router.submit(images[1])
+        with pytest.raises(QueueFullError):
+            router.submit(images[2])
+        assert [r.image[0, 0, 0] for r in router._queue] == [0.0, 1.0]
+        requests = router.metrics.snapshot()["requests"]
+        assert (requests["offered"], requests["accepted"], requests["shed"]) == (3, 2, 1)
 
 
 class TestClusterConfig:
@@ -219,9 +140,9 @@ class TestClusterConfig:
             {"heartbeat_timeout_s": 0.0},
             {"restart_budget": 0},
             {"breaker_half_open_probes": 0},
-            {"tenant_rate": -1.0},
-            {"tenant_burst": 0},
-            {"overload_exit_fraction": 0.9, "overload_enter_fraction": 0.5},
+            {"dispatch_wait_s": 0.0},
+            {"restart_backoff_max_s": -1.0},
+            {"shm_min_bytes": -1},
             {"service_delay_s": -0.1},
         ],
     )
@@ -244,14 +165,14 @@ class TestShmPlanStore:
     def test_generations_increment_and_previous_stays_alive(self):
         store = ShmPlanStore()
         try:
-            first = store.publish({"primary": self._payload(1.0)})
-            second = store.publish({"primary": self._payload(2.0)})
+            first = store.publish(self._payload(1.0))
+            second = store.publish(self._payload(2.0))
             assert (first.generation, second.generation) == (1, 2)
             assert store.current is second
             # the superseded segment is queued, not unlinked: attach still works
             from repro.utils.shm import load_object
 
-            obj, seg = load_object(first.handles["primary"])
+            obj, seg = load_object(first.handle)
             assert obj["weights"][0] == 1.0
             seg.close()
         finally:
@@ -260,15 +181,15 @@ class TestShmPlanStore:
     def test_retire_unlinks_only_superseded_generations(self):
         store = ShmPlanStore()
         try:
-            first = store.publish({"primary": self._payload(1.0)})
-            store.publish({"primary": self._payload(2.0)})
+            first = store.publish(self._payload(1.0))
+            store.publish(self._payload(2.0))
             store.retire(first.generation)
             from repro.errors import SharedMemoryError
             from repro.utils.shm import load_object
 
             with pytest.raises(SharedMemoryError, match="missing"):
-                load_object(first.handles["primary"])
-            obj, seg = load_object(store.current.handles["primary"])
+                load_object(first.handle)
+            obj, seg = load_object(store.current.handle)
             assert obj["weights"][0] == 2.0
             seg.close()
         finally:
@@ -280,4 +201,4 @@ class TestShmPlanStore:
             store.publish({})
         store.close()
         with pytest.raises(ClusterError, match="closed"):
-            store.publish({"primary": self._payload(0.0)})
+            store.publish(self._payload(0.0))

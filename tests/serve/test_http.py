@@ -269,7 +269,7 @@ class TestErrorMapping:
         assert status == 400
 
     def test_queue_full_maps_to_503_with_shed_flag(self):
-        registry = ModelRegistry(BatcherConfig(queue_depth=1, full_policy="reject"))
+        registry = ModelRegistry(BatcherConfig(queue_depth=1))
         entry = registry.register("net4", build_small_network(4))
         with ModelServer(registry, ServerConfig(port=0)) as srv:
             entry.batcher.pause()  # wedge the queue deterministically
