@@ -7,8 +7,14 @@ autograd graph is built, scratch buffers are reused across batches, and
 batches can be sharded across threads (``predict_logits(workers=N)``).
 
 Staleness: the plan snapshots version counters and content fingerprints of
-every source weight at build time.  ``on_stale`` controls what happens when
-the model has since been trained or mutated:
+every source weight and batch-norm running statistic at build time.  Every
+repo code path that writes them (optimizer steps, ``load_state_dict``,
+training-mode batch-norm forwards) bumps a counter.  :meth:`forward_batch`
+checks only the counters, a few ints per layer, so raw in-place edits that
+bypass them go unseen there; :meth:`check_stale` (by default),
+:meth:`refresh`, :meth:`predict_logits` and :meth:`evaluate` also compare
+the content fingerprints and catch those too.  ``on_stale`` controls what
+happens when the model has since been trained or mutated:
 
 * ``"refresh"`` (default) — transparently recompile the plan against the
   current weights before predicting;
@@ -165,6 +171,10 @@ class InferenceEngine:
         """Apply the ``on_stale`` policy; returns the number of stale
         layers that triggered a recompile (0 when nothing was stale).
 
+        ``fingerprint=False`` compares the version counters only (what
+        :meth:`forward_batch` runs); the default also compares the content
+        fingerprints, catching raw edits that bumped no counter.
+
         Thread-safe: the check-and-refresh runs under the engine's refresh
         lock, so concurrent callers trigger one recompile, not several.
         """
@@ -219,12 +229,17 @@ class InferenceEngine:
         callers (e.g. micro-batcher workers) must pass a private context
         from :meth:`make_context` instead.  ``check_stale`` here uses the
         cheap version-counter check only (no content fingerprints), to keep
-        the hot path hot.
+        the hot path hot; the profiler is entered only when the engine
+        profiles.
         """
         if check_stale:
             self.check_stale(fingerprint=False)
+        if ctx is None:
+            ctx = self._ctx
+        if self.profiler is None:
+            return self.plan.execute(images, ctx)
         with use_profiler(self.profiler):
-            return self.plan.execute(images, ctx if ctx is not None else self._ctx)
+            return self.plan.execute(images, ctx)
 
     def predict_logits(
         self,

@@ -231,7 +231,7 @@ class _NodePlan:
 class _BoundState:
     """Per-context realization of a program: registers + prebound thunks."""
 
-    __slots__ = ("input", "regs", "thunks", "names", "out")
+    __slots__ = ("input", "regs", "thunks", "names", "out", "checked")
 
 
 class TracedProgram:
@@ -387,6 +387,7 @@ class TracedProgram:
                 names.append(nplan.phase)
         state.thunks = thunks
         state.names = names
+        state.checked = False
         state.out = self._view(state, self.out_val, None)
         return state
 
@@ -410,6 +411,11 @@ class TracedProgram:
             for name, fn in zip(state.names, state.thunks):
                 with prof.phase(name):
                     fn()
+        if not state.checked:
+            # Every native kernel has byte-checked itself and pinned a
+            # callable by now; call that directly from here on.
+            state.thunks = [getattr(fn, "pinned", None) or fn for fn in state.thunks]
+            state.checked = True
         return state.out
 
 

@@ -231,6 +231,23 @@ def _note(record, passed: bool) -> None:
             record["native_check_failed"] = True
 
 
+def _from_verdict(link, numpy_thunk, record, memo):
+    """The callable an earlier verdict on this (context, op) pins, or
+    ``None`` when there is none to go by.
+
+    A passing verdict pins the C kernel only once it is loaded (always,
+    unless the kernel cache was cleared since; then it is checked again).
+    """
+    if memo is None:
+        return None
+    verdicts, op = memo
+    seen = verdicts.get(op.index)
+    if seen is None or seen[0] is not op or (seen[1] and link.entry.fn is None):
+        return None
+    _note(record, seen[1])
+    return link() if seen[1] else numpy_thunk
+
+
 def _checked(link, numpy_thunk, out: np.ndarray, inputs: list, record, key, memo=None):
     """A thunk that links the kernel (``link``, from :func:`_pack_call`) and
     self-verifies it bitwise on its first invocation.
@@ -238,6 +255,9 @@ def _checked(link, numpy_thunk, out: np.ndarray, inputs: list, record, key, memo
     The first call waits for the kernel's compile.  A compile or load
     failure found there pins the numpy thunk and counts as a decline under
     ``(kind, "compile")``, ``kind`` being ``key`` up to its first ``/``.
+    Once pinned, the thunk's ``pinned`` attribute holds the chosen
+    callable, so a caller that keeps the thunk may call that directly
+    (:meth:`repro.infer.fuse.TracedProgram.run` does).
 
     ``inputs`` are the arrays the numpy thunk *reads*; any that share
     memory with ``out`` (the in-place elementwise case, or register
@@ -247,29 +267,29 @@ def _checked(link, numpy_thunk, out: np.ndarray, inputs: list, record, key, memo
     A float kernel is checked once per bound program.  An int8 kernel
     passes ``memo = (verdicts, op)``, its context's
     :attr:`~repro.infer.plan.ExecutionContext.verdicts`: the verdict is
-    kept per (context, op), so rebinding the op for another batch size
-    pins at once instead of re-running its numpy reference, which is
-    several times slower than the C kernel.
+    kept per (context, op) and looked up both at bind and at the first
+    call, so the batch blocks of one program and rebinds of the op for
+    another batch size pin from it instead of re-running the numpy
+    reference, which is several times slower than the C kernel.
     """
     _count("bound")
-    if memo is not None:
-        verdicts, op = memo
-        seen = verdicts.get(op.index)
-        # A passing verdict pins at once when its kernel is loaded (always,
-        # unless the kernel cache was cleared since; then it re-checks).
-        if seen is not None and seen[0] is op and (not seen[1] or link.entry.fn is not None):
-            _note(record, seen[1])
-            return link() if seen[1] else numpy_thunk
+    pinned = _from_verdict(link, numpy_thunk, record, memo)
+    if pinned is not None:
+        return pinned
     if record is not None:
         record["backend"] = "native"
     aliased = [a for a in inputs if np.shares_memory(a, out)]
-    state: list = [None]  # None = unchecked, else the pinned callable
 
     def first() -> None:
+        pinned = _from_verdict(link, numpy_thunk, record, memo)
+        if pinned is not None:
+            kernel.pinned = pinned
+            pinned()
+            return
         try:
             native_call = link()
         except toolchain.NativeUnavailable as err:
-            state[0] = numpy_thunk
+            kernel.pinned = numpy_thunk
             if record is not None:
                 record["backend"] = "numpy"
             _decline((key.partition("/")[0], "compile"), str(err))
@@ -282,7 +302,7 @@ def _checked(link, numpy_thunk, out: np.ndarray, inputs: list, record, key, memo
             a[...] = s
         numpy_thunk()
         passed = np.array_equal(snap.view(np.uint8), out.view(np.uint8))
-        state[0] = native_call if passed else numpy_thunk
+        kernel.pinned = native_call if passed else numpy_thunk
         _note(record, passed)
         if memo is not None:
             memo[0][memo[1].index] = (memo[1], passed)
@@ -296,12 +316,13 @@ def _checked(link, numpy_thunk, out: np.ndarray, inputs: list, record, key, memo
             )
 
     def kernel() -> None:
-        fn = state[0]
+        fn = kernel.pinned
         if fn is None:
             first()
         else:
             fn()
 
+    kernel.pinned = None
     return kernel
 
 

@@ -62,6 +62,7 @@ __all__ = [
     "ExecutionPlan",
     "PlanConfig",
     "compile_network",
+    "declared_image_shape",
     "execute_ops",
     "plan_dtype",
 ]
@@ -567,29 +568,36 @@ class WeightBinding:
     bn: BatchNorm2d | None
     built_key: tuple = ()
     built_fp: tuple = ()
+    #: Every version-counted tensor the op's arrays derive from: the
+    #: weight, thresholds, bias and BN affine parameters that exist.
+    tensors: tuple = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        sources = [getattr(self.layer, name, None) for name in ("weight", "thresholds", "bias")]
+        if self.bn is not None:
+            sources += [self.bn.gamma, self.bn.beta]
+        self.tensors = tuple(t for t in sources if t is not None)
 
     def current_key(self) -> tuple:
-        """Version vector of every tensor the op's arrays derive from."""
-        key: list[Any] = [self.layer.weight.version]
-        thresholds = getattr(self.layer, "thresholds", None)
-        key.append(-1 if thresholds is None else thresholds.version)
-        bias = getattr(self.layer, "bias", None)
-        key.append(-1 if bias is None else bias.version)
-        if self.bn is not None:
-            key.extend(bn_fingerprint(self.bn))
-        return tuple(key)
+        """Version vector of every tensor the op's arrays derive from, and
+        of the BN running statistics."""
+        key = tuple([t.version for t in self.tensors])
+        return key if self.bn is None else key + (self.bn.buffers_version,)
 
     def current_fp(self) -> tuple:
-        """Content fingerprint catching raw ``.data`` mutations that bypass
-        the version counters.  Covers the thresholds too: for FLightNN a
-        raw threshold edit changes the quantized weights (and possibly the
-        dead-filter structure) without touching the master weight."""
+        """Content fingerprint catching raw ``.data`` and BN-statistics
+        mutations that bypass the version counters.  Covers the thresholds
+        too: for FLightNN a raw threshold edit changes the quantized weights
+        (and possibly the dead-filter structure) without touching the
+        master weight."""
         w = self.layer.weight.data
         fp: list[float] = [float(w.sum()), float(np.abs(w).sum())]
         thresholds = getattr(self.layer, "thresholds", None)
         if thresholds is not None:
             t = thresholds.data
             fp.extend([float(t.sum()), float(np.abs(t).sum())])
+        if self.bn is not None:
+            fp.extend(bn_fingerprint(self.bn))
         return tuple(fp)
 
 
@@ -734,19 +742,20 @@ class ExecutionPlan:
         run op-by-op via :func:`execute_ops`.  An int8 plan always runs its
         integer program traced; it returns float64 logits.
         """
-        if np.ndim(x) != 4:
-            raise ShapeError(f"plan input must be NCHW, got shape {np.shape(x)}")
-        if self.intq is not None:
-            chw = tuple(self.intq.input_chw)
-            if tuple(np.shape(x)[1:]) != chw:
-                raise ShapeError(
-                    f"int8 plan was calibrated for inputs of shape (N, "
-                    f"{', '.join(map(str, chw))}); got {np.shape(x)} — rebuild the plan "
-                    "for this input size"
-                )
-            return self.traced_program(np.shape(x)).run(x, ctx)
-        if self.config.trace:
-            program = self.traced_program(np.shape(x))
+        shape = np.shape(x)
+        if len(shape) != 4:
+            raise ShapeError(f"plan input must be NCHW, got shape {shape}")
+        intq = self.intq
+        if intq is not None and shape[1:] != tuple(intq.input_chw):
+            raise ShapeError(
+                f"int8 plan was calibrated for inputs of shape (N, "
+                f"{', '.join(map(str, intq.input_chw))}); got {shape} — rebuild the plan "
+                "for this input size"
+            )
+        if intq is not None or self.config.trace:
+            program = self._traced.get(shape)
+            if program is None:
+                program = self.traced_program(shape)
             if program is not None:
                 return program.run(x, ctx)
         return execute_ops(self.ops, x, ctx, self.out_slot, self.dtype)
@@ -770,9 +779,10 @@ class ExecutionPlan:
         """Bindings whose source tensors changed since the plan was built.
 
         Version counters catch every mutation made through repo code paths
-        (optimizer steps, ``load_state_dict``, proximal shrinkage); with
-        ``fingerprint=True`` a cheap content checksum additionally catches
-        raw in-place edits of ``.data`` that never bumped a version.
+        (optimizer steps, ``load_state_dict``, proximal shrinkage, BN
+        training forwards); with ``fingerprint=True`` a content checksum
+        additionally catches raw in-place edits of ``.data`` or of the BN
+        running statistics that never bumped a version.
         """
         stale = []
         for b in self.bindings:
@@ -1004,13 +1014,24 @@ def plan_dtype(model: Module) -> np.dtype:
     return np.dtype(np.float64)
 
 
-def _calibration_shape(model: Module) -> tuple[int, int, int, int] | None:
-    """NCHW shape of the synthetic calibration batch, if the model declares it."""
+def declared_image_shape(model: Module) -> tuple[int, int, int] | None:
+    """The CHW input shape ``model`` declares through its ``in_channels``
+    and ``image_size``, or ``None`` when it declares none.
+
+    The plan compiler calibrates at this shape and the serving layer
+    refuses request images of any other.
+    """
     channels = getattr(model, "in_channels", None)
     size = getattr(model, "image_size", None)
     if not isinstance(channels, int) or not isinstance(size, int):
         return None
-    return (_CALIBRATION_BATCH, channels, size, size)
+    return (channels, size, size)
+
+
+def _calibration_shape(model: Module) -> tuple[int, int, int, int] | None:
+    """NCHW shape of the synthetic calibration batch, if the model declares it."""
+    chw = declared_image_shape(model)
+    return None if chw is None else (_CALIBRATION_BATCH, *chw)
 
 
 def _collect_layer_info(

@@ -63,6 +63,7 @@ class BatchNorm2d(Module):
             n = x.size / self.num_features
             unbiased = var.data.reshape(-1) * (n / max(n - 1, 1))
             self.running_var[...] = (1 - m) * self.running_var + m * unbiased
+            self.buffers_version += 1
             x_hat = centred / (var + self.eps).sqrt()
         else:
             mean = self.running_mean.reshape(1, -1, 1, 1)
@@ -108,6 +109,7 @@ class BatchNorm2d(Module):
         n = xd.size / self.num_features
         unbiased = var.reshape(-1) * (n / max(n - 1, 1))
         self.running_var[...] = (1 - m) * self.running_var + m * unbiased
+        self.buffers_version += 1
 
         std = np.sqrt(var + self.eps)
         x_hat = arena.take(shape, xd.dtype)

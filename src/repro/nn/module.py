@@ -116,6 +116,9 @@ class Module:
             target[...] = value
             if name in params:
                 params[name].bump_version()
+        for module in self.modules():
+            if getattr(module, "_buffers", None):
+                module.buffers_version += 1
         missing = (set(params) | set(buffers)) - set(state)
         if missing:
             raise ConfigurationError(f"state dict is missing entries: {sorted(missing)}")
@@ -128,9 +131,18 @@ class Module:
             yield from child.named_buffers(prefix=f"{prefix}{name}.")
 
     def register_buffer(self, name: str, value: np.ndarray) -> None:
-        """Attach a persistent non-trainable array under ``name``."""
+        """Attach a persistent non-trainable array under ``name``.
+
+        Buffers are plain arrays, so the module keeps one version counter
+        for all of them, ``buffers_version``: every repo code path that
+        writes a buffer (batch-norm's training forwards,
+        :meth:`load_state_dict`) bumps it, and caches derived from the
+        buffers key on it.  Code that edits a buffer in place by hand must
+        bump it itself.
+        """
         if not hasattr(self, "_buffers"):
             self._buffers: list[str] = []
+            self.buffers_version = 0
         setattr(self, name, np.asarray(value, dtype=np.float64))
         self._buffers.append(name)
 

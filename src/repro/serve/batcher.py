@@ -61,8 +61,10 @@ def check_image_shape(image: np.ndarray, pinned: "tuple | None") -> tuple:
     """Validate one request image against a model's pinned CHW shape.
 
     Returns the shape to pin: ``pinned`` itself, or the image's own shape
-    when nothing is pinned yet.  Callers hold their queue lock, so the first
-    accepted image pins the shape exactly once.
+    when nothing is pinned yet.  The serving registries pin the shape a
+    model declares (:func:`~repro.infer.plan.declared_image_shape`) up
+    front; for a model that declares none, callers hold their queue lock,
+    so the first accepted image pins the shape exactly once.
 
     Raises:
         ShapeError: Not a single CHW image, or not the pinned shape.
@@ -97,7 +99,9 @@ class MicroBatcher:
             when not provided.
         image_shape: Expected CHW shape of every request image.  When
             ``None`` it is pinned by the first accepted request, so one
-            malformed image can never poison a whole batch.
+            malformed image can never poison a whole batch;
+            :class:`~repro.serve.registry.ModelRegistry` passes the shape
+            the model declares, when it declares one.
         name: Label used in log lines (the registry passes the model name).
     """
 

@@ -71,6 +71,9 @@ class ClusterRouter:
             :class:`~repro.serve.cluster.supervisor.WorkerSupervisor`.
         breaker: The model's circuit breaker (gates every submit).
         metrics: The model's :class:`~repro.serve.metrics.ClusterMetrics`.
+        image_shape: Expected CHW shape of every request image, as for
+            :class:`~repro.serve.batcher.MicroBatcher`; ``None`` pins the
+            first accepted image's shape.
         clock: Monotonic time source (injectable for deterministic tests).
     """
 
@@ -81,6 +84,7 @@ class ClusterRouter:
         supervisor,
         breaker,
         metrics,
+        image_shape: "tuple[int, int, int] | None" = None,
         clock=time.monotonic,
     ) -> None:
         self.name = name
@@ -91,7 +95,7 @@ class ClusterRouter:
         self._clock = clock
         self._cond = threading.Condition()
         self._queue: "deque[_Request]" = deque()
-        self._image_shape: "tuple | None" = None
+        self._image_shape = None if image_shape is None else tuple(image_shape)
         self._ids = itertools.count()
         self._paused = False
         self._stopping = False

@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, UnknownModelError
 from repro.infer.engine import InferenceEngine
+from repro.infer.plan import declared_image_shape
 from repro.serve.cluster.breaker import CircuitBreaker
 from repro.serve.cluster.config import ClusterConfig
 from repro.serve.cluster.router import ClusterRouter
@@ -129,7 +130,9 @@ class ClusterService:
             half_open_probes=config.breaker_half_open_probes,
         )
         supervisor = WorkerSupervisor(name, config, store, breaker, metrics)
-        router = ClusterRouter(name, config, supervisor, breaker, metrics)
+        router = ClusterRouter(
+            name, config, supervisor, breaker, metrics, declared_image_shape(engine.model)
+        )
         supervisor.bind(router)
         entry = ClusterModel(name, engine, config, store, breaker, supervisor, router, metrics)
         metrics.bind_cluster_gauge(entry.cluster_gauge)

@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, UnknownModelError
 from repro.infer.engine import InferenceEngine
+from repro.infer.plan import declared_image_shape
 from repro.nn.module import Module
 from repro.serve.batcher import MicroBatcher
 from repro.serve.config import BatcherConfig
@@ -88,7 +89,11 @@ class ModelRegistry:
         if engine is None:
             engine = InferenceEngine(model, on_stale="refresh")
         batcher = MicroBatcher(
-            engine, config=config or self.batcher_config, metrics=metrics, name=name
+            engine,
+            config=config or self.batcher_config,
+            metrics=metrics,
+            image_shape=declared_image_shape(engine.model),
+            name=name,
         )
         entry = ServingModel(name=name, engine=engine, batcher=batcher, metrics=batcher.metrics)
         with self._lock:

@@ -2,10 +2,11 @@
 
 Covers the two mutation channels the plan's bindings watch:
 
-* version-counter bumps (optimizer steps, ``load_state_dict`` — anything
-  going through repo code paths), caught by the cheap key check;
-* raw in-place ``.data`` edits that bypass the counters, caught by the
-  content fingerprint.
+* version-counter bumps (optimizer steps, ``load_state_dict``, batch-norm
+  training forwards — anything going through repo code paths), caught by
+  the cheap key check that ``forward_batch`` runs on every call;
+* raw in-place ``.data`` or BN-statistics edits that bypass the counters,
+  caught by the content fingerprint of the full check.
 """
 
 from __future__ import annotations
@@ -15,7 +16,13 @@ import pytest
 
 from repro.errors import ConfigurationError, StalePlanError
 from repro.infer import InferenceEngine, PlanConfig
+from repro.infer import fold, plan as plan_module
+from repro.nn.arena import BufferArena, use_arena
+from repro.nn.layers.norm import BatchNorm2d
+from repro.nn.tensor import Tensor
 from repro.quant.sparsify import sparsify_model
+from repro.train import TrainConfig, Trainer
+from repro.train.checkpoint import TrainingCheckpoint
 
 from tests.infer.conftest import build_small_network, eager_logits, sample_images
 
@@ -160,6 +167,106 @@ def test_bn_running_stats_mutation_is_caught():
     np.testing.assert_allclose(
         engine.predict_logits(images), eager_logits(model, images), atol=1e-10
     )
+
+
+def _train_forward(model, arena=None):
+    """One training-mode forward, which moves every BN layer's running
+    statistics; ``arena`` selects the fused fast path."""
+    model.train()
+    with use_arena(arena):
+        if arena is not None:
+            arena.begin_pass()
+        model(Tensor(sample_images(8, seed=9)))
+    model.eval()
+
+
+# Each case prepares the model and returns the mutation to make once an
+# engine serves it.
+
+
+def _eager_train_forward(model, tmp_path, monkeypatch):
+    return lambda: _train_forward(model)
+
+
+def _arena_train_step(model, tmp_path, monkeypatch):
+    fused = []
+    real = BatchNorm2d._fused_train_forward
+
+    def spy(self, x, arena):
+        fused.append(self)
+        return real(self, x, arena)
+
+    def mutate():
+        _train_forward(model, BufferArena())
+        assert fused  # the arena fast path ran, not the eager graph
+
+    monkeypatch.setattr(BatchNorm2d, "_fused_train_forward", spy)
+    return mutate
+
+
+def _load_running_stats(model, tmp_path, monkeypatch):
+    def mutate():
+        state = model.state_dict()
+        for name in state:
+            if name.endswith(("running_mean", "running_var")):
+                state[name] = state[name] * 1.5 + 0.25
+        model.load_state_dict(state)
+
+    return mutate
+
+
+def _checkpoint_rollback(model, tmp_path, monkeypatch):
+    """Save, then train (moving the statistics) before the engine is
+    built; the rollback writes the saved statistics back."""
+    trainer = Trainer(model, TrainConfig(epochs=1, batch_size=8, seed=0))
+    store = TrainingCheckpoint(tmp_path / "store")
+    store.save(trainer)
+    _train_forward(model)
+
+    def mutate():
+        assert store.restore_latest(trainer) == 1
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_eager_train_forward, _arena_train_step, _load_running_stats, _checkpoint_rollback],
+)
+def test_forward_batch_recompiles_on_stale_bn_statistics(case, tmp_path, monkeypatch):
+    """Every repo path that writes BN running statistics bumps their
+    version, so the version-only check in ``forward_batch`` recompiles and
+    the logits are byte-equal to an engine built fresh afterwards."""
+    model = build_small_network(4)
+    mutate = case(model, tmp_path, monkeypatch)
+    engine = InferenceEngine(model)
+    x = sample_images(1, seed=6)
+    before = engine.forward_batch(x).copy()
+    old_plan = engine.plan
+    mutate()
+    model.eval()
+    after = engine.forward_batch(x).copy()
+    assert engine.plan is not old_plan
+    assert after.tobytes() != before.tobytes()  # the statistics moved
+    fresh = InferenceEngine(model).forward_batch(x)
+    assert after.tobytes() == fresh.tobytes()
+
+
+def test_steady_state_stale_check_reads_no_fingerprint(monkeypatch):
+    """forward_batch's stale check compares version counters only: once
+    the plan is built it never computes a content fingerprint."""
+    engine = InferenceEngine(build_small_network(4))
+    x = sample_images(1, seed=6)
+    want = engine.forward_batch(x).copy()
+
+    def forbidden(*args):
+        raise AssertionError("content fingerprint computed on the forward_batch path")
+
+    monkeypatch.setattr(plan_module.WeightBinding, "current_fp", forbidden)
+    monkeypatch.setattr(plan_module, "bn_fingerprint", forbidden)
+    monkeypatch.setattr(fold, "bn_fingerprint", forbidden)
+    for _ in range(3):
+        assert engine.forward_batch(x).tobytes() == want.tobytes()
 
 
 def test_constructor_validation():

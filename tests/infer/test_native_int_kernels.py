@@ -409,6 +409,38 @@ def test_program_binds_every_kernel_native():
             assert program.node_backends[index]["backend"] == "native", node
 
 
+def test_blocked_program_checks_each_op_once(monkeypatch):
+    """A program run in 6 batch blocks binds every block before any runs;
+    the first block's byte check pins the rest, so each native op runs its
+    numpy reference once on the first forward, not once per block."""
+    from repro.infer import fuse
+
+    reference_runs: Counter = Counter()
+    checked = binding._checked
+
+    def counting(link, numpy_thunk, out, inputs, record, key, memo=None):
+        op = memo[1]
+
+        def counted() -> None:
+            reference_runs[op.index] += 1
+            numpy_thunk()
+
+        return checked(link, counted, out, inputs, record, key, memo)
+
+    monkeypatch.setattr(binding, "_checked", counting)
+    monkeypatch.setattr(fuse, "_BLOCK_TARGET_BYTES", 1)  # blocks of _BLOCK_MIN
+    images = sample_images(6 * fuse._BLOCK_MIN, seed=4)
+    engine = InferenceEngine(build_small_network(4), config=PlanConfig(dtype="int8"))
+    ctx = ExecutionContext()
+    got = engine.plan.execute(images, ctx).copy()
+    assert engine.plan.traced_program(images.shape).stats["blocks"] == 6
+    ref = InferenceEngine(build_small_network(4), config=PlanConfig(dtype="int8", backend="numpy"))
+    assert _bitwise_equal(got, ref.predict_logits(images, batch_size=len(images)))
+    assert _bitwise_equal(engine.plan.execute(images, ctx), got)
+    if NATIVE_OK:
+        assert reference_runs and set(reference_runs.values()) == {1}, reference_runs
+
+
 # -- float sources ------------------------------------------------------------------
 
 _CONSTS = {"C": 5, "H": 9, "W": 7, "K": 3, "S": 2, "P": 1, "F": 6, "CKK": 45,

@@ -135,12 +135,12 @@ class TestHTTPFrontEnd:
         assert "drain_timed_out" in metrics["server"]
 
     def test_bad_images_are_400_before_any_worker_sees_them(self, server):
-        """A non-CHW image, or one unlike the first shape the router saw,
-        is refused at submit — a 400, not a worker failure — and
+        """A non-CHW image, or one unlike the shape the model declares, is
+        refused at submit — a 400, not a worker failure — and
         offered == accepted + shed holds, through stop() as well."""
         http, client, service = server
         image = sample_images(1, seed=44)[0]
-        client.predict(image)  # pins the model's CHW shape
+        client.predict(image)
         for bad in (image[0], np.concatenate([image, image[:1]])):  # 2-D; 4 channels
             with pytest.raises(ServeHTTPError) as info:
                 client._request("/v1/predict", {"image": bad.tolist()})
@@ -151,6 +151,25 @@ class TestHTTPFrontEnd:
         requests = service.metrics_snapshot()["net4"]["requests"]
         assert requests["failed"] == 0
         assert requests["offered"] == requests["accepted"] + requests["shed"] == 2
+
+
+@pytest.mark.timeout(90)
+def test_declared_shape_is_pinned_before_the_first_image():
+    """Through the cluster's HTTP front end too, a model that declares its
+    input shape serves only that shape from the start: a wrong first image
+    (4 channels on net 2) is a 400 and a right one after it is served."""
+    service = ClusterService(ClusterConfig(workers=1, **FAST))
+    entry = service.register("net2", build_small_network(2))
+    with ModelServer(service, ServerConfig(port=0)) as server:
+        client = PredictClient(server.url, timeout_s=30)
+        image = sample_images(1, seed=45)[0]
+        with pytest.raises(ServeHTTPError) as info:
+            client.predict(np.concatenate([image, image[:1]]))
+        assert info.value.status == 400
+        result = client.predict(image)
+        client.close()
+    np.testing.assert_array_equal(result.logits, entry.engine.predict_logits(image[None])[0])
+    assert service.metrics_snapshot()["net2"]["requests"]["failed"] == 0
 
 
 @pytest.mark.timeout(90)

@@ -257,6 +257,22 @@ class TestErrorMapping:
             PredictClient(server.url).predict(np.zeros((16, 16)))  # 2-D, not CHW
         assert err.value.status == 400
 
+    def test_declared_shape_is_pinned_before_the_first_image(self):
+        """A model that declares its input shape serves only that shape from
+        the start: a wrong first image (4 channels on net 2) is a 400 and
+        cannot lock out the right shape after it."""
+        registry = ModelRegistry()
+        entry = registry.register("net2", build_small_network(2))
+        with ModelServer(registry, ServerConfig(port=0)) as srv:
+            client = PredictClient(srv.url)
+            image = sample_images(1, seed=8)[0]
+            with pytest.raises(ServeHTTPError) as err:
+                client.predict(np.concatenate([image, image[:1]]))
+            assert err.value.status == 400
+            result = client.predict(image)
+        expected = entry.engine.predict_logits(image[None])[0]
+        np.testing.assert_array_equal(result.logits, expected)
+
     def test_ragged_image_400(self, server):
         status, _ = _post_raw(server.url, b'{"image": [[1, 2], [3]]}')
         assert status == 400
