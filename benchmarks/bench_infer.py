@@ -311,8 +311,7 @@ def _fusion_row(network_id: int, reps: int, batches: tuple[int, ...] = FUSION_BA
                     eng.forward_batch(images, check_stale=False)
                 times[key].append((time.perf_counter() - t0) / inner)
         med = {k: statistics.median(v) for k, v in times.items()}
-        prog = fused.plan.traced_program(images.shape)
-        stats = prog.stats if prog is not None else {}
+        stats = fused.plan.traced_program(images.shape).stats
         row["batches"][str(batch)] = {
             "untraced_s": med["untraced"],
             "fused_s": med["fused"],

@@ -92,9 +92,8 @@ class InferenceEngine:
         config: Sparsity/trace-pass knobs
             (:class:`~repro.infer.plan.PlanConfig`): dead-filter pruning,
             kernel selection (dense / shift-plane / autotuned), traced-
-            program execution (``trace``), the compute dtype and the
-            all-dead-layer policy.  Every refresh recompiles with the same
-            config.
+            program execution (``trace``), the compute dtype and the kernel
+            backend.  Every refresh recompiles with the same config.
         profile: Attach a :class:`~repro.utils.profiler.PhaseProfiler` to
             this engine and time every execution phase with per-IR-op names
             (``ir3:conv[dense]+lrelu+aq`` on the traced path,

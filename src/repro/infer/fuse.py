@@ -17,7 +17,7 @@ passes run for both dtypes, in order:
    into an int conv/linear.
 3. **Dead-value elimination** — nodes whose outputs are never read (and
    aren't the program output) are dropped.
-4. **Batch blocking** — every node kind except ``linear``/``fallback`` is
+4. **Batch blocking** — every node kind except ``linear`` is
    per-sample independent (numpy's batched ``matmul`` runs one GEMM per
    sample, so splitting the batch is *bitwise invariant*); nodes before the
    first non-blockable one execute in cache-sized batch blocks so the whole
@@ -49,7 +49,6 @@ from repro.infer import kernels
 from repro.infer.intq import kernels as int_kernels
 from repro.infer.intq.kernels import STEP_ARGS
 from repro.nn.arena import RegisterPlanner
-from repro.nn.tensor import Tensor, no_grad
 from repro.utils.profiler import active_profiler
 
 __all__ = ["TracedProgram", "fused_steps", "optimize"]
@@ -64,7 +63,6 @@ _BLOCK_MIN = 8
 _MAX_BOUND_STATES = 4
 
 _FUSABLE_PRODUCERS = ("conv", "linear", "add", "maxpool", "avgpool", "gap", "eltwise")
-_UNBLOCKABLE = ("linear", "fallback")
 
 _uid_counter = itertools.count(1)
 _uid_lock = threading.Lock()
@@ -174,9 +172,9 @@ def fused_steps(intq) -> dict:
     """The steps :func:`_fuse_epilogues` folds into each int conv/linear of
     the int8 program ``intq``, by op index.  The fold depends only on the
     program's dataflow, so one batch-1 trace answers for every shape."""
-    from repro.infer.trace import trace_intq
+    from repro.infer.trace import trace_plan
 
-    ir = trace_intq(intq, (1,) + tuple(intq.input_chw))
+    ir = trace_plan(intq, (1,) + tuple(intq.input_chw))
     _alias_flatten(ir)
     _fuse_epilogues(ir)
     return {n.op.index: tuple(n.epilogue) for n in ir.nodes if n.kind in ("conv", "linear")}
@@ -199,9 +197,7 @@ def _node_scratch(ir, node, inplace: bool):
     if node.kind == "eltwise":
         chain = [node.head] + node.epilogue
         return kernels.eltwise_scratch(chain, vals[node.dst].shape[1:], inplace)
-    if node.kind in ("maxpool", "avgpool", "gap", "add"):
-        return kernels.epilogue_scratch(node.epilogue, vals[node.dst].shape[1:])
-    return []  # fallback: the module allocates its own intermediates
+    return kernels.epilogue_scratch(node.epilogue, vals[node.dst].shape[1:])
 
 
 def _phase_name(node) -> str:
@@ -349,19 +345,7 @@ class TracedProgram:
             )
         if kind == "gap":
             return kernels.bind_gap(x, out, scratch, node.epilogue, dtype, backend, rec)
-        if kind == "add":
-            return kernels.bind_add(
-                x, srcs[1], out, scratch, node.epilogue, dtype, backend, rec
-            )
-        # fallback: eager module forward, copied into the destination register
-        rec.setdefault("backend", "numpy")
-        module = op.module
-
-        def fallback():
-            with no_grad():
-                out[...] = module(Tensor(x)).data
-
-        return fallback
+        return kernels.bind_add(x, srcs[1], out, scratch, node.epilogue, dtype, backend, rec)
 
     def _bind(self, verdicts: dict) -> _BoundState:
         state = _BoundState()
@@ -457,7 +441,7 @@ def optimize(ir, plan) -> TracedProgram:
 
     # Batch-blocking cut: everything before the first non-per-sample node
     # runs in batch blocks, everything from it on runs full-batch.
-    cut = next((t for t, node in enumerate(nodes) if node.kind in _UNBLOCKABLE), len(nodes))
+    cut = next((t for t, node in enumerate(nodes) if node.kind == "linear"), len(nodes))
 
     # Storage scopes: a value lives per-block iff it is produced and fully
     # consumed inside the blocked region and is not the program output.

@@ -28,7 +28,7 @@ end-to-end in integer arithmetic:
 The ops are plain data, one per float op (plus the input quantize and
 output dequantize); each LeakyReLU and ActQuant becomes a standalone
 :class:`IntStepOp`.  Executing the program is the traced compiler's job:
-:func:`repro.infer.trace.trace_intq` lowers it into the float plans' IR,
+:func:`repro.infer.trace.trace_plan` lowers it into the float plans' IR,
 whose epilogue-fusion pass folds the steps into the conv/linear that
 feeds them, and :mod:`repro.infer.intq.kernels` binds each node.
 
@@ -57,7 +57,6 @@ from repro.infer.plan import (
     AvgPoolOp,
     ConvOp,
     ExecutionContext,
-    FallbackOp,
     FlattenOp,
     GlobalAvgPoolOp,
     LeakyReluOp,
@@ -436,11 +435,6 @@ class _IntQBuilder:
                 self.ops.append(IntFlattenOp(self._next_index(), op.src, op.dst))
             elif isinstance(op, AffineOp):
                 self._lower_affine(op)
-            elif isinstance(op, FallbackOp):
-                raise CompileError(
-                    f"int8 plan cannot lower FallbackOp for {type(op.module).__name__}; "
-                    "integer-only execution supports the compiled layer catalogue only"
-                )
             else:  # pragma: no cover - future op kinds fail loudly
                 raise CompileError(f"int8 plan has no lowering for {type(op).__name__}")
         # Output boundary: one float multiply back to logits.

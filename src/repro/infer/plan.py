@@ -49,7 +49,6 @@ from repro.nn.layers.linear import Linear
 from repro.nn.layers.norm import BatchNorm2d
 from repro.nn.layers.pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor, no_grad
 from repro.quant.activations import QuantizedActivation
 from repro.quant.qlayers import QConv2d, QLinear
 from repro.utils.profiler import active_profiler
@@ -100,9 +99,10 @@ class PlanConfig:
             is recorded once per input shape into generated fused kernels
             with pre-bound buffers, epilogue fusion, liveness-based register
             reuse and cache-sized batch blocking.  Bitwise-identical to the
-            op-by-op interpreter; shapes that fail to trace fall back
-            transparently.  ``trace=False`` runs a float plan op by op (the
-            byte reference); an int8 plan always runs traced.
+            op-by-op interpreter.  A batch shape the plan cannot run raises
+            :class:`~repro.errors.ShapeError`.  ``trace=False`` runs a float
+            plan op by op (the byte reference); an int8 plan always runs
+            traced.
         dtype: Compute domain.  ``"float"`` (default) runs the plan in its
             floating-point dtype; ``"int8"`` lowers the compiled plan into
             an integer-only program (:mod:`repro.infer.intq`): bit-packed
@@ -521,20 +521,6 @@ class FlattenOp:
         ctx.slots[self.dst] = x.reshape(x.shape[0], -1)
 
 
-@dataclass
-class FallbackOp:
-    """Escape hatch: run an uncompilable module's eager forward (no grad)."""
-
-    index: int
-    src: int
-    dst: int
-    module: Module
-
-    def run(self, ctx: ExecutionContext) -> None:
-        with no_grad():
-            ctx.slots[self.dst] = self.module(Tensor(ctx.slots[self.src])).data
-
-
 def execute_ops(
     ops: list, x: np.ndarray, ctx: ExecutionContext, out_slot: int, dtype: np.dtype = np.float64
 ) -> np.ndarray:
@@ -586,16 +572,14 @@ class WeightBinding:
 
     def current_fp(self) -> tuple:
         """Content fingerprint catching raw ``.data`` and BN-statistics
-        mutations that bypass the version counters.  Covers the thresholds
-        too: for FLightNN a raw threshold edit changes the quantized weights
-        (and possibly the dead-filter structure) without touching the
-        master weight."""
-        w = self.layer.weight.data
-        fp: list[float] = [float(w.sum()), float(np.abs(w).sum())]
-        thresholds = getattr(self.layer, "thresholds", None)
-        if thresholds is not None:
-            t = thresholds.data
-            fp.extend([float(t.sum()), float(np.abs(t).sum())])
+        mutations that bypass the version counters: a sum and an absolute
+        sum of every tensor in :attr:`tensors`, plus the BN running
+        statistics.  Covers the thresholds too: for FLightNN a raw threshold
+        edit changes the quantized weights (and possibly the dead-filter
+        structure) without touching the master weight."""
+        fp: list[float] = []
+        for t in self.tensors:
+            fp += [float(t.data.sum()), float(np.abs(t.data).sum())]
         if self.bn is not None:
             fp.extend(bn_fingerprint(self.bn))
         return tuple(fp)
@@ -639,11 +623,8 @@ class ExecutionPlan:
         self.layer_info = layer_info or []
         #: Whether dead-filter elimination removed anything.
         self.pruned = pruned
-        #: Traced programs per input shape (lazy; see :meth:`execute`) and
-        #: shapes that failed to trace (memoized so they don't retry per
-        #: batch).
+        #: Traced programs per input shape (lazy; see :meth:`execute`).
         self._traced: dict[tuple, Any] = {}
-        self._trace_failed: set[tuple] = set()
         #: Integer-only twin program (:mod:`repro.infer.intq`), attached by
         #: :func:`compile_network` when ``config.dtype == "int8"``; when
         #: set, :meth:`execute` routes batches through it.
@@ -718,10 +699,11 @@ class ExecutionPlan:
         program when compiled with ``dtype="int8"``), so the payload can be
         published into shared memory (:mod:`repro.utils.shm`) for cluster
         workers, with the weight arrays hoisted out of the pickle stream.
-        Workers run a float plan's ops through :func:`execute_ops`, and an
-        int8 plan through :meth:`execute` on a plan rebuilt from the payload
-        (so its traced programs, like the engine's), against their own
-        :class:`ExecutionContext` — plan and context stay separate.
+        Cluster workers run a float plan's ops through :func:`execute_ops`
+        (the interpreter, which needs no native compile at worker start),
+        and an int8 plan through :meth:`execute` on a plan rebuilt from the
+        payload (so its traced programs, like the engine's), against their
+        own :class:`ExecutionContext` — plan and context stay separate.
         """
         return {
             "ops": self.ops,
@@ -738,9 +720,15 @@ class ExecutionPlan:
         shape-specialized traced program — generated fused kernels with
         pre-bound buffers (:mod:`repro.infer.fuse`), compiled lazily on the
         first batch of each input shape and bitwise-identical to the
-        interpreter.  Shapes that fail to trace, and ``trace=False`` plans,
-        run op-by-op via :func:`execute_ops`.  An int8 plan always runs its
-        integer program traced; it returns float64 logits.
+        interpreter.  ``trace=False`` float plans run op by op via
+        :func:`execute_ops`.  An int8 plan always runs its integer program
+        traced; it returns float64 logits.
+
+        Raises:
+            ShapeError: If ``x`` is not NCHW, or is a shape the plan cannot
+                run (a channel count its first conv does not take, an image
+                too small for its pools, another size than an int8 plan was
+                calibrated on).
         """
         shape = np.shape(x)
         if len(shape) != 4:
@@ -752,27 +740,26 @@ class ExecutionPlan:
                 f"{', '.join(map(str, intq.input_chw))}); got {shape} — rebuild the plan "
                 "for this input size"
             )
-        if intq is not None or self.config.trace:
-            program = self._traced.get(shape)
-            if program is None:
-                program = self.traced_program(shape)
-            if program is not None:
-                return program.run(x, ctx)
-        return execute_ops(self.ops, x, ctx, self.out_slot, self.dtype)
+        if intq is None and not self.config.trace:
+            return execute_ops(self.ops, x, ctx, self.out_slot, self.dtype)
+        program = self._traced.get(shape)
+        if program is None:
+            program = self.traced_program(shape)
+        return program.run(x, ctx)
 
     def traced_program(self, input_shape: tuple):
-        """The traced program for ``input_shape`` (compiled lazily), or
-        ``None`` if that shape cannot be traced (an int8 plan raises)."""
+        """The traced program for ``input_shape``, compiled on first use.
+
+        Raises:
+            ShapeError: If the plan cannot run on ``input_shape``; nothing
+                is memoized for it.
+        """
         shape = tuple(int(s) for s in input_shape)
         program = self._traced.get(shape)
-        if program is None and shape not in self._trace_failed:
+        if program is None:
             from repro.infer.trace import build_traced_program
 
-            program = build_traced_program(self, shape)
-            if program is None:
-                self._trace_failed.add(shape)
-            else:
-                self._traced[shape] = program
+            program = self._traced[shape] = build_traced_program(self, shape)
         return program
 
     def stale_bindings(self, fingerprint: bool = True) -> list[WeightBinding]:
@@ -897,14 +884,9 @@ class _Compiler:
         # Avoid a hard dependency cycle: BasicBlock lives in repro.models.
         if type(module).__name__ == "BasicBlock" and hasattr(module, "shortcut"):
             return self.emit_basic_block(module, src)
-        if not any(True for _ in module.named_children()) and not list(
-            module.named_parameters()
-        ):
-            # Stateless leaf module (e.g. a custom activation): safe fallback.
-            return self._push(FallbackOp(len(self.ops), src, self._new_slot(), module))
         raise CompileError(
             f"cannot compile module of type {type(module).__name__}; "
-            "add a lowering rule in repro.infer.plan or mark it stateless"
+            "add a lowering rule in repro.infer.plan"
         )
 
     def emit_sequence(self, mods: list[Module], src: int) -> int:

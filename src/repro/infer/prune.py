@@ -21,10 +21,10 @@ keeps flowing downstream.  This pass makes the plan physically smaller:
 4. slim the producer's rows, bias, and any standalone affine on the path.
 
 A producer is left untouched ("blocked") when a dead channel reaches the
-plan output, a residual :class:`AddOp`, a :class:`FallbackOp`, or a shape
-the walk cannot reason about — correctness first, pruning second.  Rows
-whose live columns are all zero but whose *removed* columns are not stay
-unpruned too: their output is a bias map, not a single constant.
+plan output, a residual :class:`AddOp`, or a shape the walk cannot reason
+about — correctness first, pruning second.  Rows whose live columns are all
+zero but whose *removed* columns are not stay unpruned too: their output is
+a bias map, not a single constant.
 """
 
 from __future__ import annotations

@@ -8,19 +8,15 @@ ids.  The result is a linear program with explicit dataflow, which is what
 the optimizer in :mod:`repro.infer.fuse` needs to reason about epilogue
 fusion legality (single-reader intermediates), buffer lifetimes (liveness
 intervals over node positions) and batch-blocking legality (every node kind
-recorded here except ``linear``/``fallback`` is per-sample independent).
+recorded here except ``linear`` is per-sample independent).
 
-Tracing is *total or nothing*: any op the lowering doesn't understand, any
-shape that doesn't propagate cleanly (and any exception at all — tracing
-must never take execution down) returns ``None``, and the plan keeps
-running through the op-by-op interpreter for that input shape.  A
-``FallbackOp`` is traceable — its output shape is learned by probing the
-wrapped module on a single zero sample — but pins itself and everything
-after it to full-batch execution.
-
-:func:`trace_intq` lowers an int8 plan's integer program into the same IR
-(values then carry integer dtypes).  It has no interpreter behind it, so
-it raises instead of returning ``None``.
+One recorder loop lowers both dtypes: a float plan's ops through
+:func:`_float_node`, an int8 plan's integer program through
+:func:`_intq_node` (values then carry integer dtypes).  Tracing is the only
+way a plan runs a batch (short of ``PlanConfig(trace=False)``), so it is
+total or it raises: an op whose input shape it cannot take raises
+:class:`~repro.errors.ShapeError` naming the op and the shape, and nothing
+is memoized for that input shape.
 
 Shapes recorded here mirror each op's ``run()`` arithmetic exactly (same
 floor-division output sizes, same im2col column counts), so a program built
@@ -42,14 +38,13 @@ from repro.infer.plan import (
     AvgPoolOp,
     ConvOp,
     ExecutionPlan,
-    FallbackOp,
     FlattenOp,
     GlobalAvgPoolOp,
     LeakyReluOp,
     LinearOp,
     MaxPoolOp,
 )
-from repro.errors import CompileError
+from repro.errors import ShapeError
 from repro.infer.intq.build import (
     IntAddOp,
     IntAffineOp,
@@ -63,12 +58,8 @@ from repro.infer.intq.build import (
     IntStepOp,
     IntSumPoolOp,
 )
-from repro.nn.tensor import Tensor, no_grad
-from repro.utils.logging import get_logger
 
-__all__ = ["Val", "IRNode", "IRProgram", "trace_plan", "trace_intq", "build_traced_program"]
-
-logger = get_logger("infer.trace")
+__all__ = ["Val", "IRNode", "IRProgram", "trace_plan", "build_traced_program"]
 
 
 @dataclass
@@ -93,8 +84,8 @@ class IRNode:
     """One typed instruction: base computation + fused elementwise epilogue.
 
     ``kind`` is one of ``conv | linear | eltwise | maxpool | avgpool | gap |
-    add | flatten | fallback``.  ``op`` is the originating plan op (arrays
-    and geometry are read from it at bind time).
+    add | flatten``.  ``op`` is the originating plan op (arrays and geometry
+    are read from it at bind time).
     ``head`` (eltwise only) is the node's own elementwise step; ``epilogue``
     holds steps fused in behind the base computation by the optimizer.
 
@@ -150,20 +141,6 @@ class _Recorder:
         self.slot_val[op.dst] = node.dst
 
 
-def _conv_out_shape(op: ConvOp, src: tuple) -> "tuple | None":
-    if len(src) != 4:
-        return None
-    n, c, h, w = src
-    k, s, p = op.kernel, op.stride, op.padding
-    if op.weight2d.shape[1] != c * k * k:
-        return None  # channel layout drifted from the traced input
-    oh = (h + 2 * p - k) // s + 1
-    ow = (w + 2 * p - k) // s + 1
-    if oh < 1 or ow < 1:
-        return None
-    return (n, op.weight2d.shape[0], oh, ow)
-
-
 def _pool_out_shape(op, src: tuple) -> "tuple | None":
     if len(src) != 4:
         return None
@@ -174,80 +151,49 @@ def _pool_out_shape(op, src: tuple) -> "tuple | None":
     return (src[0], src[1], oh, ow)
 
 
-def _fallback_out_shape(op: FallbackOp, src: tuple, dtype: np.dtype) -> "tuple | None":
-    """Learn the module's output shape by probing one zero sample."""
-    try:
-        with no_grad():
-            out = op.module(Tensor(np.zeros((1,) + src[1:], dtype))).data
-    except Exception:
+def _conv_out_shape(op, src: tuple, weight2d: np.ndarray) -> "tuple | None":
+    """A conv's NCHW output shape, or ``None`` when ``src`` does not match
+    the columns of its ``(filters, C*k*k)`` weight matrix or leaves no
+    output pixel."""
+    if len(src) != 4 or weight2d.shape[1] != src[1] * op.kernel**2:
         return None
-    return (src[0],) + tuple(out.shape[1:])
-
-
-def trace_plan(plan: ExecutionPlan, input_shape: tuple) -> "IRProgram | None":
-    """Record ``plan`` as an :class:`IRProgram` for ``input_shape``.
-
-    Returns ``None`` whenever any op fails to lower — callers fall back to
-    the op-by-op interpreter, never error.
-    """
-    input_shape = tuple(int(s) for s in input_shape)
-    if len(input_shape) != 4:
+    oh = (src[2] + 2 * op.padding - op.kernel) // op.stride + 1
+    ow = (src[3] + 2 * op.padding - op.kernel) // op.stride + 1
+    if oh < 1 or ow < 1:
         return None
-    rec = _Recorder(input_shape, plan.dtype)
-    vals, slot_val = rec.vals, rec.slot_val
+    return (src[0], weight2d.shape[0], oh, ow)
 
-    def emit(op, kind: str, srcs: tuple, shape: tuple, head=None) -> None:
-        rec.emit(op, kind, srcs, shape, plan.dtype, head)
 
-    for op in plan.ops:
-        src = slot_val.get(op.src)
-        if src is None:
+def _float_node(op, shape: tuple, dtype: np.dtype):
+    """``(kind, output shape, output dtype, head)`` of one float plan op,
+    or ``None`` when it does not fit ``shape``."""
+    if isinstance(op, ConvOp):
+        out = _conv_out_shape(op, shape, op.weight2d)
+        return None if out is None else ("conv", out, dtype, None)
+    if isinstance(op, LinearOp):
+        if len(shape) != 2 or shape[1] != op.weight_t.shape[0]:
             return None
-        shape = vals[src].shape
-        if isinstance(op, ConvOp):
-            out = _conv_out_shape(op, shape)
-            if out is None:
-                return None
-            emit(op, "conv", (src,), out)
-        elif isinstance(op, LinearOp):
-            if len(shape) != 2 or shape[1] != op.weight_t.shape[0]:
-                return None
-            emit(op, "linear", (src,), (shape[0], op.weight_t.shape[1]))
-        elif isinstance(op, LeakyReluOp):
-            emit(op, "eltwise", (src,), shape, head=("lrelu", float(op.slope)))
-        elif isinstance(op, ActQuantOp):
-            emit(op, "eltwise", (src,), shape, head=("aq", float(op.step), float(op.half)))
-        elif isinstance(op, AffineOp):
-            if len(shape) != 4 or shape[1] != op.scale.size:
-                return None
-            emit(op, "eltwise", (src,), shape, head=("affine", op.scale, op.shift))
-        elif isinstance(op, MaxPoolOp) or isinstance(op, AvgPoolOp):
-            out = _pool_out_shape(op, shape)
-            if out is None:
-                return None
-            emit(op, "maxpool" if isinstance(op, MaxPoolOp) else "avgpool", (src,), out)
-        elif isinstance(op, GlobalAvgPoolOp):
-            if len(shape) != 4:
-                return None
-            emit(op, "gap", (src,), shape[:2])
-        elif isinstance(op, AddOp):
-            src2 = slot_val.get(op.src2)
-            if src2 is None or vals[src2].shape != shape:
-                return None
-            emit(op, "add", (src, src2), shape)
-        elif isinstance(op, FlattenOp):
-            emit(op, "flatten", (src,), (shape[0], prod(shape[1:])))
-        elif isinstance(op, FallbackOp):
-            out = _fallback_out_shape(op, shape, plan.dtype)
-            if out is None:
-                return None
-            emit(op, "fallback", (src,), out)
-        else:
-            return None  # unknown op type: stay on the interpreter
-    out_val = slot_val.get(plan.out_slot)
-    if out_val is None or out_val == 0:
-        return None
-    return IRProgram(rec.nodes, vals, out_val, input_shape)
+        return "linear", (shape[0], op.weight_t.shape[1]), dtype, None
+    if isinstance(op, LeakyReluOp):
+        return "eltwise", shape, dtype, ("lrelu", float(op.slope))
+    if isinstance(op, ActQuantOp):
+        return "eltwise", shape, dtype, ("aq", float(op.step), float(op.half))
+    if isinstance(op, AffineOp):
+        if len(shape) != 4 or shape[1] != op.scale.size:
+            return None
+        return "eltwise", shape, dtype, ("affine", op.scale, op.shift)
+    if isinstance(op, (MaxPoolOp, AvgPoolOp)):
+        out = _pool_out_shape(op, shape)
+        if out is None:
+            return None
+        return ("maxpool" if isinstance(op, MaxPoolOp) else "avgpool"), out, dtype, None
+    if isinstance(op, GlobalAvgPoolOp):
+        return ("gap", shape[:2], dtype, None) if len(shape) == 4 else None
+    if isinstance(op, AddOp):
+        return "add", shape, dtype, None
+    if isinstance(op, FlattenOp):
+        return "flatten", (shape[0], prod(shape[1:])), dtype, None
+    return None
 
 
 def _intq_node(op, shape: tuple, dtype: np.dtype):
@@ -264,13 +210,8 @@ def _intq_node(op, shape: tuple, dtype: np.dtype):
             return None
         return "eltwise", shape, op.out_dtype, ("affine",)
     if isinstance(op, IntConvOp):
-        if len(shape) != 4 or op.consts["W"].shape[1] != shape[1] * op.kernel**2:
-            return None
-        oh = (shape[2] + 2 * op.padding - op.kernel) // op.stride + 1
-        ow = (shape[3] + 2 * op.padding - op.kernel) // op.stride + 1
-        if oh < 1 or ow < 1:
-            return None
-        return "conv", (shape[0], op.filters, oh, ow), op.out_dtype, None
+        out = _conv_out_shape(op, shape, op.consts["W"])
+        return None if out is None else ("conv", out, op.out_dtype, None)
     if isinstance(op, IntLinearOp):
         if len(shape) != 2 or op.consts["W"].shape[0] != shape[1]:
             return None
@@ -291,57 +232,51 @@ def _intq_node(op, shape: tuple, dtype: np.dtype):
     return None
 
 
-def trace_intq(intq, input_shape: tuple) -> IRProgram:
-    """Record an int8 plan's integer program for one NCHW ``input_shape``.
+def trace_plan(plan, input_shape: tuple) -> IRProgram:
+    """Record ``plan`` as an :class:`IRProgram` for one NCHW ``input_shape``.
 
-    The same IR as a float plan, with per-value dtypes: float64 input,
-    integer codes, float64 logits.  Unlike :func:`trace_plan` this raises
-    :class:`~repro.errors.CompileError` on an op or shape it cannot lower,
-    since an int8 plan has no interpreter to fall back to.
+    ``plan`` is an :class:`~repro.infer.plan.ExecutionPlan`, whose int8
+    program is traced when it has one, or an
+    :class:`~repro.infer.intq.IntQProgram` itself.  A float plan's values
+    carry its compute dtype; an int8 program's carry per-value dtypes
+    (float64 input, integer codes, float64 logits).
+
+    Raises:
+        ShapeError: If an op cannot run on the shape that reaches it.
     """
+    intq = plan.intq if isinstance(plan, ExecutionPlan) else plan
+    if intq is None:
+        ops, out_slot, dtype, lower = plan.ops, plan.out_slot, plan.dtype, _float_node
+    else:
+        ops, out_slot, dtype, lower = intq.ops, intq.out_slot, np.float64, _intq_node
     input_shape = tuple(int(s) for s in input_shape)
-    rec = _Recorder(input_shape, np.float64)
-    for op in intq.ops:
-        src = rec.slot_val[op.src]
-        shape, dtype = rec.vals[src].shape, rec.vals[src].dtype
-        lowered = _intq_node(op, shape, dtype)
-        srcs = (src,)
-        if isinstance(op, IntAddOp):
-            srcs = (src, rec.slot_val[op.src2])
-            if rec.vals[srcs[1]].shape != shape:
-                lowered = None
-        if lowered is None:
-            raise CompileError(
-                f"int8 op {op.index} ({type(op).__name__}) cannot run on input shape "
-                f"{shape} traced from {input_shape}"
+    if len(input_shape) != 4:
+        raise ShapeError(f"plan input must be NCHW, got shape {input_shape}")
+    rec = _Recorder(input_shape, dtype)
+    for op in ops:
+        srcs = (rec.slot_val[op.src],)
+        if isinstance(op, (AddOp, IntAddOp)):
+            srcs += (rec.slot_val[op.src2],)
+        shape = rec.vals[srcs[0]].shape
+        lowered = lower(op, shape, rec.vals[srcs[0]].dtype)
+        if lowered is None or any(rec.vals[s].shape != shape for s in srcs[1:]):
+            raise ShapeError(
+                f"op {op.index} ({type(op).__name__}) cannot run on shape {shape} "
+                f"traced from input shape {input_shape}"
             )
         kind, out_shape, out_dtype, head = lowered
         rec.emit(op, kind, srcs, out_shape, out_dtype, head)
-    return IRProgram(rec.nodes, rec.vals, rec.slot_val[intq.out_slot], input_shape, intq=True)
+    return IRProgram(
+        rec.nodes, rec.vals, rec.slot_val[out_slot], input_shape, intq=intq is not None
+    )
 
 
 def build_traced_program(plan: ExecutionPlan, input_shape: tuple):
     """Trace + optimize ``plan`` for one input shape.
 
-    For a float plan the traced path is an accelerator, never a correctness
-    dependency: any failure in tracing or optimization is logged and
-    swallowed (``None``), and the plan keeps executing through the
-    interpreter for that shape.  An int8 plan runs only traced, so its
-    failures raise.
+    Raises:
+        ShapeError: If the plan cannot run on ``input_shape``.
     """
     from repro.infer.fuse import optimize
 
-    if plan.intq is not None:
-        return optimize(trace_intq(plan.intq, input_shape), plan)
-    try:
-        ir = trace_plan(plan, input_shape)
-        if ir is None:
-            return None
-        return optimize(ir, plan)
-    except Exception:  # pragma: no cover - defensive, interpreter fallback
-        logger.warning(
-            "tracing failed for input shape %s; using op-by-op execution",
-            tuple(input_shape),
-            exc_info=True,
-        )
-        return None
+    return optimize(trace_plan(plan, input_shape), plan)

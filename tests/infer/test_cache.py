@@ -18,7 +18,12 @@ from repro.errors import ConfigurationError, StalePlanError
 from repro.infer import InferenceEngine, PlanConfig
 from repro.infer import fold, plan as plan_module
 from repro.nn.arena import BufferArena, use_arena
+from repro.nn.layers.activation import LeakyReLU
+from repro.nn.layers.container import Sequential
+from repro.nn.layers.conv import Conv2d
+from repro.nn.layers.linear import Linear
 from repro.nn.layers.norm import BatchNorm2d
+from repro.nn.layers.pooling import GlobalAvgPool2d
 from repro.nn.tensor import Tensor
 from repro.quant.sparsify import sparsify_model
 from repro.train import TrainConfig, Trainer
@@ -167,6 +172,42 @@ def test_bn_running_stats_mutation_is_caught():
     np.testing.assert_allclose(
         engine.predict_logits(images), eager_logits(model, images), atol=1e-10
     )
+
+
+def _first_bn(model):
+    return next(m for m in model.modules() if isinstance(m, BatchNorm2d))
+
+
+def _conv_bias_model():
+    rng = np.random.default_rng(3)
+    model = Sequential(
+        Conv2d(3, 4, kernel_size=3, padding=1, bias=True, rng=rng),
+        LeakyReLU(0.1),
+        GlobalAvgPool2d(),
+        Linear(4, 3, rng=rng),
+    )
+    model.eval()
+    return model, model[0].bias
+
+
+@pytest.mark.parametrize("tensor", ["gamma", "beta", "conv_bias"])
+def test_raw_affine_and_bias_edits_are_caught(tensor):
+    """Raw ``.data`` edits of a BN gamma/beta or a conv bias bump no
+    version counter; the content fingerprint covers them, so ``refresh()``
+    recompiles and the logits match a fresh engine byte for byte."""
+    if tensor == "conv_bias":
+        model, target = _conv_bias_model()
+    else:
+        model = build_small_network(4)
+        target = getattr(_first_bn(model), tensor)
+    engine = InferenceEngine(model)
+    images = sample_images(5, seed=8)
+    before = engine.predict_logits(images)
+    target.data[...] = target.data * 2 + 0.5
+    assert engine.refresh() == 1
+    after = engine.predict_logits(images)
+    assert after.tobytes() != before.tobytes()
+    assert after.tobytes() == InferenceEngine(model).predict_logits(images).tobytes()
 
 
 def _train_forward(model, arena=None):

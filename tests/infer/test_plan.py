@@ -8,7 +8,9 @@ import pytest
 from repro.errors import CompileError, ShapeError
 from repro.infer import ExecutionContext, compile_network
 from repro.infer.fold import bn_eval_affine
-from repro.infer.plan import AffineOp, ConvOp, FallbackOp, LinearOp
+from repro.infer import InferenceEngine, PlanConfig
+from repro.infer import plan as plan_module
+from repro.infer.plan import AffineOp, ConvOp, LinearOp
 from repro.nn.layers.container import Sequential
 from repro.nn.layers.conv import Conv2d
 from repro.nn.layers.linear import Linear
@@ -53,15 +55,18 @@ def test_conv_bn_pair_folds_to_single_op(rng):
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
-def test_stateless_leaf_gets_fallback_op(rng):
+def test_stateless_leaf_raises(rng):
+    """A module with no lowering rule fails compilation even when it holds
+    no parameters: a plan never runs a module's eager forward."""
+
     class Clamp(Module):
         def forward(self, x):
             return x.clip(-1.0, 1.0)
 
     net = Sequential(Conv2d(3, 4, kernel_size=1, rng=rng), Clamp())
     net.eval()
-    plan = compile_network(net)
-    assert any(isinstance(op, FallbackOp) for op in plan.ops)
+    with pytest.raises(CompileError, match="Clamp"):
+        compile_network(net)
 
 
 def test_unknown_stateful_module_raises(rng):
@@ -87,6 +92,45 @@ def test_non_nchw_input_raises():
     plan = compile_network(model)
     with pytest.raises(ShapeError):
         plan.execute(np.zeros((3, 16, 16)), ExecutionContext())
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(1, 3, 2, 2), (1, 4, 16, 16)],
+    ids=["too-small-for-the-pools", "wrong-channel-count"],
+)
+def test_float_engine_rejects_a_shape_it_cannot_run(shape):
+    """A float batch the plan cannot take raises instead of running the
+    interpreter: pools that leave no pixel (the interpreter returned NaN
+    logits) and a channel count the first conv does not read."""
+    engine = InferenceEngine(build_small_network(4))
+    with pytest.raises(ShapeError, match=r"\((ConvOp|MaxPoolOp)\) cannot run on shape"):
+        engine.forward_batch(np.zeros(shape))
+
+
+def test_failed_shape_is_not_memoized(monkeypatch):
+    """A shape that failed leaves no program behind, and the next good
+    batch still runs traced (never through the interpreter)."""
+    model = build_small_network(4)
+    plan = compile_network(model)
+    for bad in [(1, 3, 2, 2), (1, 4, 16, 16)]:
+        for _ in range(2):  # raises again: the failure was not cached
+            with pytest.raises(ShapeError):
+                plan.execute(np.zeros(bad), ExecutionContext())
+    assert plan._traced == {}
+
+    def interpreted(*args, **kwargs):
+        raise AssertionError("the traced plan fell through to the interpreter")
+
+    monkeypatch.setattr(plan_module, "execute_ops", interpreted)
+    images = sample_images(3, seed=4)
+    got = plan.execute(images, ExecutionContext())
+    assert list(plan._traced) == [images.shape]
+    monkeypatch.undo()
+    want = compile_network(model, config=PlanConfig(trace=False)).execute(
+        images, ExecutionContext()
+    )
+    assert got.tobytes() == want.tobytes()
 
 
 def test_scratch_buffers_are_reused_and_rebound_on_shape_change():
