@@ -13,10 +13,9 @@ synthetic CIFAR-shaped data for the small Table-1 configurations, plus:
 * a sparsity sweep: synthetically sparsified nets
   (:func:`~repro.quant.sparsify.sparsify_model`) at several dead-filter
   fractions, timing the sparsity-aware engine (dead-filter pruning +
-  autotuned shift-plane kernels) against the PR 1 dense engine
-  (``PlanConfig(prune=False, kernel="dense")``) so the speedup-vs-sparsity
-  curve is tracked across PRs.  Every engine row also records its plan's
-  kernel choices, k_i histogram and pruned-filter counts;
+  live-row GEMMs) against the unpruned engine (``PlanConfig(prune=False)``)
+  so the speedup-vs-sparsity curve is tracked across PRs.  Every engine row
+  also records its plan's GEMM rows, k_i histogram and pruned-filter counts;
 * a fusion sweep: the traced-program executor (fused codegen kernels,
   liveness-based buffer reuse, batch blocking — ``PlanConfig(trace=True)``)
   against the same dense plan run op-by-op, at batch 1 and batch 64, with a
@@ -31,11 +30,12 @@ synthetic CIFAR-shaped data for the small Table-1 configurations, plus:
   counts.  The int8 mode models the hardware datapath; numpy's integer
   matmuls bypass BLAS, so its host throughput is reported for tracking,
   not as a speedup claim;
-* a kernel variant sweep (``--variant-sweep``): on synthetically
-  sparsified nets, ``PlanConfig(kernel="auto")`` against forced
-  ``"dense"`` and ``"shift_plane"`` end to end at batch 1 and 64, with
-  interleaved medians, per-rep win counts and each layer's autotune pick —
-  the evidence for keeping the float shift-plane kernel.
+* a pruning sweep (``--variant-sweep``): on synthetically sparsified nets,
+  the default plan against ``PlanConfig(prune=False)`` end to end at batch
+  1 and 64, with interleaved medians, per-rep win counts and the layers
+  whose GEMM skips dead rows, plus a cold-cache compile row for ResNet
+  net 2 (``plan.compile_s`` and the first forward, on an empty native
+  compile cache).
 
 A default run merges its sections into an existing ``--out`` file, so the
 sweep sections recorded by the flags below survive a re-run.
@@ -94,8 +94,8 @@ PARITY_WIDTH_SCALE = {3: 0.25, 7: 0.25, 8: 0.5}
 # at >= 30% dead filters.
 SPARSITY_CONFIGS = (1, 4)
 SPARSITY_FRACTIONS = (0.3, 0.5, 0.7)
-# PR 1 equivalent: no pruning, plain dense im2col GEMM kernels.
-DENSE_BASELINE = PlanConfig(prune=False, kernel="dense")
+# No dead-filter elimination: every layer keeps its dead rows.
+DENSE_BASELINE = PlanConfig(prune=False)
 # Fusion sweep: traced-program executor (fused codegen kernels, liveness
 # buffer reuse, batch blocking) against the same plan run op-by-op.  The PR
 # acceptance bar is >= 1.3x at batch 1 and >= 1.15x at batch 64 on at least
@@ -103,8 +103,8 @@ DENSE_BASELINE = PlanConfig(prune=False, kernel="dense")
 FUSION_CONFIGS = (1, 2, 4, 5)
 FUSION_BATCHES = (1, 64)
 # PR 5 dense path: same kernels/pruning state, no tracing.
-UNTRACED_BASELINE = PlanConfig(prune=False, kernel="dense", trace=False)
-TRACED_FUSED = PlanConfig(prune=False, kernel="dense")  # trace/fuse default on
+UNTRACED_BASELINE = PlanConfig(prune=False, trace=False)
+TRACED_FUSED = PlanConfig(prune=False)  # trace/fuse default on
 # Integer-only sweep: int8 execution mode vs the float64 engine.  Parity is
 # checked on every Table-1 structure; only the small nets are timed.
 INT_CONFIGS = (1, 4, 5)
@@ -115,13 +115,13 @@ INT_PARITY_BATCH = 16
 # dtypes; on a toolchain-free host the sweep records the fallback instead.
 NATIVE_CONFIGS = (1, 4, 5)
 NATIVE_BATCHES = (1, 64)
-# Kernel variant sweep: kernel="auto" vs forced dense / shift_plane on
-# sparsified nets.  Only the ResNet (net 2) keeps dead rows past pruning, so
-# only it gives autotune candidates; the VGG nets measure the noise floor.
+# Pruning sweep: the default plan vs PlanConfig(prune=False) on sparsified
+# nets.  Only the ResNet (net 2) keeps dead rows past pruning (those feeding
+# a residual add); its GEMMs skip them.
 VARIANT_CONFIGS = (1, 2, 4, 5)
 VARIANT_FRACTIONS = (0.3, 0.5)
 VARIANT_BATCHES = (1, 64)
-VARIANT_KERNELS = ("auto", "dense", "shift_plane")
+VARIANT_PLANS = {"default": PlanConfig(), "unpruned": PlanConfig(prune=False)}
 
 
 def _build(network_id: int, scheme_key: str = SCHEME, width_scale: float = 1.0, seed: int = 0):
@@ -159,7 +159,7 @@ def _timed(fn) -> float:
 
 
 def _plan_fields(engine: InferenceEngine) -> dict:
-    """Compact plan metadata for a bench row: kernels, k_hist, pruning."""
+    """Compact plan metadata for a bench row: GEMM rows, k_hist, pruning."""
     summary = engine.plan_summary()
     return {
         "pruned_filters": summary["pruned_filters_total"],
@@ -171,7 +171,7 @@ def _plan_fields(engine: InferenceEngine) -> dict:
             {
                 "op_index": entry["op_index"],
                 "type": entry["type"],
-                "kernel": entry["kernel"],
+                "gemm_rows": entry["gemm_rows"],
                 "pruned_filters": entry["pruned_filters"],
                 "dead_remaining": entry["dead_remaining"],
                 "k_hist": entry.get("k_hist"),
@@ -523,7 +523,7 @@ def _print_int(rows: list[dict], summary: dict) -> None:
 def _native_row(network_id: int, reps: int, batches: tuple[int, ...] = NATIVE_BATCHES) -> dict:
     """Time the native C kernels against the numpy codegen on the same plan,
     in both execution dtypes, with bitwise-equality checks and the per-layer
-    backend selections the autotuner/self-check ladder actually made."""
+    backend selections the self-check ladder actually made."""
     model = _build(network_id)
     engines = {
         "numpy": InferenceEngine(model, config=PlanConfig(backend="numpy")),
@@ -683,16 +683,13 @@ def _print_fusion(rows: list[dict], summary: dict) -> None:
 def _variant_row(
     network_id: int, fraction: float, reps: int, batches: tuple[int, ...] = VARIANT_BATCHES
 ) -> dict:
-    """Time ``kernel="auto"`` against forced dense and shift_plane on one
-    sparsified net, per batch size: interleaved medians, how many reps each
-    variant beat dense in, and each candidate layer's autotune pick.
-
-    The variant order rotates every rep.  A net without candidates (every
-    dead row pruned) compiles the same program under "auto" and "dense",
-    so its auto-vs-dense ratio is the measurement's own noise floor."""
+    """Time the default plan against ``PlanConfig(prune=False)`` on one
+    sparsified net, per batch size: interleaved medians (the order rotates
+    every rep), how many reps the default plan won, and the layers whose
+    GEMM skips dead rows pruning had to keep."""
     model = _build(network_id)
     report = sparsify_model(model, fraction)
-    engines = {k: InferenceEngine(model, config=PlanConfig(kernel=k)) for k in VARIANT_KERNELS}
+    engines = {k: InferenceEngine(model, config=cfg) for k, cfg in VARIANT_PLANS.items()}
     rng = np.random.default_rng(network_id + 700)
     row: dict = {
         "network_id": network_id,
@@ -700,20 +697,15 @@ def _variant_row(
         "structure": model.config.structure,
         "dead_fraction_requested": fraction,
         "dead_fraction_actual": report["dead_fraction"],
-        "autotune": [
-            {
-                "op_index": entry["op_index"],
-                "type": entry["type"],
-                "chosen": entry["autotune"]["chosen"],
-                "backend": entry["autotune"]["backend"],
-                "dense_s": entry["autotune"]["dense_s"],
-                "shift_plane_s": entry["autotune"]["shift_plane_s"],
-            }
-            for entry in engines["auto"].plan.layer_info
-            if "autotune" in entry
+        "live_row_layers": [
+            {"op_index": e["op_index"], "type": e["type"],
+             "rows": e["filters"] - e["pruned_filters"], "gemm_rows": e["gemm_rows"]}
+            for e in engines["default"].plan.layer_info
+            if e["gemm_rows"] < e["filters"] - e["pruned_filters"]
         ],
         "batches": {},
     }
+    order = list(engines)
     for batch in batches:
         images = rng.normal(0.0, 1.0, (batch, 3, IMAGE_SIZE, IMAGE_SIZE))
         for eng in engines.values():  # warm: trace, bind, native compiles
@@ -724,73 +716,117 @@ def _variant_row(
         )
         inner = max(1, min(20, int(0.02 / max(once, 1e-6))))
         times: dict[str, list[float]] = {k: [] for k in engines}
-        for rep in range(reps):  # interleave variants, rotating the order
-            for key in VARIANT_KERNELS[rep % 3 :] + VARIANT_KERNELS[: rep % 3]:
+        for rep in range(reps):  # interleave plans, rotating the order
+            for key in order[rep % 2 :] + order[: rep % 2]:
                 t0 = time.perf_counter()
                 for _ in range(inner):
                     engines[key].forward_batch(images, check_stale=False)
                 times[key].append((time.perf_counter() - t0) / inner)
         med = {k: statistics.median(v) for k, v in times.items()}
-        spec: dict = {f"{k}_s": med[k] for k in engines}
-        for k in ("auto", "shift_plane"):
-            spec[f"{k}_vs_dense"] = med["dense"] / med[k]
-            spec[f"{k}_wins_vs_dense"] = sum(
-                t < d for t, d in zip(times[k], times["dense"])
-            )
-        spec["reps"] = reps
-        row["batches"][str(batch)] = spec
+        row["batches"][str(batch)] = {
+            "default_s": med["default"],
+            "unpruned_s": med["unpruned"],
+            "default_vs_unpruned": med["unpruned"] / med["default"],
+            "default_wins": sum(t < u for t, u in zip(times["default"], times["unpruned"])),
+            "reps": reps,
+        }
     return row
 
 
+def cold_compile_row(network_id: int = 2, fraction: float = 0.5, batch: int = 1) -> dict:
+    """Plan compile time and first forward of the default plan on an empty
+    native compile cache (a private ``REPRO_CACHE_DIR``, in-process caches
+    cleared): what a fresh process pays before its first logits."""
+    import tempfile
+
+    from repro.infer import clear_caches
+    from repro.infer.native import binding
+
+    model = _build(network_id)
+    sparsify_model(model, fraction)
+    images = np.random.default_rng(network_id + 900).normal(
+        0.0, 1.0, (batch, 3, IMAGE_SIZE, IMAGE_SIZE)
+    )
+    saved = os.environ.get("REPRO_CACHE_DIR")
+    with tempfile.TemporaryDirectory() as cache:
+        os.environ["REPRO_CACHE_DIR"] = cache
+        binding.reset()
+        clear_caches()
+        try:
+            t0 = time.perf_counter()
+            engine = InferenceEngine(model)
+            compile_s = time.perf_counter() - t0
+            first_forward_s = _timed(lambda: engine.forward_batch(images, check_stale=False))
+            compiles = binding.status()["compiles"]
+        finally:
+            if saved is None:
+                os.environ.pop("REPRO_CACHE_DIR", None)
+            else:
+                os.environ["REPRO_CACHE_DIR"] = saved
+            binding.reset()
+            clear_caches()
+    return {
+        "network_id": network_id,
+        "dead_fraction_requested": fraction,
+        "batch": batch,
+        "compile_s": compile_s,
+        "first_forward_s": first_forward_s,
+        "native_compiles": compiles,
+    }
+
+
 def _variant_summary(rows: list[dict]) -> dict:
-    """Per batch size, split by whether the net had autotune candidates:
-    the range of auto-vs-dense speedups and the win counts."""
-    out: dict = {"autotune_picks": {}}
-    for row in rows:
-        for pick in row["autotune"]:
-            out["autotune_picks"][pick["chosen"]] = out["autotune_picks"].get(pick["chosen"], 0) + 1
+    """Per batch size, split by whether the net kept dead rows in a GEMM:
+    the range of default-vs-unpruned speedups and the win counts."""
+    out: dict = {}
     for group, members in (
-        ("with_candidates", [r for r in rows if r["autotune"]]),
-        ("no_candidates", [r for r in rows if not r["autotune"]]),
+        ("with_live_rows", [r for r in rows if r["live_row_layers"]]),
+        ("fully_pruned", [r for r in rows if not r["live_row_layers"]]),
     ):
         for batch in sorted({b for r in members for b in r["batches"]}, key=int):
             specs = [r["batches"][batch] for r in members if batch in r["batches"]]
             out.setdefault(group, {})[f"batch{batch}"] = {
                 "nets": sorted({r["network_id"] for r in members}),
-                "min_auto_vs_dense": min(s["auto_vs_dense"] for s in specs),
-                "max_auto_vs_dense": max(s["auto_vs_dense"] for s in specs),
-                "auto_wins_vs_dense": sum(s["auto_wins_vs_dense"] for s in specs),
-                "shift_plane_wins_vs_dense": sum(s["shift_plane_wins_vs_dense"] for s in specs),
+                "min_default_vs_unpruned": min(s["default_vs_unpruned"] for s in specs),
+                "max_default_vs_unpruned": max(s["default_vs_unpruned"] for s in specs),
+                "default_wins": sum(s["default_wins"] for s in specs),
                 "pairs": sum(s["reps"] for s in specs),
             }
     return out
 
 
 def run_variant_sweep(reps: int = 5, smoke: bool = False) -> dict:
-    """Just the kernel variant sweep, for merging into an existing
-    BENCH_infer.json (``--variant-sweep``) and the CI smoke job."""
+    """Just the pruning sweep and the cold-compile row, for merging into an
+    existing BENCH_infer.json (``--variant-sweep``) and the CI smoke job."""
     if smoke:
         rows = [_variant_row(2, 0.5, reps, batches=(1,))]
     else:
         rows = [
             _variant_row(nid, frac, reps) for nid in VARIANT_CONFIGS for frac in VARIANT_FRACTIONS
         ]
-    return {"variant_sweep": rows, "variant_summary": _variant_summary(rows)}
+    return {
+        "variant_sweep": rows,
+        "variant_summary": _variant_summary(rows),
+        "cold_compile": cold_compile_row(),
+    }
 
 
-def _print_variant(rows: list[dict], summary: dict) -> None:
+def _print_variant(rows: list[dict], summary: dict, cold: dict) -> None:
     for row in rows:
         parts = [
-            f"b{batch} auto {spec['auto_vs_dense']:.2f}x ({spec['auto_wins_vs_dense']}/"
-            f"{spec['reps']} wins), shift_plane {spec['shift_plane_vs_dense']:.2f}x"
+            f"b{batch} {spec['default_vs_unpruned']:.2f}x ({spec['default_wins']}/"
+            f"{spec['reps']} wins)"
             for batch, spec in row["batches"].items()
         ]
-        picks = [p["chosen"] for p in row["autotune"]]
         print(
-            f"net{row['network_id']} {row['dead_fraction_actual']:.0%} dead vs dense: "
-            f"{' | '.join(parts)} | picks {picks.count('shift_plane')}/{len(picks)} shift_plane"
+            f"net{row['network_id']} {row['dead_fraction_actual']:.0%} dead, default vs "
+            f"unpruned: {' | '.join(parts)} | {len(row['live_row_layers'])} live-row layers"
         )
     print(f"variants: {summary}")
+    print(
+        f"cold compile net{cold['network_id']}: {cold['compile_s']:.3f} s + first forward "
+        f"{cold['first_forward_s']:.3f} s ({cold['native_compiles']} native compiles)"
+    )
 
 
 def main(argv=None) -> None:
@@ -819,14 +855,14 @@ def main(argv=None) -> None:
     parser.add_argument(
         "--variant-sweep",
         action="store_true",
-        help="run only the kernel=auto vs forced dense/shift_plane sweep on "
-        "sparsified nets and merge the rows into --out (other sections of an "
-        "existing file are kept)",
+        help="run only the default-plan vs prune=False sweep on sparsified "
+        "nets and the cold-compile row, and merge them into --out (other "
+        "sections of an existing file are kept)",
     )
     parser.add_argument(
         "--clear-cache",
         action="store_true",
-        help="clear the in-memory and on-disk kernel/autotune/native caches "
+        help="clear the in-memory and on-disk kernel/native caches "
         "before running, for cold-cache measurements",
     )
     parser.add_argument(
@@ -837,14 +873,15 @@ def main(argv=None) -> None:
         from repro.infer import clear_caches
 
         clear_caches(disk=True)
-        print("kernel/autotune/native caches cleared (memory + disk)")
+        print("kernel/native caches cleared (memory + disk)")
     if args.variant_sweep:
         sweep = run_variant_sweep(reps=args.reps, smoke=args.smoke)
         result = json.loads(args.out.read_text()) if args.out.exists() else {}
         result["variant_sweep"] = sweep["variant_sweep"]
+        result["cold_compile"] = sweep["cold_compile"]
         result.setdefault("summary", {})["variants"] = sweep["variant_summary"]
         args.out.write_text(json.dumps(result, indent=2) + "\n")
-        _print_variant(sweep["variant_sweep"], sweep["variant_summary"])
+        _print_variant(sweep["variant_sweep"], sweep["variant_summary"], sweep["cold_compile"])
         print(f"-> {args.out}")
         return
     if args.native_sweep:

@@ -2,11 +2,11 @@
 
 Turns a trained :class:`~repro.models.network.QuantizedNetwork` into a flat
 grad-free execution plan with quantized-weight caching, conv+BN folding,
-scratch-buffer reuse and thread batch sharding.  Sparsity-aware passes
-(dead-filter elimination, shift-plane kernels, per-layer kernel autotuning)
-run at plan time under :class:`~repro.infer.plan.PlanConfig`; execution then
-goes through shape-specialized traced programs — fused, codegen'd kernels
-with liveness-reused buffers (:mod:`repro.infer.trace`,
+scratch-buffer reuse and thread batch sharding.  Dead filters are
+eliminated at plan time under :class:`~repro.infer.plan.PlanConfig`; a
+layer whose dead rows pruning must keep runs its GEMM over the live rows
+only.  Execution then goes through shape-specialized traced programs —
+fused, codegen'd kernels with liveness-reused buffers (:mod:`repro.infer.trace`,
 :mod:`repro.infer.fuse`, :mod:`repro.infer.kernels`) — bitwise-identical to
 the op-by-op interpreter.  An int8 plan (:mod:`repro.infer.intq`) lowers
 to an integer program that runs through the same traced compiler.  See
@@ -24,7 +24,6 @@ from repro.infer.plan import (
     compile_network,
     plan_dtype,
 )
-from repro.infer.shift_plane import build_shift_planes, supports_shift_planes
 from repro.infer.trace import build_traced_program, trace_plan
 
 __all__ = [
@@ -36,8 +35,6 @@ __all__ = [
     "plan_dtype",
     "bn_eval_affine",
     "dead_filter_rows",
-    "build_shift_planes",
-    "supports_shift_planes",
     "build_traced_program",
     "trace_plan",
     "shard_slices",

@@ -91,9 +91,8 @@ class InferenceEngine:
             :func:`~repro.infer.plan.plan_dtype`).
         config: Sparsity/trace-pass knobs
             (:class:`~repro.infer.plan.PlanConfig`): dead-filter pruning,
-            kernel selection (dense / shift-plane / autotuned), traced-
-            program execution (``trace``), the compute dtype and the kernel
-            backend.  Every refresh recompiles with the same config.
+            traced-program execution (``trace``), the compute dtype and the
+            kernel backend.  Every refresh recompiles with the same config.
         profile: Attach a :class:`~repro.utils.profiler.PhaseProfiler` to
             this engine and time every execution phase with per-IR-op names
             (``ir3:conv[dense]+lrelu+aq`` on the traced path,
@@ -151,10 +150,9 @@ class InferenceEngine:
     def _refresh_stale_locked(self, stale: list) -> int:
         """Recompile the plan under the lock; returns ``len(stale)``.
 
-        Every refresh is a full :func:`compile_network`, so pruning,
-        shift-plane attachment, autotuning and the int8 program all follow
-        the new weights (a new k histogram can move the dead-filter
-        layout).  The swap is atomic under the refresh lock; callers still
+        Every refresh is a full :func:`compile_network`, so pruning, the
+        live-row GEMMs and the int8 program all follow the new weights (a
+        new k histogram can move the dead-filter layout).  The swap is atomic under the refresh lock; callers still
         running the old plan finish on it.
         """
         for b in stale:

@@ -190,10 +190,7 @@ def _node_scratch(ir, node, inplace: bool):
     if ir.intq:
         return int_kernels.node_scratch(node, vals)
     if node.kind in ("conv", "linear"):
-        impl = getattr(op, "impl", "dense")
-        return kernels.producer_scratch(
-            node.kind, op, vals[node.srcs[0]].shape, impl, node.epilogue
-        )
+        return kernels.producer_scratch(node.kind, op, vals[node.srcs[0]].shape, node.epilogue)
     if node.kind == "eltwise":
         chain = [node.head] + node.epilogue
         return kernels.eltwise_scratch(chain, vals[node.dst].shape[1:], inplace)
@@ -333,7 +330,7 @@ class TracedProgram:
             if kind == "conv":
                 out = out.reshape(out.shape[0], out.shape[1], -1)
             return kernels.bind_producer(
-                kind, op, x, out, scratch, op.impl, node.epilogue, dtype, backend, rec
+                kind, op, x, out, scratch, node.epilogue, dtype, backend, rec
             )
         if kind == "eltwise":
             return kernels.bind_eltwise(

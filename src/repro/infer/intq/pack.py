@@ -29,8 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import CompileError
-from repro.infer.shift_plane import _layer_bank, supports_shift_planes
+from repro.quant.decompose import decompose_filter_bank, decompose_lightnn_bank
 from repro.quant.encoding import encode_terms
+from repro.quant.qlayers import FLightNNWeights, LightNNWeights
 
 __all__ = ["PackedWeights", "pack_weights"]
 
@@ -66,6 +67,21 @@ class PackedWeights:
     groups: list[tuple[int, np.ndarray]] | None
     k_max: int
     nonzero_terms: int
+
+
+def supports_shift_planes(layer) -> bool:
+    """Whether ``layer``'s strategy decomposes into power-of-two planes."""
+    return isinstance(getattr(layer, "strategy", None), (FLightNNWeights, LightNNWeights))
+
+
+def _layer_bank(layer):
+    """``(term bank, pow2 config)`` of a plane-decomposable layer."""
+    quantizer = layer.strategy.quantizer
+    if isinstance(layer.strategy, FLightNNWeights):
+        bank = decompose_filter_bank(layer.weight.data, layer.thresholds.data, quantizer)
+    else:
+        bank = decompose_lightnn_bank(layer.weight.data, quantizer.config.k, quantizer.config.pow2)
+    return bank, quantizer.config.pow2
 
 
 def _slice_planes(

@@ -1,8 +1,8 @@
 """Native C kernel backend for the traced plan compiler.
 
 Lowers the same fused IR the numpy codegen executes into small C
-translation units — dense GEMM + im2col, shift-plane accumulate, the
-conv→BN→LeakyReLU→ActQuant epilogues, and the intq GEMM/requant path —
+translation units — dense GEMM (over the live rows where some are all
+zero) + im2col, the conv→BN→LeakyReLU→ActQuant epilogues, and the intq GEMM/requant path —
 compiled per structural signature via cffi (ctypes fallback) with an
 on-disk compile cache.  Every kernel self-verifies bitwise against the
 numpy codegen on its first call; any failure anywhere in the ladder

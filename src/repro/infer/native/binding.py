@@ -362,11 +362,12 @@ def _blas_slots() -> list[int] | None:
 # -- float64 producers --------------------------------------------------------
 
 
-def make_producer(kind, op, x, out, scratch, impl, sig, spec, numpy_thunk, record):
+def make_producer(kind, op, x, out, scratch, sig, spec, numpy_thunk, record):
     """Native conv/linear kernel bound over the fused node's arrays, or
     ``None``.  ``sig`` is the pre-``repr``'d epilogue signature and
     ``spec`` the numpy kernel's cache spec (reused, impl-prefixed, as the
-    native cache key)."""
+    native cache key).  A GEMM over ``op.gemm_rows`` also gets ``pos``:
+    each output row's index into ``part``, or -1 for a skipped row."""
     if not available():
         return None
     if spec.dtype != "float64":
@@ -378,10 +379,16 @@ def make_producer(kind, op, x, out, scratch, impl, sig, spec, numpy_thunk, recor
     if bslots is None:
         return _decline((kind, "blas"), "no verifiable OpenBLAS for bitwise GEMMs")
     ilp64 = blas.blas_info()["ilp64"]
-    if not _contig_f64(x, out):
+    part = scratch.get("part")
+    if not _contig_f64(x, out, part):
         return _decline((kind, "layout"), "non-contiguous input/output view")
-    shift = impl == "shift_plane" and getattr(op, "shift", None) is not None
     scalars = codegen.epilogue_scalars(sig)
+    bias = None if op.bias is None else _const(op.bias)
+    weight, pos, rows = op.weight2d if kind == "conv" else op.weight_t, None, None
+    if op.gemm_rows is not None:
+        weight, rows = op.gemm_weight, op.gemm_rows.size
+        pos = np.full(out.shape[1], -1, np.int64)
+        pos[op.gemm_rows] = np.arange(rows)
     try:
         if kind == "conv":
             nb, c, h, w = x.shape
@@ -395,79 +402,41 @@ def make_producer(kind, op, x, out, scratch, impl, sig, spec, numpy_thunk, recor
             cols = scratch.get("cols")
             if not _contig_f64(pad, cols):
                 return _decline((kind, "layout"), "non-contiguous scratch view")
-            bias = None if op.bias is None else _const(op.bias)
             dead = None
             if op.dead_in_weight2d is not None:
                 dead = _const(op._dead_bias_map(h, w))
                 if dead.shape != (f, length):
                     return _decline((kind, "dead"), "unexpected dead-map shape")
-            arrays = [*bslots, x, pad, cols, bias, dead, out]
+            arrays = [*bslots, x, pad, cols, bias, dead, out, _const(weight), pos, part]
             dims = [nb, c, h, w, k, s, p, f, ckk, length, oh, ow,
                     int(pad is not None), int(onebyone),
-                    int(bias is not None), int(dead is not None)]
-            if shift:
-                dims.append(len(op.shift.planes))
-                for j, plane in enumerate(op.shift.planes):
-                    wj = _const(plane.weight)
-                    idx = None if plane.col_index is None else _const(plane.col_index, np.int64)
-                    rows = None if plane.rows is None else _const(plane.rows, np.int64)
-                    sel = scratch.get(f"sel{j}")
-                    part = scratch[f"part{j}"]
-                    if not _contig_f64(sel, part):
-                        return _decline((kind, "layout"), "non-contiguous plane scratch")
-                    arrays += [wj, idx, sel, part, rows]
-                    dims += [wj.shape[0], wj.shape[1],
-                             int(idx is not None), int(rows is not None)]
-            else:
-                dims.append(0)
-                arrays.append(_const(op.weight2d))
+                    int(bias is not None), int(dead is not None), f if rows is None else rows]
             consts = {"C": c, "H": h, "W": w, "K": k, "S": s, "P": p,
-                      "F": f, "CKK": ckk, "L": length, "OH": oh, "OW": ow}
+                      "F": f, "CKK": ckk, "L": length, "OH": oh, "OW": ow, "R": dims[16]}
             source = codegen.conv_source(
-                impl if shift else "dense",
                 epi,
                 ilp64,
                 haspad=pad is not None,
                 onebyone=onebyone,
                 hb=bias is not None,
                 hd=dead is not None,
+                rows=rows is not None,
                 consts=consts,
             )
         else:  # linear
             nb, in_f = x.shape
             f = op.weight_t.shape[1]
-            bias = None if op.bias is None else _const(op.bias)
-            arrays = [*bslots, x, bias, out]
-            dims = [nb, in_f, f, int(bias is not None)]
-            if shift:
-                dims.append(len(op.shift.planes))
-                for j, plane in enumerate(op.shift.planes):
-                    wj = _const(plane.weight)
-                    idx = None if plane.col_index is None else _const(plane.col_index, np.int64)
-                    rows = None if plane.rows is None else _const(plane.rows, np.int64)
-                    sel = scratch.get(f"sel{j}")
-                    part = scratch[f"part{j}"]
-                    if not _contig_f64(sel, part):
-                        return _decline((kind, "layout"), "non-contiguous plane scratch")
-                    arrays += [wj, idx, sel, part, rows]
-                    dims += [wj.shape[1], wj.shape[0],
-                             int(idx is not None), int(rows is not None)]
-            else:
-                dims.append(0)
-                arrays.append(_const(op.weight_t))
-            consts = {"IN": in_f, "F": f}
+            arrays = [*bslots, x, bias, out, _const(weight), pos, part]
+            dims = [nb, in_f, f, int(bias is not None), f if rows is None else rows]
             source = codegen.linear_source(
-                impl if shift else "dense",
-                epi,
-                ilp64,
-                hb=bias is not None,
-                consts=consts,
+                epi, ilp64, hb=bias is not None, rows=rows is not None,
+                consts={"IN": in_f, "F": f, "R": dims[4]},
             )
         entry = _native_fn(spec, source)
     except toolchain.NativeUnavailable as err:
         return _decline((kind, "compile"), str(err))
     link = _pack_call(entry, arrays, dims, scalars)
-    return _checked(link, numpy_thunk, out, [x], record, f"{kind}/{impl}")
+    return _checked(link, numpy_thunk, out, [x], record, kind)
 
 
 # -- float64 pools / add / eltwise --------------------------------------------

@@ -176,12 +176,10 @@ def _dims_decl(slots: list, consts: dict) -> list[str]:
 
 # -- float64 producer kernels (conv / linear) ---------------------------------
 
-# conv ptr slots: 0 gemm 1 gemv 2 dot 3 x 4 pad 5 cols 6 bias 7 dead 8 out,
-#   shift planes append 5 slots each at 9+5j: w idx sel part rows
-#   (dense uses slot 9 for the single weight matrix).
+# conv ptr slots: 0 gemm 1 gemv 2 dot 3 x 4 pad 5 cols 6 bias 7 dead 8 out
+#   9 w, and with live rows 10 pos 11 part.
 # conv dims: 0 nb 1 C 2 H 3 W 4 K 5 S 6 P 7 F 8 CKK 9 L 10 OH 11 OW
-#   12 haspad 13 onebyone 14 hb 15 hd 16 nplanes, planes append 4 at 17+4j:
-#   rows_j kk_j has_sel_j has_rows_j
+#   12 haspad 13 onebyone 14 hb 15 hd 16 R (GEMM rows)
 
 # Row copies are plain loops, not memcpy: rows here are a few dozen doubles
 # and the ~C*K*K*OH call overhead of tiny memcpys dominates the actual copy
@@ -244,25 +242,29 @@ def _conv_im2col(
 
 
 def conv_source(
-    impl: str,
     epi: tuple,
     ilp64: bool,
     haspad: bool = True,
     onebyone: bool = False,
     hb: bool = True,
     hd: bool = True,
+    rows: bool = False,
     consts: dict | None = None,
 ) -> str:
-    """conv producer: im2col + per-sample GEMM (dense) or shift-plane
-    accumulate, then the bias/dead adds and the fused epilogue.
+    """conv producer: im2col + per-sample GEMM, then the bias/dead adds and
+    the fused epilogue.
 
-    ``haspad``/``onebyone``/``hb``/``hd`` are structural facts already in
-    the kernel spec (padding geometry, the ``bias``/``dead`` flags), so
-    they are baked into the source: the epilogue loop body is branch-free
-    and vectorizes.  A guarded ``v += hb ? bias[f] : 0.0`` would NOT be
-    equivalent — adding literal ``+0.0`` flips a ``-0.0`` output.
-    ``consts`` bakes spec-derivable dims (everything but the batch) as
-    compile-time constants; see :func:`_dims_decl`.
+    ``haspad``/``onebyone``/``hb``/``hd``/``rows`` are structural facts
+    already in the kernel spec (padding geometry, the ``bias``/``dead``/
+    ``rows`` flags), so they are baked into the source: the epilogue loop
+    body is branch-free and vectorizes.  A guarded ``v += hb ? bias[f] :
+    0.0`` would NOT be equivalent — adding literal ``+0.0`` flips a
+    ``-0.0`` output.  With ``rows`` the GEMM computes only the ``R`` live
+    rows into ``part``, and the epilogue reads row ``f`` from
+    ``part[pos[f]]``, or ``0.0`` where ``pos[f] < 0`` — the value the full
+    GEMM gives an all-zero row.  ``consts`` bakes spec-derivable dims
+    (everything but the batch) as compile-time constants; see
+    :func:`_dims_decl`.
     """
     body = [
         "void *gemm = ptrs[0], *gemv = ptrs[1], *dot = ptrs[2];",
@@ -275,7 +277,7 @@ def conv_source(
     ]
     body += _dims_decl(
         [("nb", 0), ("C", 1), ("H", 2), ("W", 3), ("K", 4), ("S", 5), ("P", 6),
-         ("F", 7), ("CKK", 8), ("L", 9), ("OH", 10), ("OW", 11)],
+         ("F", 7), ("CKK", 8), ("L", 9), ("OH", 10), ("OW", 11)] + [("R", 16)] * rows,
         consts or {},
     )
     body += [
@@ -288,49 +290,25 @@ def conv_source(
         "    double *on = out + n * F * L;",
     ]
     body += ["    " + ln for ln in _conv_im2col(haspad, onebyone)]
-    if impl == "shift_plane":
+    body.append("    const double *w = (const double *)ptrs[9];")
+    if rows:
         body += [
-            "    memset(on, 0, (size_t)(F * L) * sizeof(double));",
-            "    i64 nplanes = dims[16];",
-            "    for (i64 j = 0; j < nplanes; j++) {",
-            "        i64 rows_m = dims[17 + 4 * j], kk = dims[18 + 4 * j];",
-            "        i64 has_sel = dims[19 + 4 * j], has_rows = dims[20 + 4 * j];",
-            "        const double *wj = (const double *)ptrs[9 + 5 * j];",
-            "        const i64 *idx = (const i64 *)ptrs[10 + 5 * j];",
-            "        double *sel = (double *)ptrs[11 + 5 * j];",
-            "        double *part = (double *)ptrs[12 + 5 * j];",
-            "        const i64 *rows = (const i64 *)ptrs[13 + 5 * j];",
-            "        const double *psrc = src;",
-            "        if (has_sel) {",
-            "            double *sn = sel + n * kk * L;",
-            "            for (i64 ki = 0; ki < kk; ki++)",
-            "                memcpy(sn + ki * L, src + idx[ki] * L, (size_t)L * sizeof(double));",
-            "            psrc = sn;",
-            "        }",
-            "        double *pn = part + n * rows_m * L;",
-            "        mm(gemm, gemv, dot, rows_m, kk, L, wj, psrc, pn);",
-            "        if (has_rows) {",
-            "            for (i64 r = 0; r < rows_m; r++) {",
-            "                double *orow = on + rows[r] * L;",
-            "                const double *prow = pn + r * L;",
-            "                for (i64 l = 0; l < L; l++) orow[l] += prow[l];",
-            "            }",
-            "        } else {",
-            "            for (i64 e = 0; e < F * L; e++) on[e] += pn[e];",
-            "        }",
-            "    }",
+            "    const i64 *pos = (const i64 *)ptrs[10];",
+            "    double *pn = (double *)ptrs[11] + n * R * L;",
+            "    if (R > 0) mm(gemm, gemv, dot, R, CKK, L, w, src, pn);",
         ]
     else:
-        body += [
-            "    const double *w = (const double *)ptrs[9];",
-            "    mm(gemm, gemv, dot, F, CKK, L, w, src, on);",
-        ]
-    if hb or hd or epi:
-        body += [
-            "    for (i64 f = 0; f < F; f++) {",
-            "        for (i64 l = 0; l < L; l++) {",
-            "            v = on[f * L + l];",
-        ]
+        body.append("    mm(gemm, gemv, dot, F, CKK, L, w, src, on);")
+    if rows or hb or hd or epi:
+        body.append("    for (i64 f = 0; f < F; f++) {")
+        if rows:
+            body += [
+                "        const double *in = pos[f] < 0 ? 0 : pn + pos[f] * L;",
+                "        for (i64 l = 0; l < L; l++) {",
+                "            v = in ? in[l] : 0.0;",
+            ]
+        else:
+            body += ["        for (i64 l = 0; l < L; l++) {", "            v = on[f * L + l];"]
         if hb:
             body.append("            v += bias[f];")
         if hd:
@@ -345,18 +323,18 @@ def conv_source(
     return _prelude(blas=True, ilp64=ilp64) + _fn(body)
 
 
-# linear ptr slots: 0 gemm 1 gemv 2 dot 3 x 4 bias 5 out, planes at 6+5j:
-#   w idx sel part rows (dense uses slot 6 for the weight matrix).
-# linear dims: 0 nb 1 IN 2 F 3 hb 4 nplanes, planes at 5+4j:
-#   rows_j kk_j has_sel_j has_rows_j
+# linear ptr slots: 0 gemm 1 gemv 2 dot 3 x 4 bias 5 out 6 w, and with live
+#   rows 7 pos 8 part.
+# linear dims: 0 nb 1 IN 2 F 3 hb 4 R (GEMM rows)
 
 
 def linear_source(
-    impl: str, epi: tuple, ilp64: bool, hb: bool = True, consts: dict | None = None
+    epi: tuple, ilp64: bool, hb: bool = True, rows: bool = False, consts: dict | None = None
 ) -> str:
     """linear producer: one whole-batch GEMM (numpy's layout: ``x @ w``).
 
-    ``hb`` (bias presence, a spec flag) is baked in like the conv flags.
+    ``hb`` (bias presence) and ``rows`` (a GEMM over the ``R`` live rows
+    into ``part``) are spec flags, baked in like the conv flags.
     """
     body = [
         "void *gemm = ptrs[0], *gemv = ptrs[1], *dot = ptrs[2];",
@@ -364,50 +342,26 @@ def linear_source(
         "const double *bias = (const double *)ptrs[4];",
         "double *out = (double *)ptrs[5];",
     ]
-    body += _dims_decl([("nb", 0), ("IN", 1), ("F", 2)], consts or {})
+    body += _dims_decl([("nb", 0), ("IN", 1), ("F", 2)] + [("R", 4)] * rows, consts or {})
     body += [
         "(void)bias; (void)dims[3];",
         "double v, t; (void)t;",
+        "const double *w = (const double *)ptrs[6];",
     ]
-    if impl == "shift_plane":
+    if rows:
         body += [
-            "memset(out, 0, (size_t)(nb * F) * sizeof(double));",
-            "i64 nplanes = dims[4];",
-            "for (i64 j = 0; j < nplanes; j++) {",
-            "    i64 rows_m = dims[5 + 4 * j], kk = dims[6 + 4 * j];",
-            "    i64 has_sel = dims[7 + 4 * j], has_rows = dims[8 + 4 * j];",
-            "    const double *wj = (const double *)ptrs[6 + 5 * j];",
-            "    const i64 *idx = (const i64 *)ptrs[7 + 5 * j];",
-            "    double *sel = (double *)ptrs[8 + 5 * j];",
-            "    double *part = (double *)ptrs[9 + 5 * j];",
-            "    const i64 *rows = (const i64 *)ptrs[10 + 5 * j];",
-            "    const double *psrc = x;",
-            "    if (has_sel) {",
-            "        for (i64 n = 0; n < nb; n++)",
-            "            for (i64 ki = 0; ki < kk; ki++)",
-            "                sel[n * kk + ki] = x[n * IN + idx[ki]];",
-            "        psrc = sel;",
-            "    }",
-            "    mm(gemm, gemv, dot, nb, kk, rows_m, psrc, wj, part);",
-            "    if (has_rows) {",
-            "        for (i64 n = 0; n < nb; n++)",
-            "            for (i64 r = 0; r < rows_m; r++)",
-            "                out[n * F + rows[r]] += part[n * rows_m + r];",
-            "    } else {",
-            "        for (i64 e = 0; e < nb * F; e++) out[e] += part[e];",
-            "    }",
-            "}",
+            "const i64 *pos = (const i64 *)ptrs[7];",
+            "double *part = (double *)ptrs[8];",
+            "if (R > 0) mm(gemm, gemv, dot, nb, IN, R, x, w, part);",
         ]
     else:
-        body += [
-            "const double *w = (const double *)ptrs[6];",
-            "mm(gemm, gemv, dot, nb, IN, F, x, w, out);",
-        ]
-    if hb or epi:
+        body.append("mm(gemm, gemv, dot, nb, IN, F, x, w, out);")
+    if rows or hb or epi:
         body += [
             "for (i64 n = 0; n < nb; n++) {",
             "    for (i64 f = 0; f < F; f++) {",
-            "        v = out[n * F + f];",
+            "        v = pos[f] < 0 ? 0.0 : part[n * R + pos[f]];" if rows
+            else "        v = out[n * F + f];",
         ]
         if hb:
             body.append("        v += bias[f];")

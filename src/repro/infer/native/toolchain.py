@@ -12,7 +12,6 @@ Layout of the disk cache (``$REPRO_CACHE_DIR`` or ``~/.cache/repro``)::
 
     <root>/native/k<sha256[:24]>.c    generated source (kept for debugging)
     <root>/native/k<sha256[:24]>.so   compiled shared object
-    <root>/autotune_<hosthash>.json   persisted autotune decisions
 
 The key hashes the *source text plus the compiler command line*, so a flag
 or codegen change never reuses a stale binary; a warm plan build therefore
@@ -55,7 +54,6 @@ __all__ = [
     "compile_stats",
     "load_library",
     "loader_kind",
-    "toolchain_fingerprint",
     "reset",
 ]
 
@@ -157,16 +155,6 @@ def compile_flags() -> tuple:
         raise NativeUnavailable(
             f"compiler {cc!r} failed the probe compile: {proc.stderr.strip()[:200]}"
         )
-
-
-def toolchain_fingerprint() -> str:
-    """Short stable id of (compiler, flags) for autotune host keys."""
-    try:
-        cc = find_compiler()
-        flags = compile_flags()
-    except NativeUnavailable:
-        return "none"
-    return hashlib.sha256((cc + " " + " ".join(flags)).encode()).hexdigest()[:12]
 
 
 def _cache_key(source: str, cc: str, flags: tuple) -> str:

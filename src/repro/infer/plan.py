@@ -15,10 +15,9 @@ once:
   wherever their input buffer has no other reader;
 * with :class:`PlanConfig` (the default), dead quantized filters
   (``k_i = 0`` — all-zero rows) are physically eliminated and the channel
-  slimming propagated downstream (:mod:`repro.infer.prune`), shift-plane
-  kernels are attached where the quantized structure supports them
-  (:mod:`repro.infer.shift_plane`), and a small calibration pass picks the
-  faster kernel per layer (:mod:`repro.infer.autotune`).
+  slimming propagated downstream (:mod:`repro.infer.prune`); a float conv
+  or linear whose folded weight still has all-zero rows after that runs
+  its GEMM over the other rows only (``gemm_rows``).
 
 Execution uses an :class:`ExecutionContext` of preallocated scratch buffers
 (im2col columns, padded inputs, matmul outputs) that are reused across
@@ -29,7 +28,7 @@ no autograd graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -53,9 +52,6 @@ from repro.quant.activations import QuantizedActivation
 from repro.quant.qlayers import QConv2d, QLinear
 from repro.utils.profiler import active_profiler
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.infer.shift_plane import ShiftPlaneSet
-
 __all__ = [
     "ExecutionContext",
     "ExecutionPlan",
@@ -66,12 +62,10 @@ __all__ = [
     "plan_dtype",
 ]
 
-_KERNELS = ("auto", "dense", "shift_plane")
 _COMPUTE_DTYPES = ("float", "int8")
 _BACKENDS = ("auto", "numpy")
 
-#: Batch size of the synthetic calibration input: the float autotune times
-#: its kernel candidates on it, and the int8 build calibrates its grids on it.
+#: Batch size of the synthetic batch the int8 build calibrates its grids on.
 _CALIBRATION_BATCH = 16
 
 
@@ -85,15 +79,10 @@ class PlanConfig:
             downstream ops.  Output parity with eager is preserved exactly
             (the dead filters' constant contributions are folded into
             downstream biases).  A layer whose filters are *all* dead stays
-            in place as a constant producer.
-        kernel: Per-layer compute kernel: ``"dense"`` forces the plain
-            im2col GEMM everywhere, ``"shift_plane"`` forces the
-            power-of-two plane decomposition wherever the quantizer
-            supports it, and ``"auto"`` (default) builds shift planes for
-            layers that still carry dead rows after pruning and lets the
-            calibration pass pick the faster kernel per layer, timed on the
-            backend the plan runs on.  Float plans only: int8 conv/linear
-            ops always run one integer GEMM.
+            in place as a constant producer.  Dead rows pruning keeps
+            (those feeding a residual add or the plan output, or every row
+            with ``prune=False``) are still skipped by a float plan's GEMM,
+            which runs over the live rows only.
         trace: Execute through shape-specialized traced programs
             (:mod:`repro.infer.trace` / :mod:`repro.infer.fuse`): the plan
             is recorded once per input shape into generated fused kernels
@@ -121,14 +110,11 @@ class PlanConfig:
     """
 
     prune: bool = True
-    kernel: str = "auto"
     trace: bool = True
     dtype: str = "float"
     backend: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.kernel not in _KERNELS:
-            raise ConfigurationError(f"unknown kernel {self.kernel!r}; use one of {_KERNELS}")
         if self.backend not in _BACKENDS:
             raise ConfigurationError(
                 f"unknown backend {self.backend!r}; use one of {_BACKENDS}"
@@ -212,8 +198,10 @@ class ConvOp:
 
     Sparsity-aware extensions (set by the compilation passes, all optional):
 
-    * ``impl`` selects the compute kernel — ``"dense"`` (one GEMM) or
-      ``"shift_plane"`` (sum of per-level plane GEMMs over ``shift``);
+    * ``gemm_rows`` / ``gemm_weight``: when some rows of ``weight2d`` are
+      all zero, the GEMM computes only the other rows — ``gemm_rows`` lists
+      them and ``gemm_weight`` is ``weight2d[gemm_rows]`` — and the skipped
+      rows output zero plus their bias, as the full GEMM would;
     * ``live_rows`` / ``in_live_cols`` record which original filter rows /
       weight columns survived dead-filter pruning (``None`` = all);
     * ``dead_in_weight2d`` / ``dead_in_consts`` hold the removed input
@@ -231,8 +219,8 @@ class ConvOp:
     kernel: int
     stride: int
     padding: int
-    impl: str = "dense"
-    shift: "ShiftPlaneSet | None" = None
+    gemm_rows: np.ndarray | None = None
+    gemm_weight: np.ndarray | None = None
     live_rows: np.ndarray | None = None
     in_live_cols: np.ndarray | None = None
     dead_in_weight2d: np.ndarray | None = None
@@ -278,28 +266,13 @@ class ConvOp:
             cols = ctx.buffer(self.index, "cols", (n, c * k * k, oh * ow), x.dtype)
             cols.reshape(n, c, k, k, oh, ow)[...] = windows
         out = ctx.buffer(self.index, "out", (n, f, oh * ow), x.dtype)
-        if self.impl == "shift_plane" and self.shift is not None:
-            out[...] = 0.0
-            for level, plane in enumerate(self.shift.planes):
-                if plane.col_index is None:
-                    sel = cols
-                else:
-                    sel = ctx.buffer(
-                        self.index, f"cols{level}", (n, plane.col_index.size, oh * ow), x.dtype
-                    )
-                    np.take(cols, plane.col_index, axis=1, out=sel)
-                if plane.rows is None:
-                    part = ctx.buffer(self.index, f"part{level}", (n, f, oh * ow), x.dtype)
-                    np.matmul(plane.weight, sel, out=part)
-                    out += part
-                else:
-                    part = ctx.buffer(
-                        self.index, f"part{level}", (n, plane.rows.size, oh * ow), x.dtype
-                    )
-                    np.matmul(plane.weight, sel, out=part)
-                    out[:, plane.rows, :] += part
-        else:
+        if self.gemm_rows is None:
             np.matmul(self.weight2d, cols, out=out)
+        else:
+            part = ctx.buffer(self.index, "part", (n, self.gemm_rows.size, oh * ow), x.dtype)
+            np.matmul(self.gemm_weight, cols, out=part)
+            out[...] = 0.0
+            out[:, self.gemm_rows] = part
         if self.bias is not None:
             out += self.bias[:, None]
         if self.dead_in_weight2d is not None:
@@ -311,8 +284,9 @@ class ConvOp:
 class LinearOp:
     """Affine map ``x @ W.T + b`` with the quantized weight cached.
 
-    Carries the same sparsity extensions as :class:`ConvOp` (``impl``,
-    ``shift``, ``live_rows``, ``in_live_cols``); pruned input features need
+    Carries the same sparsity extensions as :class:`ConvOp` (``gemm_rows``
+    with ``gemm_weight`` as ``weight_t[:, gemm_rows]``, ``live_rows``,
+    ``in_live_cols``); pruned input features need
     no bias *map* here — their constant contribution is spatially uniform
     and is folded straight into ``bias`` at prune time.
     """
@@ -322,38 +296,21 @@ class LinearOp:
     dst: int
     weight_t: np.ndarray  # (in, out) — pre-transposed quantized weight
     bias: np.ndarray | None
-    impl: str = "dense"
-    shift: "ShiftPlaneSet | None" = None
+    gemm_rows: np.ndarray | None = None
+    gemm_weight: np.ndarray | None = None
     live_rows: np.ndarray | None = None
     in_live_cols: np.ndarray | None = None
 
     def run(self, ctx: ExecutionContext) -> None:
         x = ctx.slots[self.src]
         out = ctx.buffer(self.index, "out", (x.shape[0], self.weight_t.shape[1]), x.dtype)
-        if self.impl == "shift_plane" and self.shift is not None:
-            out[...] = 0.0
-            for level, plane in enumerate(self.shift.planes):
-                if plane.col_index is None:
-                    sel = x
-                else:
-                    sel = ctx.buffer(
-                        self.index, f"in{level}", (x.shape[0], plane.col_index.size), x.dtype
-                    )
-                    np.take(x, plane.col_index, axis=1, out=sel)
-                if plane.rows is None:
-                    part = ctx.buffer(
-                        self.index, f"part{level}", (x.shape[0], out.shape[1]), x.dtype
-                    )
-                    np.matmul(sel, plane.weight, out=part)
-                    out += part
-                else:
-                    part = ctx.buffer(
-                        self.index, f"part{level}", (x.shape[0], plane.rows.size), x.dtype
-                    )
-                    np.matmul(sel, plane.weight, out=part)
-                    out[:, plane.rows] += part
-        else:
+        if self.gemm_rows is None:
             np.matmul(x, self.weight_t, out=out)
+        else:
+            part = ctx.buffer(self.index, "part", (x.shape[0], self.gemm_rows.size), x.dtype)
+            np.matmul(x, self.gemm_weight, out=part)
+            out[...] = 0.0
+            out[:, self.gemm_rows] = part
         if self.bias is not None:
             out += self.bias
         ctx.slots[self.dst] = out
@@ -617,7 +574,7 @@ class ExecutionPlan:
         self.bindings = bindings
         self.dtype = np.dtype(dtype)
         self.config = config or PlanConfig()
-        #: Per weighted layer: kernel choice, k histogram, pruned counts…
+        #: Per weighted layer: GEMM rows, k histogram, pruned counts…
         #: (see :func:`_collect_layer_info`); surfaced through
         #: :meth:`summary` into ``/metrics``.
         self.layer_info = layer_info or []
@@ -634,7 +591,7 @@ class ExecutionPlan:
         return len(self.ops)
 
     def summary(self) -> dict:
-        """Plan metadata: kernel choices, k histograms, pruning counts."""
+        """Plan metadata: GEMM rows, k histograms, pruning counts."""
         kernels: dict[str, int] = {}
         k_hist: list[int] = []
         filters_total = pruned_total = dead_remaining = 0
@@ -673,7 +630,6 @@ class ExecutionPlan:
             "k_hist": k_hist,
             "config": {
                 "prune": self.config.prune,
-                "kernel": self.config.kernel,
                 "trace": self.config.trace,
                 "dtype": self.config.dtype,
                 "backend": self.config.backend,
@@ -1016,13 +972,22 @@ def _calibration_shape(model: Module) -> tuple[int, int, int, int] | None:
     return None if chw is None else (_CALIBRATION_BATCH, *chw)
 
 
+def _skip_dead_rows(op) -> None:
+    """Point a float conv/linear's GEMM at the rows of its folded weight
+    that are not all zero, when some are (see :class:`ConvOp`)."""
+    w = op.weight_t.T if isinstance(op, LinearOp) else op.weight2d
+    rows = np.flatnonzero(w.any(axis=1))
+    if rows.size < w.shape[0]:
+        op.gemm_rows = rows
+        op.gemm_weight = np.ascontiguousarray(
+            op.weight_t[:, rows] if isinstance(op, LinearOp) else op.weight2d[rows]
+        )
+
+
 def _collect_layer_info(
-    ops: list,
-    bindings: list[WeightBinding],
-    prune_report: dict,
-    autotune_report: dict,
+    ops: list, bindings: list[WeightBinding], prune_report: dict
 ) -> list[dict]:
-    """Per-layer plan metadata: kernel choice, k histogram, pruned counts."""
+    """Per-layer plan metadata: GEMM rows, k histogram, pruned counts."""
     layers = []
     prune_layers = prune_report.get("layers", {})
     for b in bindings:
@@ -1038,8 +1003,8 @@ def _collect_layer_info(
             "pruned_filters": built_rows - int(w.shape[0]),
             "pruned_inputs": built_cols - int(w.shape[1]),
             "dead_remaining": int(dead_filter_rows(w).size),
-            "kernel": op.impl,
-            "planes": 0 if op.shift is None else len(op.shift.planes),
+            "kernel": "dense",
+            "gemm_rows": int(w.shape[0] if op.gemm_rows is None else op.gemm_rows.size),
         }
         if hasattr(b.layer, "filter_k"):
             k = np.asarray(b.layer.filter_k())
@@ -1047,9 +1012,6 @@ def _collect_layer_info(
         pruned = prune_layers.get(b.op_index)
         if pruned is not None and pruned.get("blocked"):
             entry["blocked"] = pruned["blocked"]
-        tuned = autotune_report.get(b.op_index)
-        if tuned is not None:
-            entry["autotune"] = tuned
         layers.append(entry)
     return layers
 
@@ -1068,13 +1030,12 @@ def compile_network(
     rule.  ``dtype`` defaults to float64, which reproduces eager logits to
     ~1e-13; see :func:`plan_dtype` for the float32 deployment mode.
 
-    After lowering, the sparsity passes run under ``config`` (defaults to
-    :class:`PlanConfig`): dead-filter elimination, shift-plane attachment
-    and — when ``kernel="auto"`` finds candidates — per-layer kernel
-    autotuning on a synthetic calibration batch.  On models with no dead
-    filters all three passes are no-ops and compilation cost is unchanged.
-    An int8 plan skips the last two: its integer program never runs the
-    float kernels they choose between.
+    After lowering, dead-filter elimination runs under ``config``
+    (defaults to :class:`PlanConfig`).  Then each float conv/linear whose
+    folded weight still has all-zero rows gets a GEMM over its other rows
+    (:func:`_skip_dead_rows`); an int8 plan skips that, as its integer
+    program never runs the float kernels.  On models with no dead filters
+    both passes are no-ops.
     """
     cfg = config or PlanConfig()
     compiler = _Compiler(np.float64 if dtype is None else np.dtype(dtype))
@@ -1090,24 +1051,11 @@ def compile_network(
         from repro.infer.prune import prune_plan
 
         prune_report = prune_plan(compiler.ops, compiler.bindings, out, compiler.dtype)
-    candidates: list[int] = []
-    if cfg.dtype != "int8":
-        from repro.infer.shift_plane import attach_shift_planes
-
-        candidates = attach_shift_planes(compiler.ops, compiler.bindings, compiler.dtype, cfg)
+    if cfg.dtype == "float":
+        for binding in compiler.bindings:
+            _skip_dead_rows(compiler.ops[binding.op_index])
     compiler.mark_inplace()
-    autotune_report: dict = {}
-    if cfg.kernel == "auto" and candidates:
-        shape = _calibration_shape(model)
-        if shape is not None:
-            from repro.infer.autotune import autotune_ops
-
-            autotune_report = autotune_ops(
-                compiler.ops, candidates, shape, compiler.dtype, cfg.backend
-            )
-    layer_info = _collect_layer_info(
-        compiler.ops, compiler.bindings, prune_report, autotune_report
-    )
+    layer_info = _collect_layer_info(compiler.ops, compiler.bindings, prune_report)
     plan = ExecutionPlan(
         compiler.ops,
         out,

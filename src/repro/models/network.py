@@ -59,7 +59,7 @@ class QuantizedNetwork(Module):
         into the convolutions and serves grad-free batched prediction; see
         :mod:`repro.infer`.  ``config`` forwards a
         :class:`~repro.infer.PlanConfig` controlling the sparsity passes
-        (dead-filter pruning, shift-plane kernels, autotuning).
+        (dead-filter pruning, traced execution, compute dtype, backend).
         """
         # Imported here to avoid a models <-> infer import cycle.
         from repro.infer.engine import InferenceEngine

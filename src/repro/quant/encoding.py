@@ -91,9 +91,8 @@ def encode_terms(bank: DecomposedFilterBank, config: PowerOfTwoConfig) -> Encode
 def decode_plane(encoded: EncodedWeights, level: int) -> np.ndarray:
     """Decode one shift-code plane back to its signed power-of-two values.
 
-    This is the hardware-faithful source for the engine's shift-plane
-    kernel: plane ``level`` is exactly the level-``level`` single-shift
-    term of the Fig. 3 decomposition.
+    Plane ``level`` is exactly the level-``level`` single-shift term of
+    the Fig. 3 decomposition.
     """
     if not 0 <= level < encoded.signs.shape[0]:
         raise QuantizationError(

@@ -33,6 +33,7 @@ import time
 import numpy as np
 
 from repro.infer.plan import ExecutionContext, ExecutionPlan, execute_ops
+from repro.infer.trace import trace_plan
 from repro.utils.shm import load_object
 
 __all__ = ["worker_main"]
@@ -42,25 +43,29 @@ class _Program:
     """The published plan bound to this worker's private scratch context.
 
     An int8 plan runs traced, as in the engine (it has no interpreter); a
-    float plan runs op by op through :func:`execute_ops`.
+    float plan runs op by op through :func:`execute_ops`, which checks no
+    shapes.  So each new float batch shape is first traced symbolically
+    (:func:`~repro.infer.trace.trace_plan`, which compiles nothing): a
+    shape the plan cannot run raises :class:`~repro.errors.ShapeError`,
+    and the shapes that pass are remembered.
     """
 
     def __init__(self, payload: dict) -> None:
-        self.ops = payload["ops"]
-        self.out_slot = payload["out_slot"]
-        self.dtype = payload["dtype"]
-        self.plan = None
-        if payload["intq"] is not None:
-            self.plan = ExecutionPlan(
-                self.ops, self.out_slot, [], self.dtype, config=payload["config"]
-            )
-            self.plan.intq = payload["intq"]
+        self.plan = ExecutionPlan(
+            payload["ops"], payload["out_slot"], [], payload["dtype"], config=payload["config"]
+        )
+        self.plan.intq = payload["intq"]
         self.ctx = ExecutionContext()
+        self.shapes: set = set()
 
     def run(self, images: np.ndarray) -> np.ndarray:
-        if self.plan is not None:
-            return self.plan.execute(np.asarray(images), self.ctx)
-        return execute_ops(self.ops, images, self.ctx, self.out_slot, self.dtype)
+        plan = self.plan
+        if plan.intq is not None:
+            return plan.execute(images, self.ctx)
+        if images.shape not in self.shapes:
+            trace_plan(plan, images.shape)
+            self.shapes.add(images.shape)
+        return execute_ops(plan.ops, images, self.ctx, plan.out_slot, plan.dtype)
 
 
 def _load_program(handle) -> "tuple[_Program, object]":

@@ -194,9 +194,9 @@ class ModelRegistry:
         """``{model name: metrics snapshot}`` for every registered model.
 
         Each snapshot carries the engine's current plan summary under
-        ``"plan"`` — kernel choices, k histogram, pruned-filter counts, and
-        the traced-program block (fused-op counts, buffers eliminated,
-        peak intermediate bytes, kernel/autotune cache hit counters) — so
+        ``"plan"`` — GEMM rows per layer, k histogram, pruned-filter counts,
+        and the traced-program block (fused-op counts, buffers eliminated,
+        peak intermediate bytes, kernel cache hit counters) — so
         ``/metrics`` exposes both the sparsity state and the compilation
         state the model serves with (and reflects the recompiled plan after
         a hot weight refresh).

@@ -103,18 +103,20 @@ def test_native_sweep_smoke(tmp_path):
 @pytest.mark.infer_bench
 def test_variant_sweep_smoke(tmp_path):
     """The --variant-sweep section at smoke scale (ResNet net 2, 50% dead,
-    batch 1): every kernel policy is timed, and the residual-blocked layers
-    that keep dead rows report an autotune pick."""
+    batch 1): both plans are timed, the residual-blocked layers run their
+    GEMM over the live rows, and the cold-compile row is filled."""
     sweep = bench_infer.run_variant_sweep(reps=1, smoke=True)
 
     (row,) = sweep["variant_sweep"]
     assert row["network_id"] == 2
-    assert row["autotune"]  # ResNet conv2s keep dead rows: autotune candidates
-    assert {p["chosen"] for p in row["autotune"]} <= {"dense", "shift_plane"}
+    assert row["live_row_layers"]  # ResNet conv2s keep dead rows behind the add
+    assert all(l["gemm_rows"] < l["rows"] for l in row["live_row_layers"])
     spec = row["batches"]["1"]
-    assert spec["auto_s"] > 0 and spec["dense_s"] > 0 and spec["shift_plane_s"] > 0
-    assert 0 <= spec["auto_wins_vs_dense"] <= spec["reps"] == 1
-    assert sweep["variant_summary"]["with_candidates"]["batch1"]["pairs"] == 1
+    assert spec["default_s"] > 0 and spec["unpruned_s"] > 0
+    assert 0 <= spec["default_wins"] <= spec["reps"] == 1
+    assert sweep["variant_summary"]["with_live_rows"]["batch1"]["pairs"] == 1
+    cold = sweep["cold_compile"]
+    assert cold["network_id"] == 2 and cold["compile_s"] > 0 and cold["first_forward_s"] > 0
 
     out = tmp_path / "BENCH_variant.json"
     out.write_text(json.dumps(sweep))  # round-trips: everything is plain JSON

@@ -1,8 +1,7 @@
 """Native C backend: bitwise parity, fallback ladder and cache plumbing.
 
 Every native kernel must be *bitwise* identical to the numpy codegen it
-replaces — 8 Table-1 configs x {float64 under both float kernels, int8}
-— and the backend must degrade to numpy (never crash) when the toolchain
+replaces — 8 Table-1 configs x {float64, int8} — and the backend must degrade to numpy (never crash) when the toolchain
 is missing or a cached binary is corrupt.  Parity runs even on a toolchain-free host (both sides are
 then numpy and trivially equal); the "native actually executed"
 assertions are gated on :func:`binding.available`.
@@ -22,7 +21,6 @@ from repro.infer.native import binding, toolchain
 from tests.infer.conftest import build_small_network, sample_images
 
 ALL_CONFIGS = tuple(range(1, 9))
-KERNELS = ("dense", "shift_plane")
 
 NATIVE_OK = binding.available()
 needs_toolchain = pytest.mark.skipif(
@@ -58,34 +56,29 @@ def _traced_backend_counts(engine) -> dict:
 
 
 class TestBitwiseParity:
-    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("network_id", ALL_CONFIGS)
-    def test_float64(self, network_id, kernel):
+    def test_float64(self, network_id):
         """The default (native) backend reproduces backend="numpy"
         byte-for-byte."""
         model = build_small_network(network_id)
         images = sample_images(5, seed=network_id)
-        want = InferenceEngine(
-            model, config=PlanConfig(kernel=kernel, backend="numpy")
-        ).predict_logits(images)
-        native_engine = InferenceEngine(model, config=PlanConfig(kernel=kernel))
+        want = InferenceEngine(model, config=PlanConfig(backend="numpy")).predict_logits(images)
+        native_engine = InferenceEngine(model)
         got = native_engine.predict_logits(images)
         assert _bitwise_equal(got, want)
         if NATIVE_OK:
             counts = _traced_backend_counts(native_engine)
             assert counts.get("native", 0) > 0, counts
 
-    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("network_id", ALL_CONFIGS)
-    def test_int8(self, network_id, kernel):
-        """The integer program's native kernels are exact: same bits.
-        ``kernel`` is float-only; the int8 program ignores it."""
+    def test_int8(self, network_id):
+        """The integer program's native kernels are exact: same bits."""
         model = build_small_network(network_id)
         images = sample_images(4, seed=network_id)
         want = InferenceEngine(
-            model, config=PlanConfig(dtype="int8", kernel=kernel, backend="numpy")
+            model, config=PlanConfig(dtype="int8", backend="numpy")
         ).predict_logits(images)
-        native_engine = InferenceEngine(model, config=PlanConfig(dtype="int8", kernel=kernel))
+        native_engine = InferenceEngine(model, config=PlanConfig(dtype="int8"))
         got = native_engine.predict_logits(images)
         assert _bitwise_equal(got, want)
         if NATIVE_OK:
@@ -246,45 +239,13 @@ class TestKernelCacheLRU:
         assert builds == ["srcA", "srcB"]  # spec0 re-entry reused srcA
 
 
-class TestAutotunePersistence:
-    @pytest.fixture(autouse=True)
-    def hermetic_cache(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        yield
-
-    def test_roundtrip_across_instances(self):
-        key = ("conv", (16, 8, 8), "dense", 1)
-        first = kernels._AutotuneCache()
-        first.put(key, {"impl": "dense", "backend": "native"})
-        assert os.path.exists(first.disk_path())
-        fresh = kernels._AutotuneCache()
-        assert fresh.get(key) == {"impl": "dense", "backend": "native"}
-
-    def test_corrupt_decision_file_is_dropped(self):
-        probe = kernels._AutotuneCache()
-        path = probe.disk_path()
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w") as fh:
-            fh.write("{not json")
-        fresh = kernels._AutotuneCache()
-        assert fresh.get(("anything",)) is None
-        assert not os.path.exists(path)  # corrupt file unlinked
-
-    def test_clear_removes_decision_file(self):
-        cache = kernels._AutotuneCache()
-        cache.put(("k",), {"impl": "dense"})
-        assert os.path.exists(cache.disk_path())
-        cache.clear()
-        assert not os.path.exists(cache.disk_path())
-
-
 class TestCacheInfo:
     def test_cache_info_shape(self):
         info = kernels.cache_info()
         assert set(info["kernels"]) >= {
             "hits", "misses", "specs", "compiled_sources", "evictions", "max_entries"
         }
-        assert "hits" in info["autotune"]
+        assert "autotune" not in info
         if NATIVE_OK:
             assert "native" in info
             assert "cache_dir" in info["native"]

@@ -20,8 +20,6 @@ import pytest
 
 from repro.infer import InferenceEngine, PlanConfig, kernels
 from repro.infer.native import binding, toolchain
-from repro.infer.plan import compile_network
-from repro.quant.sparsify import sparsify_model
 from repro.serve.registry import ModelRegistry
 from repro.utils.cpu import effective_cpus
 
@@ -253,27 +251,7 @@ class TestFailedCompile:
         )
 
 
-# -- (d) autotune binds every candidate before timing any -------------------
-
-
-def test_autotune_compiles_its_candidates_concurrently(make_cc):
-    """Plan compile binds both kernel variants of every uncached autotune
-    candidate before timing one, so their compiles overlap; the autotuned
-    plan still gives the interpreter's bytes."""
-    read = make_cc()
-    model = build_small_network(2)
-    sparsify_model(model, 0.5)
-    plan = compile_network(model)
-    assert any("autotune" in layer for layer in plan.layer_info)
-    assert len(read()) > 1
-    assert binding.status()["max_in_flight"] > 1
-    images = sample_images(4, seed=7)
-    got = InferenceEngine(model).predict_logits(images)
-    want = InferenceEngine(model, config=PlanConfig(trace=False)).predict_logits(images)
-    assert _same_bytes(got, want)
-
-
-# -- (e) a process forked mid-compile binds on its own ------------------------
+# -- (d) a process forked mid-compile binds on its own ------------------------
 
 
 class TestFork:
@@ -318,12 +296,7 @@ class TestFork:
 # -- (e) a cold engine serves the bytes a warm one does -----------------------
 
 
-CONFIGS = [
-    PlanConfig(kernel="auto"),
-    PlanConfig(kernel="dense"),
-    PlanConfig(kernel="shift_plane"),
-    PlanConfig(dtype="int8"),
-]
+CONFIGS = [PlanConfig(), PlanConfig(dtype="int8")]
 
 
 @pytest.mark.parametrize("network_id", range(1, 9))

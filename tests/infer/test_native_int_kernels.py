@@ -444,14 +444,14 @@ def test_blocked_program_checks_each_op_once(monkeypatch):
 # -- float sources ------------------------------------------------------------------
 
 _CONSTS = {"C": 5, "H": 9, "W": 7, "K": 3, "S": 2, "P": 1, "F": 6, "CKK": 45,
-           "L": 20, "OH": 5, "OW": 4, "IN": 33, "HW": 63}
+           "L": 20, "OH": 5, "OW": 4, "IN": 33, "HW": 63, "R": 4}
 _EPIS = ((), ("lrelu",), ("lrelu0", "aq"))
 
 #: sha256 of each family's sources below, NUL-joined, as first committed
 #: with the integer kernels sharing these emitters.
 FLOAT_SOURCE_DIGESTS = {
-    "conv": "2704be9d36440fb0be1d8012c00794743d33e8c509ef3ed78a9ed787b6033524",
-    "linear": "8b591e5b1c25b724be84345283b8335f381f219fed8a128819730faef2074e51",
+    "conv": "3d52e00c2781e43694229ce08f5bd7be87ada374e7688482f3cbc1f83b4bf01d",
+    "linear": "5c60f6e7211f94bec68d62ee0ce8d956168c95f0e29a184c767393e24868b2bb",
     "pool": "6beb4c396d78c230f424e5a7b2e962dbbf9cc2165472778890c6f0e40bbffcff",
     "other": "014598c8ee1e9e7ffbc3d0b2a03f39bf1d7ae655012836f08af489fc20998613",
 }
@@ -459,18 +459,18 @@ FLOAT_SOURCE_DIGESTS = {
 
 def _float_sources() -> dict:
     out = {"conv": [], "linear": [], "pool": [], "other": []}
-    for impl, epi, ilp64, (haspad, onebyone), hb, hd, consts in itertools.product(
-        ("dense", "shift_plane"), _EPIS, (True, False),
+    for rows, epi, ilp64, (haspad, onebyone), hb, hd, consts in itertools.product(
+        (False, True), _EPIS, (True, False),
         ((True, False), (False, False), (False, True)), (True, False), (True, False),
         (None, _CONSTS),
     ):
         out["conv"].append(
-            codegen.conv_source(impl, epi, ilp64, haspad, onebyone, hb, hd, consts)
+            codegen.conv_source(epi, ilp64, haspad, onebyone, hb, hd, rows, consts)
         )
-    for impl, epi, ilp64, hb, consts in itertools.product(
-        ("dense", "shift_plane"), _EPIS, (True, False), (True, False), (None, _CONSTS)
+    for rows, epi, ilp64, hb, consts in itertools.product(
+        (False, True), _EPIS, (True, False), (True, False), (None, _CONSTS)
     ):
-        out["linear"].append(codegen.linear_source(impl, epi, ilp64, hb, consts))
+        out["linear"].append(codegen.linear_source(epi, ilp64, hb, rows, consts))
     for epi, kernel, is_avg, consts in itertools.product(
         _EPIS, (0, 2, 3, 4, 5), (False, True), (None, _CONSTS)
     ):

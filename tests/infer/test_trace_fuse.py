@@ -5,8 +5,8 @@ The traced executor (:mod:`repro.infer.trace` / :mod:`repro.infer.fuse` /
 interpreter — the generated kernels replay the exact same ufunc sequence on
 the exact same operand layouts, fusion only removes buffer traffic, and
 batch blocking splits along an axis every blocked op treats per-sample.
-These tests pin that contract across every Table-1 config, both kernel
-implementations and both sparsity states, force multi-block execution
+These tests pin that contract across every Table-1 config and both
+sparsity states, force multi-block execution
 (including a ragged tail block), and cover the cache / hot-refresh /
 profiler machinery around the compiler.
 """
@@ -27,13 +27,9 @@ PARITY_ATOL = 1e-5
 
 ALL_CONFIGS = list(range(1, 9))
 
-# The interpreter reference: same plan passes (pruning, kernels), no tracing.
+# The interpreter reference: same plan passes (pruning, live rows), no tracing.
 def _interp(trace_cfg: PlanConfig) -> PlanConfig:
-    return PlanConfig(
-        prune=trace_cfg.prune,
-        kernel=trace_cfg.kernel,
-        trace=False,
-    )
+    return PlanConfig(prune=trace_cfg.prune, trace=False)
 
 
 def _logits(model, config: PlanConfig, images: np.ndarray) -> np.ndarray:
@@ -51,9 +47,8 @@ def force_multiblock(monkeypatch, target_bytes: int = 64 << 10, block_min: int =
 class TestBitwiseParity:
     """Traced logits must equal interpreter logits bit for bit."""
 
-    @pytest.mark.parametrize("kernel", ["dense", "shift_plane"])
     @pytest.mark.parametrize("network_id", ALL_CONFIGS)
-    def test_all_configs_both_kernels_both_sparsities(self, network_id, kernel, monkeypatch):
+    def test_all_configs_both_sparsities(self, network_id, monkeypatch):
         # Batch 13 with tiny block thresholds → multi-block execution with a
         # tail block, the layout the fused kernels must keep exact.
         force_multiblock(monkeypatch)
@@ -62,11 +57,11 @@ class TestBitwiseParity:
             model = build_small_network(network_id, seed=network_id)
             if pruned:
                 sparsify_model(model, 0.4)
-            cfg = PlanConfig(prune=pruned, kernel=kernel)
+            cfg = PlanConfig(prune=pruned)
             want = _logits(model, _interp(cfg), images)
             got = _logits(model, cfg, images)
             assert np.array_equal(got, want), (
-                f"net{network_id} kernel={kernel} pruned={pruned}: traced logits "
+                f"net{network_id} pruned={pruned}: traced logits "
                 f"diverge from interpreter (max diff {np.max(np.abs(got - want)):.3e})"
             )
 
@@ -152,7 +147,7 @@ class TestProgramStructure:
         assert len(trace["programs"]) == 1
         assert trace["fused_elementwise_total"] > 0
         assert trace["peak_intermediate_bytes"] > 0
-        assert {"kernels", "autotune"} <= set(trace["cache"])
+        assert set(trace["cache"]) == {"kernels"}
 
     def test_int8_program_in_trace_summary(self):
         """An int8 plan runs as a traced program: it shows in the trace
@@ -193,30 +188,6 @@ class TestKernelCache:
         second = kernels.cache_stats()["kernels"]
         assert second["hits"] > first["hits"]
         assert second["misses"] == first["misses"]
-
-    def test_autotune_decisions_persist_across_rebuilds(self):
-        """Satellite: shape-identical rebuilds reuse autotune measurements
-        instead of re-timing every layer."""
-        kernels.AUTOTUNE_CACHE.clear()
-
-        def tuned_entries(seed):
-            model = build_small_network(7, seed=seed)
-            sparsify_model(model, 0.5)
-            plan = compile_network(model)  # kernel="auto"
-            return [e["autotune"] for e in plan.layer_info if "autotune" in e]
-
-        first = tuned_entries(0)
-        # The first compile measures at least once; repeated ResNet blocks
-        # with identical shape signatures already reuse those measurements.
-        assert first and any(r["cached"] is False for r in first)
-        second = tuned_entries(0)  # same shapes: decisions come from cache
-        assert second and all(r["cached"] is True for r in second)
-        assert [r["chosen"] for r in second] == [r["chosen"] for r in first]
-        assert kernels.cache_stats()["autotune"]["hits"] >= len(second)
-        # The report keeps the contract the sparsity suite pins.
-        for report in second:
-            assert report["chosen"] in ("dense", "shift_plane")
-            assert report["dense_s"] > 0.0 and report["shift_plane_s"] > 0.0
 
 
 class TestHotRefresh:

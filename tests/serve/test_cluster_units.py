@@ -15,7 +15,9 @@ from repro.errors import (
     ClusterError,
     ConfigurationError,
     QueueFullError,
+    ShapeError,
 )
+from repro.infer import PlanConfig
 from repro.serve.cluster import (
     CLOSED,
     HALF_OPEN,
@@ -202,3 +204,39 @@ class TestShmPlanStore:
         store.close()
         with pytest.raises(ClusterError, match="closed"):
             store.publish(self._payload(0.0))
+
+
+class TestWorkerProgram:
+    """The worker's float program checks each new batch shape before the
+    interpreter runs it (the ``http_cluster`` model: net 4, 16 px)."""
+
+    def _program(self):
+        from repro.infer import compile_network
+        from repro.serve.cluster.worker import _Program
+
+        from tests.infer.conftest import build_small_network
+
+        self.model = build_small_network(4)
+        return _Program(compile_network(self.model, config=PlanConfig(trace=False)).payload())
+
+    @pytest.mark.parametrize("shape", [(1, 3, 2, 2), (1, 4, 16, 16), (3, 16, 16)])
+    def test_unrunnable_shape_raises_shape_error(self, shape):
+        program = self._program()
+        with pytest.raises(ShapeError):
+            program.run(np.ones(shape))
+        assert shape not in program.shapes
+
+    def test_runnable_shape_is_checked_once_and_matches_the_engine(self, monkeypatch):
+        from repro.infer import InferenceEngine
+        from repro.serve.cluster import worker
+
+        program = self._program()
+        images = np.random.default_rng(0).normal(size=(2, 3, 16, 16))
+        calls = []
+        real = worker.trace_plan
+        monkeypatch.setattr(worker, "trace_plan", lambda *a: calls.append(a[1]) or real(*a))
+        first = program.run(images).copy()
+        second = program.run(images).copy()
+        assert calls == [images.shape]
+        want = InferenceEngine(self.model, config=PlanConfig(trace=False)).predict_logits(images)
+        assert first.tobytes() == second.tobytes() == want.tobytes()

@@ -51,7 +51,7 @@ def test_refresh_rebuilds_plan_on_new_k_histogram():
 
 
 def test_metrics_snapshot_carries_plan_summary():
-    """/metrics exposes kernel choices, k histogram and pruning counts."""
+    """/metrics exposes per-layer GEMM rows, k histogram and pruning counts."""
     model = build_small_network(4)
     sparsify_model(model, 0.5)
     registry = ModelRegistry()
@@ -61,7 +61,8 @@ def test_metrics_snapshot_carries_plan_summary():
     assert plan["pruned_filters_total"] > 0
     assert sum(plan["kernels"].values()) == len(plan["layers"])
     assert plan["k_hist"][0] > 0  # the k_i histogram shows the dead filters
-    assert plan["config"]["kernel"] == "auto"
+    assert all(layer["gemm_rows"] <= layer["filters"] for layer in plan["layers"])
+    assert "kernel" not in plan["config"]
 
 
 def test_int8_refresh_races_concurrent_predicts_without_torn_outputs():
