@@ -17,6 +17,7 @@ from repro.models.registry import build_network
 from repro.nn.layers.norm import BatchNorm2d
 from repro.nn.tensor import Tensor, no_grad
 from repro.quant.schemes import paper_schemes
+from repro.quant.sparsify import sparsify_model
 
 # Per-network width multipliers keeping each structure test-sized.
 WIDTH_SCALE = {1: 0.25, 2: 0.125, 3: 0.0625, 4: 0.5, 5: 0.25, 6: 0.125, 7: 0.0625, 8: 0.125}
@@ -56,6 +57,25 @@ def build_small_network(
     randomize_bn_stats(model, np.random.default_rng(seed + 1))
     model.eval()
     return model
+
+
+#: Dead-row cases for parity tests, each a ``(dead fraction, prune)`` pair.
+#: ``"dense"``: no dead filters, so every GEMM computes all of its rows.
+#: ``"shift_plane"``: 40% of filters dead and kept in the plan
+#: (``prune=False``), so every GEMM computes its live rows only.
+#: ``"auto"``: the same dead filters under the default plan, which prunes
+#: what it can and skips the rows it must keep.  The ids are the float
+#: kernel families (dense GEMM, per-level shift planes, a per-layer choice)
+#: whose rows the one live-row GEMM now covers.
+DEAD_ROW_CASES = {"dense": (0.0, True), "shift_plane": (0.4, False), "auto": (0.4, True)}
+
+
+def apply_dead_rows(model: QuantizedNetwork, case: str) -> bool:
+    """Sparsify ``model`` in place for ``case``; return the plan's ``prune``."""
+    dead_fraction, prune = DEAD_ROW_CASES[case]
+    if dead_fraction:
+        sparsify_model(model, dead_fraction)
+    return prune
 
 
 def sample_images(n: int, seed: int = 0) -> np.ndarray:

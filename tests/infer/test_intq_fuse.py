@@ -26,7 +26,12 @@ from repro.infer.native import binding
 from repro.infer.native.codegen import int_epilogue
 from repro.infer.plan import AddOp, ConvOp, ExecutionContext, ExecutionPlan, LeakyReluOp
 
-from tests.infer.conftest import build_small_network, sample_images, traced_int_chain
+from tests.infer.conftest import (
+    apply_dead_rows,
+    build_small_network,
+    sample_images,
+    traced_int_chain,
+)
 
 ALL_CONFIGS = tuple(range(1, 9))
 RESIDUAL_CONFIGS = (2, 6, 7, 8)
@@ -157,16 +162,21 @@ def _nodes(engine, shape: tuple) -> list:
 
 
 class TestFusedPrograms:
+    @pytest.mark.parametrize("rows", ["dense", "shift_plane"])
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("backend", ["numpy", "native"])
     @pytest.mark.parametrize("network_id", ALL_CONFIGS)
-    def test_fused_equals_unfused(self, network_id, backend, workers, monkeypatch):
+    def test_fused_equals_unfused(self, network_id, backend, workers, rows, monkeypatch):
         """Tracing with the fusion pass off changes no logit byte, and the
-        engine returns the same bytes serially or sharded across threads.
-        ``"native"`` is the default backend (numpy where no toolchain
-        exists)."""
-        config = PlanConfig(dtype="int8", backend="numpy" if backend == "numpy" else "auto")
+        engine returns the same bytes serially or sharded across threads,
+        with and without dead filters kept in the plan (``rows``, see
+        ``DEAD_ROW_CASES``).  ``"native"`` is the default backend (numpy
+        where no toolchain exists)."""
         model = build_small_network(network_id)
+        prune = apply_dead_rows(model, rows)
+        config = PlanConfig(
+            dtype="int8", prune=prune, backend="numpy" if backend == "numpy" else "auto"
+        )
         engine = InferenceEngine(model, config=config)
         images = sample_images(6, seed=network_id)
         fused = engine.plan.execute(images, ExecutionContext()).copy()

@@ -1,10 +1,12 @@
 """Native C backend: bitwise parity, fallback ladder and cache plumbing.
 
 Every native kernel must be *bitwise* identical to the numpy codegen it
-replaces — 8 Table-1 configs x {float64, int8} — and the backend must degrade to numpy (never crash) when the toolchain
-is missing or a cached binary is corrupt.  Parity runs even on a toolchain-free host (both sides are
-then numpy and trivially equal); the "native actually executed"
-assertions are gated on :func:`binding.available`.
+replaces — 8 Table-1 configs x {float64, int8} x {full-row, live-row
+GEMMs} — and the backend must degrade to numpy (never crash) when the
+toolchain is missing or a cached binary is corrupt.  Parity runs even on a
+toolchain-free host (both sides are then numpy and trivially equal); the
+"native actually executed" assertions are gated on
+:func:`binding.available`.
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ from repro.infer import InferenceEngine, PlanConfig
 from repro.infer import kernels
 from repro.infer.native import binding, toolchain
 
-from tests.infer.conftest import build_small_network, sample_images
+from tests.infer.conftest import apply_dead_rows, build_small_network, sample_images
 
 ALL_CONFIGS = tuple(range(1, 9))
+#: Full-row and live-row GEMMs (see ``DEAD_ROW_CASES``).
+ROWS = ("dense", "shift_plane")
 
 NATIVE_OK = binding.available()
 needs_toolchain = pytest.mark.skipif(
@@ -56,29 +60,36 @@ def _traced_backend_counts(engine) -> dict:
 
 
 class TestBitwiseParity:
+    @pytest.mark.parametrize("rows", ROWS)
     @pytest.mark.parametrize("network_id", ALL_CONFIGS)
-    def test_float64(self, network_id):
+    def test_float64(self, network_id, rows):
         """The default (native) backend reproduces backend="numpy"
-        byte-for-byte."""
+        byte-for-byte, on full-row and on live-row GEMMs."""
         model = build_small_network(network_id)
+        prune = apply_dead_rows(model, rows)
         images = sample_images(5, seed=network_id)
-        want = InferenceEngine(model, config=PlanConfig(backend="numpy")).predict_logits(images)
-        native_engine = InferenceEngine(model)
+        want = InferenceEngine(
+            model, config=PlanConfig(prune=prune, backend="numpy")
+        ).predict_logits(images)
+        native_engine = InferenceEngine(model, config=PlanConfig(prune=prune))
         got = native_engine.predict_logits(images)
         assert _bitwise_equal(got, want)
         if NATIVE_OK:
             counts = _traced_backend_counts(native_engine)
             assert counts.get("native", 0) > 0, counts
 
+    @pytest.mark.parametrize("rows", ROWS)
     @pytest.mark.parametrize("network_id", ALL_CONFIGS)
-    def test_int8(self, network_id):
-        """The integer program's native kernels are exact: same bits."""
+    def test_int8(self, network_id, rows):
+        """The integer program's native kernels are exact: same bits, with
+        and without dead filters kept in the plan."""
         model = build_small_network(network_id)
+        prune = apply_dead_rows(model, rows)
         images = sample_images(4, seed=network_id)
         want = InferenceEngine(
-            model, config=PlanConfig(dtype="int8", backend="numpy")
+            model, config=PlanConfig(dtype="int8", prune=prune, backend="numpy")
         ).predict_logits(images)
-        native_engine = InferenceEngine(model, config=PlanConfig(dtype="int8"))
+        native_engine = InferenceEngine(model, config=PlanConfig(dtype="int8", prune=prune))
         got = native_engine.predict_logits(images)
         assert _bitwise_equal(got, want)
         if NATIVE_OK:

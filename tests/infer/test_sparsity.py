@@ -22,6 +22,7 @@ from tests.infer.conftest import (
     IMAGE_SIZE,
     NUM_CLASSES,
     WIDTH_SCALE,
+    apply_dead_rows,
     build_small_network,
     eager_logits,
     randomize_bn_stats,
@@ -47,6 +48,18 @@ class TestSparsifiedParity:
         model = sparsified_network(network_id)
         images = sample_images(7, seed=network_id)
         got = InferenceEngine(model).predict_logits(images)
+        assert np.max(np.abs(got - eager_logits(model, images))) <= PARITY_ATOL
+
+    @pytest.mark.parametrize("rows", ["auto", "dense", "shift_plane"])
+    @pytest.mark.parametrize("network_id", [2, 5])
+    def test_parity_forced_kernels(self, network_id, rows):
+        """Each dead-row case (``DEAD_ROW_CASES``: no dead filters, dead
+        filters kept, dead filters pruned) is exact on a VGG and a ResNet."""
+        model = build_small_network(network_id)
+        prune = apply_dead_rows(model, rows)
+        images = sample_images(6, seed=31)
+        engine = InferenceEngine(model, config=PlanConfig(prune=prune))
+        got = engine.predict_logits(images)
         assert np.max(np.abs(got - eager_logits(model, images))) <= PARITY_ATOL
 
     def test_pruning_actually_removes_filters(self):
@@ -93,9 +106,10 @@ class TestEdgeCases:
         got = InferenceEngine(model).predict_logits(images)
         assert np.max(np.abs(got - eager_logits(model, images))) <= PARITY_ATOL
 
-    def test_kmax1_binary_scheme(self):
+    @pytest.mark.parametrize("rows", ["auto", "dense", "shift_plane"])
+    def test_kmax1_binary_scheme(self, rows):
         """k_max=1 FLightNN: every filter is either dead or a single shift
-        plane; the engine stays exact."""
+        plane; the engine stays exact in each dead-row case."""
         scheme = scheme_flightnn((1e-5,), k_max=1, label="FL_bin")
         model = build_network(
             4,
@@ -107,11 +121,11 @@ class TestEdgeCases:
         )
         randomize_bn_stats(model, np.random.default_rng(1))
         model.eval()
-        sparsify_model(model, 0.4)
+        prune = apply_dead_rows(model, rows)
         for layer in model.conv_layers():
             assert int(layer.filter_k().max()) <= 1
         images = sample_images(6, seed=43)
-        got = InferenceEngine(model).predict_logits(images)
+        got = InferenceEngine(model, config=PlanConfig(prune=prune)).predict_logits(images)
         assert np.max(np.abs(got - eager_logits(model, images))) <= PARITY_ATOL
 
     def test_sparsify_model_validation(self):

@@ -5,8 +5,8 @@ The traced executor (:mod:`repro.infer.trace` / :mod:`repro.infer.fuse` /
 interpreter — the generated kernels replay the exact same ufunc sequence on
 the exact same operand layouts, fusion only removes buffer traffic, and
 batch blocking splits along an axis every blocked op treats per-sample.
-These tests pin that contract across every Table-1 config and both
-sparsity states, force multi-block execution
+These tests pin that contract across every Table-1 config, full-row and
+live-row GEMMs and both pruning states, force multi-block execution
 (including a ragged tail block), and cover the cache / hot-refresh /
 profiler machinery around the compiler.
 """
@@ -47,21 +47,24 @@ def force_multiblock(monkeypatch, target_bytes: int = 64 << 10, block_min: int =
 class TestBitwiseParity:
     """Traced logits must equal interpreter logits bit for bit."""
 
+    @pytest.mark.parametrize("rows", ["dense", "shift_plane"])
     @pytest.mark.parametrize("network_id", ALL_CONFIGS)
-    def test_all_configs_both_sparsities(self, network_id, monkeypatch):
+    def test_all_configs_both_kernels_both_sparsities(self, network_id, rows, monkeypatch):
+        """Without dead filters (``"dense"``: full-row GEMMs) and with 40%
+        (``"shift_plane"``: live-row GEMMs), pruned and unpruned."""
         # Batch 13 with tiny block thresholds → multi-block execution with a
         # tail block, the layout the fused kernels must keep exact.
         force_multiblock(monkeypatch)
         images = sample_images(13, seed=network_id)
         for pruned in (False, True):
             model = build_small_network(network_id, seed=network_id)
-            if pruned:
+            if rows == "shift_plane":
                 sparsify_model(model, 0.4)
             cfg = PlanConfig(prune=pruned)
             want = _logits(model, _interp(cfg), images)
             got = _logits(model, cfg, images)
             assert np.array_equal(got, want), (
-                f"net{network_id} pruned={pruned}: traced logits "
+                f"net{network_id} rows={rows} pruned={pruned}: traced logits "
                 f"diverge from interpreter (max diff {np.max(np.abs(got - want)):.3e})"
             )
 
