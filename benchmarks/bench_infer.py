@@ -115,6 +115,13 @@ INT_PARITY_BATCH = 16
 # dtypes; on a toolchain-free host the sweep records the fallback instead.
 NATIVE_CONFIGS = (1, 4, 5)
 NATIVE_BATCHES = (1, 64)
+# Nets the native sweep also times sparsified: net -> dead-filter fraction.
+# ResNet net 2 keeps dead rows behind its residual adds (live-row GEMMs);
+# it is timed on the native engines only (its numpy int8 GEMMs bypass BLAS
+# and would dominate the sweep's runtime).
+NATIVE_SPARSE = {2: 0.3}
+# Images per net for the float32/int8 argmax agreement against float64.
+NATIVE_AGREEMENT_IMAGES = 1024
 # Pruning sweep: the default plan vs PlanConfig(prune=False) on sparsified
 # nets.  Only the ResNet (net 2) keeps dead rows past pruning (those feeding
 # a residual add); its GEMMs skip them.
@@ -520,16 +527,34 @@ def _print_int(rows: list[dict], summary: dict) -> None:
     )
 
 
-def _native_row(network_id: int, reps: int, batches: tuple[int, ...] = NATIVE_BATCHES) -> dict:
+def _native_row(
+    network_id: int,
+    reps: int,
+    batches: tuple[int, ...] = NATIVE_BATCHES,
+    fraction: float = 0.0,
+    agreement_images: int = NATIVE_AGREEMENT_IMAGES,
+) -> dict:
     """Time the native C kernels against the numpy codegen on the same plan,
     in both execution dtypes, with bitwise-equality checks and the per-layer
-    backend selections the self-check ladder actually made."""
+    backend selections the self-check ladder actually made.  The float32
+    deployment mode (numpy codegen; it has no native kernels) is timed
+    beside them against float64 native and int8 native, and its argmax
+    agreement with float64 is counted with int8's.  A sparsified net
+    (``fraction`` > 0) skips the numpy columns."""
     model = _build(network_id)
+    if fraction:
+        sparsify_model(model, fraction)
+    configs = {
+        "numpy": (PlanConfig(backend="numpy"), None),
+        "native": (PlanConfig(backend="auto"), None),
+        "float32": (PlanConfig(backend="auto"), np.float32),
+        "int8_numpy": (PlanConfig(dtype="int8", backend="numpy"), None),
+        "int8_native": (PlanConfig(dtype="int8", backend="auto"), None),
+    }
+    if fraction:
+        configs = {k: v for k, v in configs.items() if "numpy" not in k}
     engines = {
-        "numpy": InferenceEngine(model, config=PlanConfig(backend="numpy")),
-        "native": InferenceEngine(model, config=PlanConfig(backend="auto")),
-        "int8_numpy": InferenceEngine(model, config=PlanConfig(dtype="int8", backend="numpy")),
-        "int8_native": InferenceEngine(model, config=PlanConfig(dtype="int8", backend="auto")),
+        k: InferenceEngine(model, config=cfg, dtype=dtype) for k, (cfg, dtype) in configs.items()
     }
     rng = np.random.default_rng(network_id + 500)
     row: dict = {
@@ -537,20 +562,19 @@ def _native_row(network_id: int, reps: int, batches: tuple[int, ...] = NATIVE_BA
         "scheme": SCHEME,
         "structure": model.config.structure,
         "depth": model.config.depth,
+        "dead_fraction": fraction,
         "batches": {},
     }
-    bitwise = {"float64": True, "int8": True}
+    bitwise = {}
     for batch in batches:
         images = rng.normal(0.0, 1.0, (batch, 3, IMAGE_SIZE, IMAGE_SIZE))
         # Warm every engine (plan build, native compiles, first-call parity
         # checks) and collect reference outputs outside the timed region.
         outs = {k: eng.forward_batch(images, check_stale=False).copy() for k, eng in engines.items()}
-        bitwise["float64"] &= bool(
-            np.array_equal(outs["native"].view(np.uint8), outs["numpy"].view(np.uint8))
-        )
-        bitwise["int8"] &= bool(
-            np.array_equal(outs["int8_native"].view(np.uint8), outs["int8_numpy"].view(np.uint8))
-        )
+        for dtype, (a, b) in {"float64": ("native", "numpy"), "int8": ("int8_native", "int8_numpy")}.items():
+            if b in outs:
+                same = np.array_equal(outs[a].view(np.uint8), outs[b].view(np.uint8))
+                bitwise[dtype] = bitwise.get(dtype, True) and bool(same)
         once = min(
             _timed(lambda eng=eng: eng.forward_batch(images, check_stale=False))
             for eng in engines.values()
@@ -564,17 +588,37 @@ def _native_row(network_id: int, reps: int, batches: tuple[int, ...] = NATIVE_BA
                     eng.forward_batch(images, check_stale=False)
                 times[key].append((time.perf_counter() - t0) / inner)
         med = {k: statistics.median(v) for k, v in times.items()}
-        row["batches"][str(batch)] = {
-            "numpy_s": med["numpy"],
+        spec = {
             "native_s": med["native"],
-            "speedup": med["numpy"] / med["native"],
-            "int8_numpy_s": med["int8_numpy"],
+            "float32_s": med["float32"],
             "int8_native_s": med["int8_native"],
-            "int8_speedup": med["int8_numpy"] / med["int8_native"],
-            "int8_native_vs_float_numpy": med["numpy"] / med["int8_native"],
             # against the engine's default float64 backend (native C)
             "int8_native_vs_float_native": med["native"] / med["int8_native"],
+            "float32_vs_float_native": med["native"] / med["float32"],
+            # > 1: int8 native is faster than the float32 mode
+            "int8_native_vs_float32": med["float32"] / med["int8_native"],
         }
+        if "numpy" in med:
+            spec.update(
+                numpy_s=med["numpy"],
+                speedup=med["numpy"] / med["native"],
+                int8_numpy_s=med["int8_numpy"],
+                int8_speedup=med["int8_numpy"] / med["int8_native"],
+                int8_native_vs_float_numpy=med["numpy"] / med["int8_native"],
+            )
+        row["batches"][str(batch)] = spec
+    # Argmax agreement of float32 and int8 with float64, batch by batch.
+    agree = {"float32": 0, "int8": 0}
+    chunk = max(batches)
+    for start in range(0, agreement_images, chunk):
+        n = min(chunk, agreement_images - start)
+        images = rng.normal(0.0, 1.0, (n, 3, IMAGE_SIZE, IMAGE_SIZE))
+        ref = engines["native"].forward_batch(images, check_stale=False).argmax(axis=1)
+        for key, eng in (("float32", "float32"), ("int8", "int8_native")):
+            got = engines[eng].forward_batch(images, check_stale=False).argmax(axis=1)
+            agree[key] += int(np.sum(got == ref))
+    row["argmax_agreement"] = {k: v / agreement_images for k, v in agree.items()}
+    row["argmax_images"] = agreement_images
     shape = (batches[-1], 3, IMAGE_SIZE, IMAGE_SIZE)
     prog = engines["native"].plan.traced_program(shape)
     row["float64_layers"] = (
@@ -609,7 +653,22 @@ def _native_summary(rows: list[dict]) -> dict:
     status = binding.status()
     b1 = [r["batches"].get("1", {}).get("speedup") for r in rows]
     int8_b1 = [r["batches"].get("1", {}).get("int8_speedup") for r in rows]
+
+    def span(key: str) -> dict:
+        """``{batch: [min, max]}`` of one ratio column over every row."""
+        out = {}
+        for batch in sorted({b for r in rows for b in r["batches"]}, key=int):
+            vals = [r["batches"][batch][key] for r in rows if batch in r["batches"]]
+            out[batch] = [min(vals), max(vals)]
+        return out
+
     return {
+        "float32_vs_float_native": span("float32_vs_float_native"),
+        "int8_native_vs_float_native": span("int8_native_vs_float_native"),
+        "int8_native_vs_float32": span("int8_native_vs_float32"),
+        "min_argmax_agreement": {
+            k: min(r["argmax_agreement"][k] for r in rows) for k in ("float32", "int8")
+        },
         "toolchain": {k: status.get(k) for k in ("available", "compiler", "loader")},
         "min_batch1_speedup": min((s for s in b1 if s), default=None),
         "max_batch1_speedup": max((s for s in b1 if s), default=None),
@@ -617,17 +676,18 @@ def _native_summary(rows: list[dict]) -> dict:
         "nets_meeting_bar": [  # >= 2x over the numpy codegen at batch 1
             r["network_id"] for r in rows if r["batches"].get("1", {}).get("speedup", 0.0) >= 2.0
         ],
-        "all_bitwise_equal": all(
-            r["bitwise_equal"]["float64"] and r["bitwise_equal"]["int8"] for r in rows
-        ),
+        "all_bitwise_equal": all(all(r["bitwise_equal"].values()) for r in rows),
     }
 
 
 def run_native_sweep(reps: int = 5, smoke: bool = False) -> dict:
     """Just the native-vs-numpy backend sweep, for merging into an existing
     BENCH_infer.json (``--native-sweep``) and the CI smoke job."""
-    ids = (4,) if smoke else NATIVE_CONFIGS
-    rows = [_native_row(nid, reps) for nid in ids]
+    if smoke:
+        rows = [_native_row(4, reps, agreement_images=64)]
+    else:
+        rows = [_native_row(nid, reps) for nid in NATIVE_CONFIGS]
+        rows += [_native_row(nid, reps, fraction=f) for nid, f in NATIVE_SPARSE.items()]
     return {"native_sweep": rows, "native_summary": _native_summary(rows)}
 
 
@@ -635,16 +695,23 @@ def _print_native(rows: list[dict], summary: dict) -> None:
     for row in rows:
         parts = []
         for batch, spec in row["batches"].items():
+            numpy = (
+                f"numpy {spec['numpy_s'] * 1e3:.2f}ms ({spec['speedup']:.2f}x, "
+                f"int8 {spec['int8_speedup']:.2f}x), "
+                if "numpy_s" in spec
+                else ""
+            )
             parts.append(
-                f"b{batch} {spec['numpy_s'] * 1e3:.2f}->{spec['native_s'] * 1e3:.2f}ms "
-                f"({spec['speedup']:.2f}x, int8 {spec['int8_speedup']:.2f}x, "
-                f"int8 vs native f64 {spec['int8_native_vs_float_native']:.2f}x)"
+                f"b{batch} {numpy}native {spec['native_s'] * 1e3:.2f}ms, vs native f64: "
+                f"f32 {spec['float32_vs_float_native']:.2f}x, "
+                f"int8 {spec['int8_native_vs_float_native']:.2f}x "
+                f"(int8/f32 {spec['int8_native_vs_float32']:.2f}x)"
             )
         native_nodes = sum(1 for l in row["float64_layers"] if l.get("backend") == "native")
         print(
-            f"net{row['network_id']} native: {' | '.join(parts)} | "
-            f"{native_nodes}/{len(row['float64_layers'])} nodes native, "
-            f"bitwise f64={row['bitwise_equal']['float64']} int8={row['bitwise_equal']['int8']}"
+            f"net{row['network_id']} ({row['dead_fraction']:.0%} dead) native: "
+            f"{' | '.join(parts)} | {native_nodes}/{len(row['float64_layers'])} nodes native, "
+            f"argmax agreement {row['argmax_agreement']}, bitwise {row['bitwise_equal']}"
         )
     print(
         f"native: toolchain={summary['toolchain']}, nets meeting bar (>=2x b1): "

@@ -57,6 +57,8 @@ __all__ = ["TracedProgram", "fused_steps", "optimize"]
 #: blocking; roughly "stay L2/L3-resident".  Tests shrink this to force
 #: multi-block execution on unit-test-sized inputs.
 _BLOCK_TARGET_BYTES = 4 << 20
+#: Byte alignment of every register and input buffer (one cache line).
+_ALIGN = 64
 #: Don't bother with blocks smaller than this (per-call overhead dominates).
 _BLOCK_MIN = 8
 #: Bound states kept per execution context (per distinct traced program).
@@ -74,6 +76,16 @@ def _next_uid() -> int:
 
 
 # -- IR passes ----------------------------------------------------------------
+
+
+def _aligned_empty(n: int, dtype) -> np.ndarray:
+    """An uninitialized 1-D array of ``n`` elements starting on a 64-byte
+    (cache-line) boundary, so kernel time does not depend on where the
+    allocator happened to place a register."""
+    dtype = np.dtype(dtype)
+    raw = np.empty(n * dtype.itemsize + _ALIGN, np.uint8)
+    start = -raw.ctypes.data % _ALIGN
+    return raw[start : start + n * dtype.itemsize].view(dtype)
 
 
 def _resolve(vals, vid: int) -> int:
@@ -346,10 +358,13 @@ class TracedProgram:
 
     def _bind(self, verdicts: dict) -> _BoundState:
         state = _BoundState()
-        state.input = np.empty(self.input_shape, self.vals[0].dtype)
+        state.input = _aligned_empty(prod(self.input_shape), self.vals[0].dtype).reshape(
+            self.input_shape
+        )
         state.regs = {
             (scope, dtype): [
-                np.empty(sz * (self.bmax if scope == "block" else 1), dtype) for sz in sizes
+                _aligned_empty(sz * (self.bmax if scope == "block" else 1), dtype)
+                for sz in sizes
             ]
             for (scope, dtype), sizes in self.reg_sizes.items()
         }

@@ -1,14 +1,16 @@
 """Traffic-serving layer over the compiled inference engine.
 
 Turns :class:`~repro.infer.engine.InferenceEngine` into a concurrent model
-server: a dynamic micro-batcher with a bounded FIFO request queue that sheds
-at its high-water mark (:mod:`repro.serve.batcher`), a multi-model registry
-with hot weight refreshes (:mod:`repro.serve.registry`), a stdlib-only HTTP
-front end with drain-then-stop shutdown (:mod:`repro.serve.http`), a serving
-metrics core with latency percentiles (:mod:`repro.serve.metrics`), and a
-supervised multi-process cluster tier — crash-isolated workers over a
-shared-memory plan behind the same bounded queue, with heartbeats, request
-retries and circuit breaking (:mod:`repro.serve.cluster`).
+server: one admission queue type — a bounded FIFO request queue that sheds
+at its high-water mark, with deadlines and drain (:mod:`repro.serve.queue`)
+— under a dynamic micro-batcher (:mod:`repro.serve.batcher`), a multi-model
+registry with hot weight refreshes (:mod:`repro.serve.registry`), a
+stdlib-only HTTP front end with drain-then-stop shutdown
+(:mod:`repro.serve.http`), a serving metrics core with latency percentiles
+(:mod:`repro.serve.metrics`), and a supervised multi-process cluster tier —
+crash-isolated workers over a shared-memory plan behind the same queue
+type and registry base, with heartbeats, request retries and circuit
+breaking (:mod:`repro.serve.cluster`).
 
 Quickstart::
 

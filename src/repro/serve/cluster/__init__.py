@@ -2,7 +2,8 @@
 
 Crash-isolated worker pools over shared-memory plans, with heartbeat
 supervision, circuit-breaker-guarded restarts and one bounded FIFO queue
-per model that sheds at ``queue_depth`` as the micro-batcher does.  See
+per model — the micro-batcher's own queue type, shedding at
+``queue_depth``.  See
 :class:`~repro.serve.cluster.service.ClusterService` for the front door.
 """
 

@@ -1,19 +1,22 @@
-"""Cluster service: the registry-shaped front door to worker pools.
+"""Cluster service: the model registry over worker pools.
 
-:class:`ClusterService` is a drop-in for
-:class:`~repro.serve.registry.ModelRegistry` wherever the HTTP layer is
-concerned (``register`` / ``get`` / ``submit`` / ``start`` / ``stop`` /
-``refresh`` / ``metrics_snapshot``), but each registered model is served by
-a supervised pool of worker *processes* instead of in-process threads:
+:class:`ClusterService` shares :class:`~repro.serve.registry.BaseRegistry`
+with :class:`~repro.serve.registry.ModelRegistry` — the name map,
+``get`` / ``submit`` / ``start`` / ``stop`` / ``unregister`` /
+``metrics_snapshot`` — so :class:`~repro.serve.http.ModelServer` serves
+either.  It differs in how an entry is built, started, stopped and
+refreshed: each registered model is served by a supervised pool of worker
+*processes* instead of in-process threads:
 
 * plans are published once into shared memory
   (:class:`~repro.serve.cluster.shm_store.ShmPlanStore`) and every worker
   attaches the same pages;
 * a :class:`~repro.serve.cluster.supervisor.WorkerSupervisor` heartbeats,
   restarts, and reloads the pool behind a per-model circuit breaker;
-* a :class:`~repro.serve.cluster.router.ClusterRouter` admits into one
-  bounded FIFO queue (shed at ``queue_depth`` with 503, per-request
-  deadlines — as the micro-batcher does) and dispatches least-loaded.
+* a :class:`~repro.serve.cluster.router.ClusterRouter` admits through the
+  same :class:`~repro.serve.queue.RequestQueue` as the micro-batcher (shed
+  at ``queue_depth`` with 503, per-request deadlines) and dispatches
+  least-loaded.
 
 One engine per model flows through ``register`` → shared memory → worker.
 
@@ -26,13 +29,10 @@ Use with :class:`~repro.serve.http.ModelServer`::
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import Future
+from dataclasses import dataclass
 
-import numpy as np
-
-from repro.errors import ConfigurationError, UnknownModelError
+from repro.errors import ConfigurationError
 from repro.infer.engine import InferenceEngine
 from repro.infer.plan import declared_image_shape
 from repro.serve.cluster.breaker import CircuitBreaker
@@ -41,6 +41,7 @@ from repro.serve.cluster.router import ClusterRouter
 from repro.serve.cluster.shm_store import ShmPlanStore
 from repro.serve.cluster.supervisor import WorkerSupervisor
 from repro.serve.metrics import ClusterMetrics
+from repro.serve.registry import BaseRegistry, ServingModel
 from repro.utils.logging import get_logger
 
 _log = get_logger("serve.cluster.service")
@@ -48,28 +49,19 @@ _log = get_logger("serve.cluster.service")
 __all__ = ["ClusterModel", "ClusterService"]
 
 
-class ClusterModel:
-    """One model's full cluster stack under one name.
+@dataclass(eq=False)
+class ClusterModel(ServingModel):
+    """One model's full cluster stack under one name; ``batcher`` is its
+    :class:`ClusterRouter`."""
 
-    Duck-types :class:`~repro.serve.registry.ServingModel` where the HTTP
-    layer cares: ``name``, ``batcher`` (the router — same ``submit``
-    contract), ``metrics``, ``engine``.
-    """
-
-    def __init__(self, name, engine, config, store, breaker, supervisor, router, metrics):
-        self.name = name
-        self.engine = engine
-        self.config = config
-        self.store = store
-        self.breaker = breaker
-        self.supervisor = supervisor
-        self.router = router
-        self.metrics = metrics
+    config: ClusterConfig
+    store: ShmPlanStore
+    breaker: CircuitBreaker
+    supervisor: WorkerSupervisor
 
     @property
-    def batcher(self) -> ClusterRouter:
-        """The router, under the name the HTTP layer expects."""
-        return self.router
+    def router(self) -> ClusterRouter:
+        return self.batcher
 
     def cluster_gauge(self) -> dict:
         """Live supervisor/breaker state for ``/metrics``."""
@@ -81,7 +73,7 @@ class ClusterModel:
         }
 
 
-class ClusterService:
+class ClusterService(BaseRegistry):
     """Name → :class:`ClusterModel` map with pool lifecycle control.
 
     Args:
@@ -90,12 +82,8 @@ class ClusterService:
     """
 
     def __init__(self, cluster_config: "ClusterConfig | None" = None) -> None:
+        super().__init__()
         self.cluster_config = cluster_config or ClusterConfig()
-        self._models: "dict[str, ClusterModel]" = {}
-        self._lock = threading.Lock()
-        self._started = False
-
-    # -- registration ----------------------------------------------------------
 
     def register(
         self,
@@ -134,96 +122,28 @@ class ClusterService:
             name, config, supervisor, breaker, metrics, declared_image_shape(engine.model)
         )
         supervisor.bind(router)
-        entry = ClusterModel(name, engine, config, store, breaker, supervisor, router, metrics)
+        entry = ClusterModel(name, engine, router, metrics, config, store, breaker, supervisor)
         metrics.bind_cluster_gauge(entry.cluster_gauge)
-        metrics.bind_depth_gauge(lambda: router.queue_depth)
         store.publish(engine.plan.payload())
-        with self._lock:
-            if name in self._models:
-                store.close()
-                raise ConfigurationError(f"model {name!r} is already registered")
-            self._models[name] = entry
-            started = self._started
-        if started:
-            self._start_entry(entry)
+        try:
+            self._add(entry)
+        except ConfigurationError:
+            store.close()
+            raise
         _log.info("registered cluster model %r (%d workers)", name, config.workers)
         return entry
-
-    def unregister(self, name: str, drain: bool = True, timeout: float = 10.0) -> None:
-        """Remove ``name``, stopping its pool (draining by default)."""
-        with self._lock:
-            entry = self._models.pop(name, None)
-        if entry is None:
-            raise UnknownModelError(f"unknown model {name!r}")
-        self._stop_entry(entry, drain=drain, deadline=time.monotonic() + timeout)
-
-    # -- lookup / routing ------------------------------------------------------
-
-    def get(self, name: "str | None" = None) -> ClusterModel:
-        """Resolve ``name``; ``None`` resolves iff exactly one model is registered."""
-        with self._lock:
-            if name is None:
-                if len(self._models) == 1:
-                    return next(iter(self._models.values()))
-                raise UnknownModelError(
-                    f"request names no model and {len(self._models)} are registered; "
-                    f"known models: {sorted(self._models)}"
-                )
-            entry = self._models.get(name)
-        if entry is None:
-            raise UnknownModelError(
-                f"unknown model {name!r}; known models: {sorted(self.names())}"
-            )
-        return entry
-
-    def names(self) -> "list[str]":
-        with self._lock:
-            return sorted(self._models)
-
-    def __contains__(self, name: str) -> bool:
-        with self._lock:
-            return name in self._models
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._models)
-
-    def submit(
-        self, image, model: "str | None" = None, deadline_s: "float | None" = None
-    ) -> "Future[np.ndarray]":
-        """Route one image to ``model``'s pool (see :meth:`ClusterRouter.submit`)."""
-        return self.get(model).router.submit(image, deadline_s=deadline_s)
 
     # -- lifecycle -------------------------------------------------------------
 
     def _start_entry(self, entry: ClusterModel) -> None:
         entry.supervisor.start()
-        entry.router.start()
+        super()._start_entry(entry)
 
-    def _stop_entry(self, entry: ClusterModel, drain: bool, deadline: float) -> None:
-        if drain:
-            entry.router.join_idle(max(0.0, deadline - time.monotonic()))
-        entry.router.stop()
+    def _stop_entry(self, entry: ClusterModel, drain: bool, timeout: "float | None") -> None:
+        deadline = time.monotonic() + (10.0 if timeout is None else timeout)
+        super()._stop_entry(entry, drain, deadline - time.monotonic())
         entry.supervisor.stop(timeout_s=max(0.5, deadline - time.monotonic()))
         entry.store.close()
-
-    def start(self) -> "ClusterService":
-        """Spin up every registered pool; later registrations auto-start."""
-        with self._lock:
-            self._started = True
-            entries = list(self._models.values())
-        for entry in entries:
-            self._start_entry(entry)
-        return self
-
-    def stop(self, drain: bool = True, timeout: "float | None" = 10.0) -> None:
-        """Stop every pool, bounded by one shared ``timeout`` deadline."""
-        with self._lock:
-            self._started = False
-            entries = list(self._models.values())
-        deadline = time.monotonic() + (timeout if timeout is not None else 10.0)
-        for entry in entries:
-            self._stop_entry(entry, drain=drain, deadline=deadline)
 
     def refresh(self, name: "str | None" = None, timeout: "float | None" = 10.0) -> int:
         """Hot weight update across the whole pool; returns the number of
@@ -250,14 +170,3 @@ class ClusterService:
             generation,
         )
         return stale
-
-    def metrics_snapshot(self) -> dict:
-        """``{model name: metrics snapshot}``, each carrying the cluster
-        gauge block (workers, breaker, generation) and the engine's plan
-        summary."""
-        with self._lock:
-            entries = list(self._models.items())
-        return {
-            name: {**entry.metrics.snapshot(), "plan": entry.engine.plan_summary()}
-            for name, entry in entries
-        }

@@ -9,9 +9,10 @@ One :class:`WorkerSupervisor` owns a model's pool of worker *processes*
   when its last pong is older than ``heartbeat_timeout_s`` — wedged workers
   are killed, crashed workers are detected by pipe EOF / process exit, and
   both paths converge on :meth:`_note_down`;
-* on a death: re-queues the worker's in-flight requests with the router
-  (zero accepted requests are dropped), records the death against the
-  model's :class:`~repro.serve.cluster.breaker.CircuitBreaker`, and
+* on a death: re-queues the worker's in-flight requests at the front of
+  the router's queue (zero accepted requests are dropped), records the
+  death against the model's
+  :class:`~repro.serve.cluster.breaker.CircuitBreaker`, and
   schedules a replacement with exponential backoff — unless the breaker is
   open, in which case the pool stays down until the half-open window admits
   a single probe worker;
@@ -23,7 +24,10 @@ Threading model: one receiver thread per worker (the only reader of that
 worker's pipe), one monitor thread for heartbeats and pool maintenance.
 Writes to a worker pipe are serialized by a per-worker send lock.  Lock
 order is always ``supervisor lock → router condition``; supervisor methods
-are never called while holding the router condition.
+are never called while holding the router condition.  The router's queue
+counts its own taken-but-unfinished requests, so waiting for an idle pool
+(a draining stop) reads queue state only; the per-worker ``inflight`` maps
+here serve dispatch balance and crash re-queueing.
 """
 
 from __future__ import annotations
@@ -212,11 +216,6 @@ class WorkerSupervisor:
     def alive_workers(self) -> "list[WorkerHandle]":
         with self._lock:
             return [h for h in self._workers.values() if h.alive]
-
-    def total_inflight(self) -> int:
-        with self._lock:
-            handles = list(self._workers.values())
-        return sum(h.inflight_count() for h in handles if h.alive)
 
     # -- receive path ----------------------------------------------------------
 

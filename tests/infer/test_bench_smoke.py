@@ -70,8 +70,8 @@ def test_benchmark_smoke(tmp_path):
 @pytest.mark.infer_bench
 def test_native_sweep_smoke(tmp_path):
     """The --native-sweep section: native C vs numpy codegen timings, bitwise
-    parity in both dtypes, and per-layer backend records, at smoke scale
-    (net 4).  Passes with or without a host toolchain — without one, every
+    parity in both dtypes, the float32 mode's column and argmax agreement,
+    and per-layer backend records, at smoke scale (net 4).  Passes with or without a host toolchain — without one, every
     layer records numpy and the speedups hover near 1x."""
     sweep = bench_infer.run_native_sweep(reps=1, smoke=True)
 
@@ -84,6 +84,9 @@ def test_native_sweep_smoke(tmp_path):
         for spec in row["batches"].values():
             assert spec["numpy_s"] > 0 and spec["native_s"] > 0
             assert spec["int8_numpy_s"] > 0 and spec["int8_native_s"] > 0
+            assert spec["float32_s"] > 0 and spec["int8_native_vs_float32"] > 0
+        assert set(row["argmax_agreement"]) == {"float32", "int8"}
+        assert all(0.0 <= v <= 1.0 for v in row["argmax_agreement"].values())
         assert row["float64_layers"]  # per-node backend outcome records
         backends = {l.get("backend") for l in row["float64_layers"]}
         assert backends <= {"native", "numpy"}

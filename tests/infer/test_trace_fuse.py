@@ -172,6 +172,20 @@ class TestProgramStructure:
             engine.forward_batch(sample_images(n), check_stale=False)
         assert len(engine._ctx._traced) <= fuse._MAX_BOUND_STATES
 
+    @pytest.mark.parametrize("dtype", ["float", "int8"])
+    def test_registers_and_input_are_cache_line_aligned(self, dtype):
+        """Every buffer a bound program owns starts on a 64-byte boundary,
+        so batch-1 time does not depend on where the allocator put it; the
+        logits stay the same bytes."""
+        model = build_small_network(4)
+        engine = InferenceEngine(model, config=PlanConfig(dtype=dtype))
+        images = sample_images(1)
+        got = engine.forward_batch(images, check_stale=False).tobytes()
+        (state,) = engine._ctx._traced.values()
+        buffers = [state.input] + [r for regs in state.regs.values() for r in regs]
+        assert [b.ctypes.data % 64 for b in buffers] == [0] * len(buffers)
+        assert got == engine.predict_logits(images).tobytes()
+
 
 class TestKernelCache:
     def test_shape_identical_plans_hit_the_cache(self):

@@ -9,6 +9,8 @@ equal the in-process plan exactly.  The fault-injection drills live in
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -187,3 +189,25 @@ def test_int8_engine_runs_in_a_worker():
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     finally:
         service.stop()
+
+
+@pytest.mark.timeout(90)
+def test_draining_stop_resolves_requests_in_flight_on_a_worker():
+    """stop(drain=True) waits on the router's own count of taken requests,
+    so requests already on a worker (each held there by a modeled service
+    delay) and those still queued all resolve with their logits."""
+    model = build_small_network(4)
+    service = ClusterService(ClusterConfig(workers=1, service_delay_s=0.05, **FAST))
+    entry = service.register("net4", model)
+    service.start()
+    images = sample_images(6, seed=61)
+    futures = [service.submit(img) for img in images]
+    deadline = time.monotonic() + 10.0
+    while not entry.supervisor.snapshot()["workers"][0]["inflight"]:
+        assert time.monotonic() < deadline, "no request ever reached the worker"
+        time.sleep(0.005)
+    service.stop(drain=True, timeout=30.0)
+    assert all(f.done() for f in futures)
+    np.testing.assert_array_equal(_resolve(futures, timeout=0), entry.engine.predict_logits(images))
+    requests = service.metrics_snapshot()["net4"]["requests"]
+    assert requests["completed"] == len(images) and requests["cancelled"] == 0

@@ -1,20 +1,27 @@
 """Deterministic unit tests for the cluster's control-plane pieces.
 
 Everything here runs single-process against injected fake clocks: circuit
-breaker lifecycle, the router's queue bound, config validation and the
-generational plan store.  The multi-process integration and chaos
+breaker lifecycle, the router's admission (shape check, queue bound,
+deadlines, pause, requeue, stop, breaker shed) against a fake supervisor,
+config validation and the generational plan store.  The multi-process integration and chaos
 drills live in ``test_cluster.py`` / ``test_cluster_chaos.py``.
 """
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.errors import (
+    CircuitOpenError,
     ClusterError,
     ConfigurationError,
+    DeadlineExceededError,
     QueueFullError,
+    ServerClosedError,
     ShapeError,
 )
 from repro.infer import PlanConfig
@@ -128,6 +135,168 @@ class TestClusterRouter:
         assert [r.image[0, 0, 0] for r in router._queue] == [0.0, 1.0]
         requests = router.metrics.snapshot()["requests"]
         assert (requests["offered"], requests["accepted"], requests["shed"]) == (3, 2, 1)
+
+
+class FakeWorker:
+    """Records what the router sends; never answers."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.inflight: dict = {}
+        self.sent: list = []
+
+    def send(self, msg: tuple) -> None:
+        self.sent.append(msg)
+
+
+class FakeSupervisor:
+    """``pick_worker`` over fake workers, each taking up to ``capacity``."""
+
+    def __init__(self, *workers: FakeWorker, capacity: int = 4) -> None:
+        self.workers = workers
+        self.capacity = capacity
+
+    def pick_worker(self):
+        return next((w for w in self.workers if len(w.inflight) < self.capacity), None)
+
+
+def _await(predicate, timeout: float = 5.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
+def _image(value: float) -> np.ndarray:
+    return np.full((3, 4, 4), value)
+
+
+class TestRouterAdmission:
+    """The router admits through the same queue as the micro-batcher
+    (``test_batcher.py``); these cases drive it with a fake supervisor."""
+
+    def _router(self, *workers, config=None, breaker=None, clock=None, **kwargs):
+        clock = clock or FakeClock()
+        return ClusterRouter(
+            "m",
+            config or ClusterConfig(dispatch_wait_s=0.01),
+            FakeSupervisor(*workers),
+            breaker or CircuitBreaker(clock=clock),
+            ClusterMetrics(),
+            clock=clock,
+            **kwargs,
+        )
+
+    def _requests(self, router) -> tuple:
+        snap = router.metrics.snapshot()["requests"]
+        return snap["offered"], snap["accepted"], snap["shed"]
+
+    def test_bad_shapes_raise_before_anything_is_queued(self):
+        router = self._router(image_shape=(3, 4, 4))
+        for bad in (np.zeros((1, 3, 4, 4)), np.zeros((4, 4)), np.zeros((3, 8, 8))):
+            with pytest.raises(ShapeError):
+                router.submit(bad)
+        assert router.queue_depth == 0 and self._requests(router) == (0, 0, 0)
+        # Unpinned, the first accepted image pins the shape.
+        router = self._router()
+        router.submit(_image(0.0))
+        with pytest.raises(ShapeError):
+            router.submit(np.zeros((3, 8, 8)))
+        assert router.queue_depth == 1 and self._requests(router) == (1, 1, 0)
+
+    def test_expired_request_never_reaches_a_worker(self):
+        worker, clock = FakeWorker(), FakeClock()
+        router = self._router(worker, clock=clock)
+        router.start()
+        try:
+            router.pause()
+            late = router.submit(_image(0.0), deadline_s=1.0)
+            on_time = router.submit(_image(1.0), deadline_s=5.0)
+            clock.advance(2.0)
+            router.resume()
+            with pytest.raises(DeadlineExceededError):
+                late.result(timeout=5)
+            _await(lambda: len(worker.sent) == 1)
+            assert worker.sent[0][2][0, 0, 0, 0] == 1.0
+            assert not on_time.done()
+            assert router.metrics.snapshot()["requests"]["expired"] == 1
+        finally:
+            router.stop(drain=False)
+
+    def test_stop_without_drain_fails_queued_futures(self):
+        router = self._router(FakeWorker())
+        router.start()
+        router.pause()
+        futures = [router.submit(_image(float(i))) for i in range(3)]
+        router.stop(drain=False)
+        for future in futures:
+            with pytest.raises(ServerClosedError):
+                future.result(timeout=0)
+        assert router.metrics.snapshot()["requests"]["cancelled"] == 3
+        with pytest.raises(ServerClosedError):
+            router.submit(_image(3.0))
+        assert self._requests(router) == (4, 3, 1)
+
+    def test_stop_without_drain_fails_requests_parked_for_a_worker(self):
+        """No worker has capacity, so the dispatcher keeps parking the head
+        request back on the queue; a stop must still fail every future."""
+        router = self._router()  # a supervisor with no workers at all
+        router.start()
+        futures = [router.submit(_image(float(i))) for i in range(3)]
+        time.sleep(0.05)  # let the dispatcher park the head a few times
+        router.stop(drain=False)
+        for future in futures:
+            with pytest.raises(ServerClosedError):
+                future.result(timeout=0)
+
+    def test_pause_holds_dispatch_and_resume_releases_it(self):
+        worker = FakeWorker()
+        router = self._router(worker)
+        router.start()
+        try:
+            router.pause()
+            router.submit(_image(0.0))
+            router.submit(_image(1.0))
+            time.sleep(0.1)
+            assert worker.sent == [] and router.queue_depth == 2
+            router.resume()
+            _await(lambda: len(worker.sent) == 2)
+            assert [msg[2][0, 0, 0, 0] for msg in worker.sent] == [0.0, 1.0]
+            assert router.queue_depth == 0
+        finally:
+            router.stop(drain=False)
+
+    def test_requeue_goes_to_the_front_in_original_order(self):
+        worker = FakeWorker()
+        router = self._router(worker)
+        router.start()
+        try:
+            router.submit(_image(0.0))
+            router.submit(_image(1.0))
+            _await(lambda: len(worker.inflight) == 2)
+            router.pause()
+            router.submit(_image(2.0))
+            with worker.lock:  # what the supervisor does when a worker dies
+                lost = list(worker.inflight.values())
+                worker.inflight.clear()
+            router.requeue(lost)
+            assert [r.image[0, 0, 0] for r in router._queue] == [0.0, 1.0, 2.0]
+            assert router.metrics.redispatched.value == 2
+        finally:
+            router.stop(drain=False)
+
+    def test_breaker_shed_counts_in_offered_equals_accepted_plus_shed(self):
+        clock = FakeClock()
+        breaker = CircuitBreaker(restart_budget=1, open_s=1.0, clock=clock)
+        breaker.record_restart(), breaker.record_restart()
+        router = self._router(breaker=breaker, clock=clock)
+        with pytest.raises(CircuitOpenError) as info:
+            router.submit(_image(0.0))
+        assert info.value.retry_after_s == pytest.approx(1.0)
+        clock.advance(1.0)  # half-open admits the probe
+        router.submit(_image(1.0))
+        assert self._requests(router) == (2, 1, 1)
+        assert router.queue_depth == 1
 
 
 class TestClusterConfig:
